@@ -1,4 +1,4 @@
-"""Fractional-imputation EM estimator for the response-model parameters.
+"""Fractional-imputation estimator for the response-model parameters.
 
 Each missing outcome is represented by the whole pool of respondent
 outcomes ("donors"), weighted so that weighted donor averages
@@ -9,19 +9,24 @@ covariates x is proportional to
     odds(x, y; phi) * f(y | x, respondent; gamma) / C(y; gamma),
 
 with ``C(y) = sum_l f(y | x_l, respondent; gamma)`` summing over all
-respondents; the weights are normalized within each missing unit.  The
-estimator alternates recomputing weights at the current response
-parameters (E-step) with a Newton solve of the weighted mean score
-equation holding the weights fixed (M-step).
+respondents; the weights are normalized within each missing unit, in
+which the covariate factor ``exp(-h(x; alpha))`` of the odds cancels.
+So the weights depend on phi only through beta, with
+``dw_ij/dbeta = -w_ij (y_j - ybar_i)`` for the unit's weighted donor
+mean ``ybar_i``.  The estimator is the root of the mean score equation
+``S(phi; w(beta)) = 0``; instead of EM's linearly converging alternation
+of weight updates and fixed-weight solves, ``em_fit`` finds it by damped
+Newton with the exact Jacobian: the fixed-weight one plus a beta column.
+EM remains only for the weakly identified fits where Newton stalls.
 
 The respondents' model ``gamma`` is fitted once from complete cases and
-held fixed throughout; only the density factors of the weights depend
-on it, so they are computed once per fit and shared across E-steps.
+held fixed throughout; only ``base`` depends on it, so it is computed
+once per fit.
 
 An alternative "parametric" engine draws a fixed per-unit pool of M
-imputed values from the respondents' density and reweights it by the
-nonresponse odds each E-step; it exists for cross-checking the donor
-scheme and is not used for variance estimation.
+imputed values from the respondents' density and weights it by the
+nonresponse odds alone (``base = 0``); it exists for cross-checking the
+donor scheme and is not used for variance estimation.
 """
 
 from __future__ import annotations
@@ -60,6 +65,18 @@ class UnidentifiableModelError(RuntimeError):
 
 @dataclass(frozen=True)
 class FiControls:
+    """Stopping rules of the solves of the mean score equation.
+
+    ``em_fit``'s Newton solve converges when the max-abs score is at most
+    ``tol_score`` and the next step at most ``tol_phi`` in every parameter,
+    within ``min(max_newton_iter, max_em_iter)`` steps; the EM that takes
+    over when it does not stops once an iteration moves phi by at most
+    ``tol_phi``, within ``max_em_iter`` iterations.  Fixed-weight solves
+    stop at ``tol_score`` within ``max_newton_iter`` steps.  Each step is
+    halved at most ``max_halvings`` times; ``ridge`` regularizes a
+    numerically singular Jacobian.
+    """
+
     tol_phi: float = 1e-8
     tol_score: float = 1e-8
     max_em_iter: int = 500
@@ -81,7 +98,6 @@ class FractionalWeights:
     missing_rows: np.ndarray
     donor_y: np.ndarray
     w: np.ndarray
-    donor_rows: Optional[np.ndarray] = None
 
     @property
     def n_missing(self) -> int:
@@ -144,14 +160,10 @@ def _normalize_rows(logw: np.ndarray) -> np.ndarray:
 
 
 def _weights_from_base(
-    phi: ResponseSpec, h_missing: np.ndarray, donor_y: np.ndarray, base: np.ndarray
+    beta: float, donor_y: np.ndarray, base: np.ndarray
 ) -> np.ndarray:
-    if donor_y.ndim == 1:
-        logw = np.add.outer(-h_missing, -phi.beta * donor_y)
-    else:
-        logw = -h_missing[:, None] - phi.beta * donor_y
-    logw += base
-    return _normalize_rows(logw)
+    """Row-normalized ``exp(base - beta*y)``; the covariate odds factor cancels."""
+    return _normalize_rows(base - beta * donor_y)
 
 
 def fractional_weights(
@@ -166,13 +178,10 @@ def fractional_weights(
     if data.n_respondents < 1:
         raise FitError("at least one respondent donor is required")
     base = _donor_log_base(gamma, data)
-    h_missing = phi.h(data.missing_columns())
-    w = _weights_from_base(phi, h_missing, data.y_observed, base)
     return FractionalWeights(
         missing_rows=np.nonzero(data.delta == 0)[0],
         donor_y=data.y_observed.copy(),
-        w=w,
-        donor_rows=np.nonzero(data.delta == 1)[0],
+        w=_weights_from_base(phi.beta, data.y_observed, base),
     )
 
 
@@ -194,7 +203,7 @@ def _parametric_pool(
 
 @dataclass
 class _ScoreArrays:
-    """Design pieces shared by the score, Jacobian, and EM loop."""
+    """Design pieces shared by the score and its Jacobian."""
 
     z_resp: np.ndarray  # (n1, L+1) respondent design incl. outcome column
     b_miss: np.ndarray  # (n0, L) missing-unit covariate design
@@ -208,17 +217,53 @@ def _score_arrays(phi: ResponseSpec, data: Dataset) -> _ScoreArrays:
     return _ScoreArrays(z_resp, b_miss, z_resp.shape[1] - 1)
 
 
-def _propensity_matrix(phi: ResponseSpec, arrays: _ScoreArrays, weights) -> np.ndarray:
-    # expit saturates cleanly at extreme arguments, so no clamp is needed
-    # on this internal path; one buffer is reused for the whole computation
-    alpha = np.asarray(phi.alpha)
-    h_miss = arrays.b_miss @ alpha
-    y_d = weights.donor_y
-    if y_d.ndim == 1:
-        lp = np.add.outer(h_miss, phi.beta * y_d)
-    else:
-        lp = h_miss[:, None] + phi.beta * y_d
+def _propensity_matrix(phi: ResponseSpec, b_miss, donor_y) -> np.ndarray:
+    """P(delta=1 | x_i, y) for every missing unit i and each of its donor values."""
+    # expit saturates cleanly at extreme arguments, so no clamp is needed;
+    # one buffer is reused for the whole computation
+    lp = (b_miss @ np.asarray(phi.alpha))[:, None] + phi.beta * donor_y
     return expit(lp, out=lp)
+
+
+def _row_dot(a: np.ndarray, donor_y: np.ndarray) -> np.ndarray:
+    """Per-unit ``sum_j a_ij y_ij`` for shared or per-unit donor values."""
+    if donor_y.ndim == 1:
+        return a @ donor_y
+    return np.einsum("ij,ij->i", a, donor_y)
+
+
+def _score_and_jacobian(phi, arrays, w, donor_y, weights_move: bool):
+    """Mean score at phi for donor weights ``w``, and its Jacobian.
+
+    With ``weights_move`` the Jacobian includes the weights' dependence
+    on beta, ``dw_ij/dbeta = -w_ij (y_j - ybar_i)``; otherwise it holds
+    the weights fixed.
+    """
+    z = arrays.z_resp
+    p_resp = expit(np.clip(z @ phi.phi, -35.0, 35.0))
+    score = z.T @ (1.0 - p_resp)  # delta = 1
+    jac = -(z.T @ (z * (p_resp * (1.0 - p_resp))[:, None]))
+    if w.shape[0]:
+        L, b = arrays.h_index, arrays.b_miss
+        pi = _propensity_matrix(phi, b, donor_y)
+        wp = w * pi  # delta = 0, so the residual is -pi
+        # w pi (1 - pi), built in pi's buffer to keep one n0 x n1 array fewer
+        q = np.multiply(wp, np.subtract(1.0, pi, out=pi), out=pi)
+        row, wpy, qy = wp.sum(axis=1), _row_dot(wp, donor_y), _row_dot(q, donor_y)
+        y2 = donor_y**2
+        score[:L] -= b.T @ row
+        score[L] -= float(np.sum(wpy))
+        jac[:L, :L] -= b.T @ (b * q.sum(axis=1)[:, None])
+        cross = b.T @ qy
+        jac[:L, L] -= cross
+        jac[L, :L] -= cross
+        jac[L, L] -= float(np.sum(_row_dot(q, y2)))
+        if weights_move:
+            ybar = _row_dot(w, donor_y)
+            # per unit: sum_j w_ij (y_j - ybar_i) pi_ij, and the same times y_j
+            jac[:L, L] += b.T @ (wpy - ybar * row)
+            jac[L, L] += float(np.sum(_row_dot(wp, y2) - ybar * wpy))
+    return score, jac
 
 
 def mean_score(
@@ -226,25 +271,7 @@ def mean_score(
 ) -> np.ndarray:
     """Weighted mean score: respondent scores plus donor-averaged scores."""
     arrays = _score_arrays(phi, data)
-    return _mean_score_arrays(phi, weights, arrays, data)
-
-
-def _mean_score_arrays(phi, weights, arrays, data, pi=None) -> np.ndarray:
-    resid_resp = 1.0 - expit(
-        np.clip(arrays.z_resp @ phi.phi, -35.0, 35.0)
-    )  # delta = 1
-    score = arrays.z_resp.T @ resid_resp
-    if weights.n_missing:
-        if pi is None:
-            pi = _propensity_matrix(phi, arrays, weights)
-        wp = weights.w * pi  # delta = 0 so the residual is -pi
-        row = wp.sum(axis=1)
-        score[: arrays.h_index] -= arrays.b_miss.T @ row
-        if weights.donor_y.ndim == 1:
-            score[arrays.h_index] -= float(np.sum(wp @ weights.donor_y))
-        else:
-            score[arrays.h_index] -= float(np.sum(wp * weights.donor_y))
-    return score
+    return _score_and_jacobian(phi, arrays, weights.w, weights.donor_y, False)[0]
 
 
 def score_jacobian(
@@ -252,37 +279,60 @@ def score_jacobian(
 ) -> np.ndarray:
     """d mean_score / d phi with the weights held fixed (negative definite)."""
     arrays = _score_arrays(phi, data)
-    return _score_jacobian_arrays(phi, weights, arrays)
+    return _score_and_jacobian(phi, arrays, weights.w, weights.donor_y, False)[1]
 
 
-def _score_jacobian_arrays(phi, weights, arrays, pi=None) -> np.ndarray:
-    p_resp = expit(np.clip(arrays.z_resp @ phi.phi, -35.0, 35.0))
-    w_resp = p_resp * (1.0 - p_resp)
-    jac = -(arrays.z_resp.T @ (arrays.z_resp * w_resp[:, None]))
-    if weights.n_missing:
-        if pi is None:
-            pi = _propensity_matrix(phi, arrays, weights)
-        q = weights.w * pi
-        q *= 1.0 - pi
-        row = q.sum(axis=1)
-        if weights.donor_y.ndim == 1:
-            qy = q @ weights.donor_y
-            qyy = float(np.sum(q @ weights.donor_y**2))
+# ---------------------------------------------------------------------------
+# Newton solver
+# ---------------------------------------------------------------------------
+
+
+def _newton_step(jac: np.ndarray, score: np.ndarray, ridge: float) -> np.ndarray:
+    try:
+        step = np.linalg.solve(jac, -score)
+        # a near-singular solve shows up as a poor residual
+        if not np.all(np.isfinite(step)) or float(
+            np.max(np.abs(jac @ step + score))
+        ) > 1e-8 * (1.0 + float(np.max(np.abs(score)))):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        jac = jac - ridge * np.eye(jac.shape[0])
+        step = np.linalg.lstsq(jac, -score, rcond=None)[0]
+    return step
+
+
+def _newton(phi, system, max_steps: int, controls: FiControls, step_tol: float):
+    """Damped Newton on ``system(phi) -> (score, jacobian)``.
+
+    Converged when the max-abs score is at most ``controls.tol_score``
+    and the next step at most ``step_tol`` in every parameter.  Returns
+    ``(phi, max-abs score, trace, converged)``, with a trace entry
+    ``(step, max|delta phi|, max-abs score)`` per accepted step;
+    unconverged after ``max_steps`` steps or when halvings are exhausted.
+    """
+    score, jac = system(phi)
+    norm = float(np.max(np.abs(score)))
+    trace: list[tuple[int, float, float]] = []
+    while True:
+        step = _newton_step(jac, score, controls.ridge)
+        size = float(np.max(np.abs(step)))
+        if norm <= controls.tol_score and size <= step_tol:
+            return phi, norm, trace, True
+        if len(trace) >= max_steps:
+            return phi, norm, trace, False
+        l2 = float(np.linalg.norm(score))
+        for _ in range(controls.max_halvings + 1):
+            cand = phi.with_phi(phi.phi + step)
+            cand_score, cand_jac = system(cand)
+            if float(np.linalg.norm(cand_score)) < l2 or size < 1e-15:
+                break
+            step = 0.5 * step
+            size *= 0.5
         else:
-            qy = (q * weights.donor_y).sum(axis=1)
-            qyy = float(np.sum(q * weights.donor_y**2))
-        L = arrays.h_index
-        jac[:L, :L] -= arrays.b_miss.T @ (arrays.b_miss * row[:, None])
-        cross = arrays.b_miss.T @ qy
-        jac[:L, L] -= cross
-        jac[L, :L] -= cross
-        jac[L, L] -= qyy
-    return jac
-
-
-# ---------------------------------------------------------------------------
-# Newton M-step
-# ---------------------------------------------------------------------------
+            return phi, norm, trace, False
+        phi, score, jac = cand, cand_score, cand_jac
+        norm = float(np.max(np.abs(score)))
+        trace.append((len(trace) + 1, size, norm))
 
 
 def solve_mean_score(
@@ -295,61 +345,29 @@ def solve_mean_score(
 
     Step-halving backs off any step that increases the score norm; a
     small ridge stabilizes a near-singular Jacobian.  Raises FitError
-    when halvings are exhausted or the iteration cap is hit.
+    when halvings are exhausted or ``controls.max_newton_iter`` steps
+    do not converge.
     """
     arrays = _score_arrays(phi, data)
-    result, _, _ = _solve_mean_score_core(phi, weights, arrays, data, controls)
-    return result
+    return _fixed_weight_solve(phi, arrays, weights.w, weights.donor_y, controls)[0]
 
 
-def _solve_mean_score_core(phi, weights, arrays, data, controls, pi=None):
-    """Newton core; returns (phi, score_norm, propensity matrix at phi)."""
-    current = phi
-    if pi is None and weights.n_missing:
-        pi = _propensity_matrix(current, arrays, weights)
-    score = _mean_score_arrays(current, weights, arrays, data, pi)
-    norm = float(np.max(np.abs(score)))
-    for _ in range(controls.max_newton_iter):
-        if norm <= controls.tol_score:
-            return current, norm, pi
-        jac = _score_jacobian_arrays(current, weights, arrays, pi)
-        try:
-            step = np.linalg.solve(jac, -score)
-            # a near-singular solve shows up as a poor residual
-            if not np.all(np.isfinite(step)) or float(
-                np.max(np.abs(jac @ step + score))
-            ) > 1e-8 * (1.0 + norm):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            jac = jac - controls.ridge * np.eye(jac.shape[0])
-            step = np.linalg.lstsq(jac, -score, rcond=None)[0]
-        accepted = False
-        l2 = float(np.linalg.norm(score))
-        for _ in range(controls.max_halvings + 1):
-            cand = current.with_phi(current.phi + step)
-            cand_pi = (
-                _propensity_matrix(cand, arrays, weights)
-                if weights.n_missing
-                else None
-            )
-            cand_score = _mean_score_arrays(cand, weights, arrays, data, cand_pi)
-            if float(np.linalg.norm(cand_score)) < l2 or np.max(np.abs(step)) < 1e-15:
-                accepted = True
-                break
-            step = 0.5 * step
-        if not accepted:
-            raise FitError("Newton step-halving exhausted in the M-step")
-        current, score, pi = cand, cand_score, cand_pi
-        norm = float(np.max(np.abs(score)))
-    if norm <= controls.tol_score:
-        return current, norm, pi
-    raise FitError(
-        f"M-step Newton did not converge (score norm {norm:.3g})"
-    )
+def _fixed_weight_solve(phi, arrays, w, donor_y, controls: FiControls):
+    """``solve_mean_score`` on prepared arrays; returns (phi, max-abs score)."""
+
+    def system(p: ResponseSpec):
+        return _score_and_jacobian(p, arrays, w, donor_y, False)
+
+    # as an M-step this needs no step test: EM's own test on phi follows
+    steps = controls.max_newton_iter
+    phi, norm, _, converged = _newton(phi, system, steps, controls, math.inf)
+    if not converged:
+        raise FitError(f"M-step Newton did not converge (score norm {norm:.3g})")
+    return phi, norm
 
 
 # ---------------------------------------------------------------------------
-# EM driver
+# the fit
 # ---------------------------------------------------------------------------
 
 
@@ -381,11 +399,15 @@ def em_fit(
     m_draws: int = 500,
     rng: Optional[np.random.Generator] = None,
 ) -> FitResult:
-    """Alternate weight updates and Newton solves until the parameters settle.
+    """Solve the fractional-imputation mean score equation for (alpha, beta).
 
-    Convergence is declared when the max-abs parameter change falls to
-    ``controls.tol_phi``; hitting ``controls.max_em_iter`` first raises
-    FitError.  When a verdict is supplied, a provably unidentifiable
+    Damped Newton on ``S(phi; w(beta)) = 0`` with the exact Jacobian and
+    the weights recomputed at every trial point, from ``init_phi`` or
+    else the ignorable logistic fit.  When Newton does not converge (see
+    FiControls), EM runs from the same start; EM not converging within
+    ``controls.max_em_iter`` iterations raises FitError.  ``trace`` and
+    ``em_iterations`` list and count the Newton steps, then any EM
+    iterations.  When a verdict is supplied, a provably unidentifiable
     model is refused unless ``force`` is set, and a not-provable one
     warns.
     """
@@ -403,8 +425,6 @@ def em_fit(
 
     gamma = gamma_fit.spec
     phi = init_phi if init_phi is not None else _initial_phi(h_basis, data)
-    missing_rows = np.nonzero(data.delta == 0)[0]
-    donor_rows = np.nonzero(data.delta == 1)[0]
 
     if engine == "donor":
         donor_y = data.y_observed.copy()
@@ -418,47 +438,58 @@ def em_fit(
     else:
         raise ValueError(f"unknown imputation engine {engine!r}")
 
-    miss_cols = data.missing_columns()
     arrays = _score_arrays(phi, data)
 
-    def weights_at(p: ResponseSpec) -> FractionalWeights:
-        # same expression as fractional_weights so the two agree bit for
-        # bit; the covariate part cancels in the row normalization but is
-        # kept for exactness
-        w = _weights_from_base(p, p.h(miss_cols), donor_y, base)
-        return FractionalWeights(missing_rows, donor_y, w, donor_rows)
+    def system(p: ResponseSpec):
+        w = _weights_from_base(p.beta, donor_y, base)
+        return _score_and_jacobian(p, arrays, w, donor_y, True)
 
-    trace: list[tuple[int, float, float]] = []
-    converged = False
-    score_norm = math.inf
-    iteration = 0
-    pi = None  # propensities depend only on phi and donors, never the weights
-    for iteration in range(1, controls.max_em_iter + 1):
-        weights = weights_at(phi)
-        new_phi, score_norm, pi = _solve_mean_score_core(
-            phi, weights, arrays, data, controls, pi
-        )
-        delta_phi = float(np.max(np.abs(new_phi.phi - phi.phi)))
-        trace.append((iteration, delta_phi, score_norm))
-        phi = new_phi
-        if delta_phi <= controls.tol_phi:
-            converged = True
-            break
+    steps = min(controls.max_newton_iter, controls.max_em_iter)
+    start = phi
+    phi, score_norm, trace, converged = _newton(
+        start, system, steps, controls, controls.tol_phi
+    )
     if not converged:
-        raise FitError(
-            f"EM did not converge within {controls.max_em_iter} iterations "
-            f"(last parameter change {trace[-1][1]:.3g})",
-            trace=tuple(trace),
-        )
-    weights = weights_at(phi)
+        # on weakly identified data the damped Newton path can stall at a
+        # minimum of ||S|| that is no root; EM's path is not monotone in
+        # ||S|| and gets past it, so EM takes over from the same start
+        phi, score_norm, em_trace = _em(start, arrays, donor_y, base, controls)
+        trace += [(len(trace) + k, change, norm) for k, change, norm in em_trace]
+    weights = FractionalWeights(
+        np.nonzero(data.delta == 0)[0],
+        donor_y,
+        _weights_from_base(phi.beta, donor_y, base),
+    )
     return FitResult(
         phi_hat=phi,
         gamma=gamma_fit,
         weights=weights,
         covariance=None,
-        em_iterations=iteration,
+        em_iterations=len(trace),
         mean_score_norm=score_norm,
-        converged=converged,
+        converged=True,
+        trace=tuple(trace),
+    )
+
+
+def _em(phi, arrays, donor_y, base, controls: FiControls):
+    """EM: weights at the current beta, then the fixed-weight solve, until phi settles.
+
+    Returns ``(phi, max-abs score, trace)``; raises FitError after
+    ``controls.max_em_iter`` iterations.
+    """
+    trace: list[tuple[int, float, float]] = []
+    for iteration in range(1, controls.max_em_iter + 1):
+        w = _weights_from_base(phi.beta, donor_y, base)
+        new_phi, score_norm = _fixed_weight_solve(phi, arrays, w, donor_y, controls)
+        change = float(np.max(np.abs(new_phi.phi - phi.phi)))
+        trace.append((iteration, change, score_norm))
+        phi = new_phi
+        if change <= controls.tol_phi:
+            return phi, score_norm, trace
+    raise FitError(
+        f"EM did not converge within {controls.max_em_iter} iterations "
+        f"(last parameter change {trace[-1][1] if trace else math.nan:.3g})",
         trace=tuple(trace),
     )
 

@@ -44,7 +44,14 @@ from .expfam import (
     log_density_outer,
     unflatten_params,
 )
-from .fiem import FitResult, FractionalWeights, estimate_mu_y
+from .fiem import (
+    FitResult,
+    FractionalWeights,
+    _donor_log_base,
+    _propensity_matrix,
+    _weights_from_base,
+    estimate_mu_y,
+)
 from .respondent import FitError, RespondentFit
 from .response import ResponseSpec
 
@@ -59,7 +66,7 @@ __all__ = [
 
 COND_LIMIT = 1e12
 FD_STEP_GAMMA = 1e-6  # relative step for outcome-model score differences
-FD_STEP_MU = 1e-5  # relative step for the mean-functional gradient
+FD_STEP_MU = 1e-5  # relative step for the mean-functional gradient in gamma
 Z975 = 1.959963984540054
 
 
@@ -170,12 +177,9 @@ def _score_gamma_fd(gamma, y, columns, outer: bool) -> np.ndarray:
 
 def _missing_pieces(phi: ResponseSpec, weights: FractionalWeights, data: Dataset):
     """Per-missing-unit mean scores and mean design vectors."""
-    miss_cols = data.missing_columns()
-    b_miss = phi.h_basis.design(miss_cols)
-    h_miss = b_miss @ np.asarray(phi.alpha)
+    b_miss = phi.h_basis.design(data.missing_columns())
     y_d = weights.donor_matrix()
-    lp = h_miss[:, None] + phi.beta * y_d
-    pi = expit(np.clip(lp, -35.0, 35.0))
+    pi = _propensity_matrix(phi, b_miss, weights.donor_y)
     wp = weights.w * pi
     d = b_miss.shape[1] + 1
     n0 = weights.n_missing
@@ -271,15 +275,22 @@ def _assemble(bread: np.ndarray, middle: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _mu_y_with_base(
-    phi: ResponseSpec, base: np.ndarray, data: Dataset, miss_cols
-) -> float:
+def _mu_y_with_base(phi: ResponseSpec, base: np.ndarray, data: Dataset) -> float:
     """Outcome mean with the density part of the weights precomputed."""
-    from .fiem import _weights_from_base
-
     y_d = data.y_observed
-    w = _weights_from_base(phi, phi.h(miss_cols), y_d, base)
+    w = _weights_from_base(phi.beta, y_d, base)
     return (float(np.sum(y_d)) + float(np.sum(w * y_d[None, :]))) / data.n
+
+
+def _mu_y_grad_beta(weights: FractionalWeights, n: int) -> float:
+    """Closed-form d mu/d beta = -(1/n) sum_i Var_{w_i}(y).
+
+    Follows from ``dw_ij/dbeta = -w_ij (y_j - ybar_i)``; the donor values
+    are centred first so that the two moments do not cancel.
+    """
+    y_c = weights.donor_y - np.mean(weights.donor_y)
+    ybar_c = weights.w @ y_c
+    return -float(np.sum(weights.w @ y_c**2 - ybar_c**2)) / n
 
 
 def mu_y_variance(
@@ -293,32 +304,22 @@ def mu_y_variance(
     Builds the per-unit influence of the mean functional: its direct
     sampling term plus gradients through the response parameters and
     the outcome-model parameters, each propagated with the matching
-    influence vectors from the sandwich assembly.  Gradients are
-    central finite differences through the weights.
+    influence vectors from the sandwich assembly.  The gradient in the
+    response parameters is closed form (zero in alpha, which the weights
+    do not depend on); the gradient in the outcome-model parameters is
+    central finite differences through the donor base.
     """
-    from .fiem import _donor_log_base
-
     gamma = gamma_fit.spec
     mu_hat = estimate_mu_y(fit, data)
     n = data.n
-    phi_vec = fit.phi
-    d = phi_vec.size
+    d = fit.phi.size
 
     if fit.weights.n_missing == 0:
         resid = data.y_observed - mu_hat
         return float(np.sum(resid**2)) / n**2
 
-    miss_cols = data.missing_columns()
-    base = _donor_log_base(gamma, data)  # independent of phi, computed once
-    grad_phi = np.zeros(d)
-    for j in range(d):
-        step = FD_STEP_MU * (1.0 + abs(phi_vec[j]))
-        up = fit.phi_hat.with_phi(_bump(phi_vec, j, step))
-        dn = fit.phi_hat.with_phi(_bump(phi_vec, j, -step))
-        grad_phi[j] = (
-            _mu_y_with_base(up, base, data, miss_cols)
-            - _mu_y_with_base(dn, base, data, miss_cols)
-        ) / (2 * step)
+    grad_phi = np.zeros(d)  # the weights, hence mu, do not depend on alpha
+    grad_phi[-1] = _mu_y_grad_beta(fit.weights, n)
 
     theta = flatten_params(gamma)
     grad_gamma = np.zeros(theta.size)
@@ -327,8 +328,8 @@ def mu_y_variance(
         up = unflatten_params(gamma, _bump(theta, j, step))
         dn = unflatten_params(gamma, _bump(theta, j, -step))
         grad_gamma[j] = (
-            _mu_y_with_base(fit.phi_hat, _donor_log_base(up, data), data, miss_cols)
-            - _mu_y_with_base(fit.phi_hat, _donor_log_base(dn, data), data, miss_cols)
+            _mu_y_with_base(fit.phi_hat, _donor_log_base(up, data), data)
+            - _mu_y_with_base(fit.phi_hat, _donor_log_base(dn, data), data)
         ) / (2 * step)
 
     bread_inv_g = np.linalg.solve(parts.bread.T, grad_phi)  # A^{-T} g

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from fimnar.basis import continuous, parse_formula
@@ -9,7 +11,11 @@ from fimnar.dataio import Dataset
 from fimnar.expfam import Component, Family, OutcomeSpec
 from fimnar.fiem import (
     FiControls,
+    FractionalWeights,
     UnidentifiableModelError,
+    _parametric_pool,
+    _score_and_jacobian,
+    _score_arrays,
     em_fit,
     estimate_mu_y,
     fractional_weights,
@@ -20,7 +26,7 @@ from fimnar.fiem import (
 from fimnar.identify import IdentifyVerdict, Rule, Status
 from fimnar.respondent import FitError, fit_glm
 from fimnar.response import ResponseSpec
-from fimnar.sim import generate, scenario_s1
+from fimnar.sim import _fit_respondent, built_in_scenario, generate, scenario_s1
 
 KINDS = {"x": continuous()}
 B1X = parse_formula("1 + x", KINDS)
@@ -378,3 +384,169 @@ def test_mu_y_single_donor_substitution():
     res = FitResult(phi_spec(), gf, w, None, 0, 0.0, True)
     # every missing unit is imputed by the single donor value
     assert estimate_mu_y(res, data) == pytest.approx((y0 + 3 * y0) / 4.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# differential checks against a reference EM
+# ---------------------------------------------------------------------------
+
+
+def reference_em(phi, weights_at, data, tol=1e-9, max_iter=20000):
+    """Textbook EM: E-step weights, then the fixed-weight M-step solve."""
+    for _ in range(max_iter):
+        new = solve_mean_score(phi, weights_at(phi), data)
+        if np.max(np.abs(new.phi - phi.phi)) <= tol:
+            return new
+        phi = new
+    raise AssertionError("reference EM did not converge")
+
+
+def parametric_weights_at(pool, data):
+    """Pool weights proportional to the full nonresponse odds, h included."""
+
+    def weights_at(phi):
+        logw = -(phi.h(data.missing_columns())[:, None] + phi.beta * pool)
+        w = np.exp(logw - logw.max(axis=1, keepdims=True))
+        return FractionalWeights(
+            np.nonzero(data.delta == 0)[0], pool, w / w.sum(axis=1, keepdims=True)
+        )
+
+    return weights_at
+
+
+def election_case():
+    from pathlib import Path
+
+    from fimnar.config import load_config
+    from fimnar.dataio import ingest
+
+    repo = Path(__file__).resolve().parents[1]
+    config = load_config(repo / "data" / "election_like.json")
+    data = ingest(repo / "data" / "election_like.csv", config.schema())
+    (basis,) = config.candidates[0].bases(config.kinds)
+    gf = fit_glm(data.y_observed, data.respondent_columns(), Family.BERNOULLI, basis)
+    return data, gf, config.h_basis()
+
+
+def scenario_case(name, n, seed):
+    scn = built_in_scenario(name, n=n)
+    rng = np.random.default_rng(seed)
+    data = generate(scn, rng)
+    return data, _fit_respondent(scn, data, rng, 4), scn.response.h_basis
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("s1", 800, 1), ("s2", 800, 2), ("s3", 500, 3), "parametric", "election"],
+    ids=["s1", "s2", "s3", "parametric", "election"],
+)
+def test_em_fit_matches_reference_em(case):
+    engine = {}
+    if case == "election":
+        data, gf, h_basis = election_case()
+    elif case == "parametric":
+        data, gf, h_basis = scenario_case("s1", 800, 4)
+        engine = dict(engine="parametric", m_draws=100)
+    else:
+        data, gf, h_basis = scenario_case(*case)
+    fit = em_fit(data, gf, h_basis, rng=np.random.default_rng(5), **engine)
+    if engine:
+        pool = _parametric_pool(gf.spec, data, 100, np.random.default_rng(5))
+        weights_at = parametric_weights_at(pool, data)
+    else:
+        def weights_at(phi):
+            return fractional_weights(phi, gf.spec, data)
+    ref = reference_em(fit.phi_hat.with_phi(np.zeros(fit.phi.size)), weights_at, data)
+    assert fit.converged and fit.em_iterations <= 20
+    assert np.max(np.abs(fit.phi - ref.phi)) <= 1e-6
+
+
+def test_em_takes_over_where_newton_stalls():
+    # a weakly identified replicate (s1, kappa2 = 0.1, n = 500) on which
+    # damped Newton from the ignorable start stalls at a non-root minimum
+    # of the score norm, while EM reaches the root near beta = 4.5
+    scn = built_in_scenario("s1", n=500, kappa2=0.1)
+    rng = np.random.default_rng(np.random.SeedSequence(20240800).spawn(47)[46])
+    data = generate(scn, rng)
+    gf = _fit_respondent(scn, data, rng, 10)
+    fit = em_fit(data, gf, scn.response.h_basis, controls=FiControls(max_em_iter=2000))
+    assert fit.em_iterations > FiControls().max_newton_iter
+
+    def weights_at(phi):
+        return fractional_weights(phi, gf.spec, data)
+
+    ref = reference_em(fit.phi_hat.with_phi(np.zeros(3)), weights_at, data)
+    assert fit.mean_score_norm <= 1e-8
+    assert np.max(np.abs(fit.phi - ref.phi)) <= 1e-6
+
+
+@pytest.mark.parametrize("engine", ["donor", "parametric"])
+def test_full_jacobian_matches_finite_differences_of_moving_weights(engine):
+    rng = np.random.default_rng(15)
+    data = make_dataset(
+        rng.normal(size=40), rng.normal(size=40), 15, rng.normal(size=15)
+    )
+    gamma = normal_gamma()
+    if engine == "donor":
+        def weights_at(phi):
+            return fractional_weights(phi, gamma, data)
+    else:
+        weights_at = parametric_weights_at(rng.normal(size=(15, 30)), data)
+    phi = phi_spec(alpha=(0.2, -0.1), beta=0.3)
+    w = weights_at(phi)
+    jac = _score_and_jacobian(phi, _score_arrays(phi, data), w.w, w.donor_y, True)[1]
+    vec = phi.phi
+    fd = np.zeros_like(jac)
+    for j in range(vec.size):
+        step = 1e-5 * (1.0 + abs(vec[j]))
+        up = phi.with_phi(vec + step * np.eye(vec.size)[j])
+        dn = phi.with_phi(vec - step * np.eye(vec.size)[j])
+        fd[:, j] = (
+            mean_score(up, weights_at(up), data) - mean_score(dn, weights_at(dn), data)
+        ) / (2 * step)
+    assert np.linalg.norm(fd - jac) / np.linalg.norm(jac) <= 1e-6
+    # the beta column is what the weights' movement adds
+    assert np.linalg.norm(jac[:, -1] - score_jacobian(phi, w, data)[:, -1]) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# invariances
+# ---------------------------------------------------------------------------
+
+_PROPERTY_DATA = make_dataset(
+    np.linspace(-1.5, 1.5, 30), np.sin(np.arange(30.0)), 12, np.linspace(-1, 1, 12)
+)
+
+
+@given(
+    alpha=st.tuples(*[st.floats(-20, 20)] * 2),
+    beta=st.floats(-3, 3),
+)
+@settings(max_examples=50, deadline=None)
+def test_weights_do_not_depend_on_alpha(alpha, beta):
+    def weights(a):
+        return fractional_weights(phi_spec(a, beta), normal_gamma(), _PROPERTY_DATA)
+
+    w0, w1 = weights((0.0, 0.0)), weights(alpha)
+    assert np.max(np.abs(w1.w - w0.w)) <= 1e-12
+
+
+_ORDER_SCENARIO = scenario_s1(1.0, n=300)
+_ORDER_DATA = generate(_ORDER_SCENARIO, 41)
+
+
+@given(st.permutations(range(_ORDER_DATA.n)))
+@settings(max_examples=10, deadline=None)
+def test_em_fit_does_not_depend_on_row_order(order):
+    def fit(data):
+        gf = fit_glm(data.y_observed, data.respondent_columns(), Family.NORMAL, B1XX)
+        return em_fit(data, gf, _ORDER_SCENARIO.response.h_basis).phi
+
+    order = np.asarray(order)
+    shuffled = Dataset(
+        columns={"x": _ORDER_DATA.columns["x"][order]},
+        y=_ORDER_DATA.y[order],
+        delta=_ORDER_DATA.delta[order],
+        kinds=dict(KINDS),
+    )
+    assert np.max(np.abs(fit(shuffled) - fit(_ORDER_DATA))) <= 1e-8

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from fimnar.basis import binary, continuous, parse_formula
 from fimnar.dataio import Dataset
 from fimnar.expfam import Component, Family, OutcomeSpec
-from fimnar.fiem import FitResult, em_fit, fractional_weights
+from fimnar.fiem import FitResult, em_fit, estimate_mu_y, fractional_weights
 from fimnar.respondent import RespondentFit, fit_glm
 from fimnar.response import ResponseSpec
 from fimnar.sim import generate, scenario_s1, scenario_s3
 from fimnar.variance import (
     SingularInformationError,
+    _mu_y_grad_beta,
     mu_y_variance,
     respondent_score_gamma,
     variance_estimate,
@@ -112,6 +115,26 @@ def test_invariance_to_respondent_reordering():
     assert np.max(np.abs(sigma2 - sigma)) <= 1e-12
     mu_var2 = mu_y_variance(fit2, gf, shuffled, parts2)
     assert abs(mu_var2 - mu_var) <= 1e-12
+
+
+_, _GRAD_DATA, _GRAD_GF, _GRAD_FIT = fitted_s1(53, n=300)
+
+
+@given(st.floats(-2.0, 2.0))
+@settings(max_examples=25, deadline=None)
+def test_closed_form_mu_gradient_in_beta_matches_finite_differences(beta):
+    phi = _GRAD_FIT.phi_hat.with_phi(np.append(_GRAD_FIT.phi[:-1], beta))
+
+    def mu_at(b):
+        p = phi.with_phi(np.append(phi.phi[:-1], b))
+        w = fractional_weights(p, _GRAD_GF.spec, _GRAD_DATA)
+        return estimate_mu_y(FitResult(p, _GRAD_GF, w, None, 1, 0.0, True), _GRAD_DATA)
+
+    step = 1e-5
+    fd = (mu_at(beta + step) - mu_at(beta - step)) / (2 * step)
+    weights = fractional_weights(phi, _GRAD_GF.spec, _GRAD_DATA)
+    got = _mu_y_grad_beta(weights, _GRAD_DATA.n)
+    assert got == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 def test_analytic_gamma_scores_match_finite_differences():
