@@ -43,7 +43,7 @@ from .dataio import Dataset
 from .expfam import OutcomeSpec, _logsumexp0, log_density_outer, sample
 from .identify import IdentifyVerdict, Status
 from .respondent import FitError, RespondentFit
-from .response import ResponseSpec
+from .response import LP_CLAMP, ResponseSpec
 
 __all__ = [
     "FiControls",
@@ -102,12 +102,6 @@ class FractionalWeights:
     @property
     def n_missing(self) -> int:
         return self.w.shape[0]
-
-    def donor_matrix(self) -> np.ndarray:
-        """Donor outcomes broadcast to the shape of ``w``."""
-        if self.donor_y.ndim == 1:
-            return np.broadcast_to(self.donor_y[None, :], self.w.shape)
-        return self.donor_y
 
 
 @dataclass
@@ -217,6 +211,11 @@ def _score_arrays(phi: ResponseSpec, data: Dataset) -> _ScoreArrays:
     return _ScoreArrays(z_resp, b_miss, z_resp.shape[1] - 1)
 
 
+def _respondent_propensity(phi: ResponseSpec, z_resp: np.ndarray) -> np.ndarray:
+    """P(delta=1 | x, y) at respondents' design rows, clamped like ``ResponseSpec``."""
+    return expit(np.clip(z_resp @ phi.phi, -LP_CLAMP, LP_CLAMP))
+
+
 def _propensity_matrix(phi: ResponseSpec, b_miss, donor_y) -> np.ndarray:
     """P(delta=1 | x_i, y) for every missing unit i and each of its donor values."""
     # expit saturates cleanly at extreme arguments, so no clamp is needed;
@@ -240,7 +239,7 @@ def _score_and_jacobian(phi, arrays, w, donor_y, weights_move: bool):
     the weights fixed.
     """
     z = arrays.z_resp
-    p_resp = expit(np.clip(z @ phi.phi, -35.0, 35.0))
+    p_resp = _respondent_propensity(phi, z)
     score = z.T @ (1.0 - p_resp)  # delta = 1
     jac = -(z.T @ (z * (p_resp * (1.0 - p_resp))[:, None]))
     if w.shape[0]:
@@ -498,5 +497,5 @@ def estimate_mu_y(fit: FitResult, data: Dataset) -> float:
     """Population outcome mean: observed values plus weighted donor values."""
     total = float(np.sum(data.y_observed))
     if fit.weights.n_missing:
-        total += float(np.sum(fit.weights.w * fit.weights.donor_matrix()))
+        total += float(np.sum(_row_dot(fit.weights.w, fit.weights.donor_y)))
     return total / data.n

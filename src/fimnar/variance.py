@@ -5,7 +5,8 @@ weights depend on the respondents' model, which is itself estimated,
 so the asymptotic variance has three ingredients: the outer-product
 "meat" of per-unit influence contributions, a bread matrix estimating
 the mean-score Jacobian, and a correction projecting out the
-first-stage estimation of the outcome model.
+first-stage estimation of the outcome model (the linearization of
+Kim, 2011, Biometrika).
 
 With mean-normalized pieces,
 
@@ -19,8 +20,10 @@ With mean-normalized pieces,
 ``s0bar_i`` is the donor-weighted mean score of missing unit i and
 ``z0bar_i`` its donor-weighted design vector, both at the fitted
 parameters.  ``s1`` is the gradient of the respondents' log density in
-the outcome-model parameters: analytic for one-component normal and
-Bernoulli models, central finite differences otherwise.
+the outcome-model parameters gamma.  E and the gamma-gradient of the
+outcome mean need only per-unit sums ``sum_j V_ij s1(x_i, y_j)`` over a
+few weight matrices V: closed form from the row moments of V for
+one-component normal and Bernoulli models, central differences otherwise.
 
 When the data contain no missing units the weighted terms vanish and
 the bread degenerates; the estimator then reduces to the ordinary
@@ -47,9 +50,8 @@ from .expfam import (
 from .fiem import (
     FitResult,
     FractionalWeights,
-    _donor_log_base,
     _propensity_matrix,
-    _weights_from_base,
+    _respondent_propensity,
     estimate_mu_y,
 )
 from .respondent import FitError, RespondentFit
@@ -66,7 +68,6 @@ __all__ = [
 
 COND_LIMIT = 1e12
 FD_STEP_GAMMA = 1e-6  # relative step for outcome-model score differences
-FD_STEP_MU = 1e-5  # relative step for the mean-functional gradient in gamma
 Z975 = 1.959963984540054
 
 
@@ -100,74 +101,84 @@ def _check_cond(matrix: np.ndarray, label: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def respondent_score_gamma(
-    gamma: OutcomeSpec, y: np.ndarray, columns
-) -> np.ndarray:
+def _has_closed_form(gamma: OutcomeSpec) -> bool:
+    return gamma.k == 1 and gamma.family in (Family.NORMAL, Family.BERNOULLI)
+
+
+def _closed_form_sums(gamma: OutcomeSpec, columns, shift, m0, m1, m2) -> np.ndarray:
+    """(units, q) sums ``sum_j V_rj s1(x_r, y_j)`` from the row moments of V.
+
+    ``m0, m1, m2`` are ``sum_j V_rj (y_j - shift)^p``, p = 0, 1, 2, with one
+    shift or one per unit; a shift near the y values avoids cancellation.
+    """
+    comp = gamma.components[0]
+    design = comp.basis.design(columns)
+    eta = design @ np.asarray(comp.coef)
+    if gamma.family is Family.BERNOULLI:
+        return design * (m1 - (expit(eta) - shift) * m0)[:, None]
+    sigma2 = float(comp.dispersion)
+    mu = eta - shift
+    r1 = m1 - mu * m0  # sum_j V_rj (y_j - mu_r)
+    r2 = m2 - mu * (m1 + r1)  # sum_j V_rj (y_j - mu_r)^2
+    return np.column_stack(
+        [design * (r1 / sigma2)[:, None], (r2 - sigma2 * m0) / (2.0 * sigma2**2)]
+    )
+
+
+def respondent_score_gamma(gamma: OutcomeSpec, y: np.ndarray, columns) -> np.ndarray:
     """Gradient of log f(y | x, respondent) in the outcome parameters.
 
-    Returns an (n, q) array ordered like ``flatten_params``.  Uses the
-    closed form for one-component normal and Bernoulli models and
-    central finite differences elsewhere.
+    Returns an (n, q) array ordered like ``flatten_params``: the closed
+    form of ``_score_sums`` with each unit its own single donor (moments
+    1, 0, 0 about its own y) where there is one, else central differences.
     """
     y = np.asarray(y, dtype=float)
-    if gamma.k == 1 and gamma.family is Family.NORMAL:
-        comp = gamma.components[0]
-        design = comp.basis.design(columns)
-        sigma2 = float(comp.dispersion)
-        resid = y - design @ np.asarray(comp.coef)
-        grad_coef = design * (resid / sigma2)[:, None]
-        grad_sigma2 = (resid**2 - sigma2) / (2.0 * sigma2**2)
-        return np.column_stack([grad_coef, grad_sigma2])
-    if gamma.k == 1 and gamma.family is Family.BERNOULLI:
-        comp = gamma.components[0]
-        design = comp.basis.design(columns)
-        p = expit(design @ np.asarray(comp.coef))
-        return design * (y - p)[:, None]
+    if _has_closed_form(gamma):
+        zero = np.zeros_like(y)
+        return _closed_form_sums(gamma, columns, y, np.ones_like(y), zero, zero)
     return _score_gamma_fd(gamma, y, columns, outer=False)
 
 
-def _score_gamma_outer(gamma: OutcomeSpec, y_donors: np.ndarray, columns) -> np.ndarray:
-    """(q, n0, nd) scores of donor values under missing units' covariates."""
-    if gamma.k == 1 and gamma.family is Family.NORMAL:
-        comp = gamma.components[0]
-        design = comp.basis.design(columns)  # (n0, m)
-        sigma2 = float(comp.dispersion)
-        mu = design @ np.asarray(comp.coef)
-        resid = y_donors[None, :] - mu[:, None]  # (n0, nd)
-        out = np.empty((design.shape[1] + 1,) + resid.shape)
-        for j in range(design.shape[1]):
-            out[j] = resid / sigma2 * design[:, j][:, None]
-        out[-1] = (resid**2 - sigma2) / (2.0 * sigma2**2)
-        return out
-    if gamma.k == 1 and gamma.family is Family.BERNOULLI:
-        comp = gamma.components[0]
-        design = comp.basis.design(columns)
-        p = expit(design @ np.asarray(comp.coef))
-        resid = y_donors[None, :] - p[:, None]
-        out = np.empty((design.shape[1],) + resid.shape)
-        for j in range(design.shape[1]):
-            out[j] = resid * design[:, j][:, None]
-        return out
-    return _score_gamma_fd(gamma, y_donors, columns, outer=True)
+def _fd_slices(gamma: OutcomeSpec, y, columns, evaluate):
+    """Central differences of ``evaluate(spec, y, columns)``, parameter by parameter."""
+    theta = flatten_params(gamma)
+    for k in range(theta.size):
+        bump = np.zeros_like(theta)
+        bump[k] = FD_STEP_GAMMA * (1.0 + abs(theta[k]))
+        yield (
+            evaluate(unflatten_params(gamma, theta + bump), y, columns)
+            - evaluate(unflatten_params(gamma, theta - bump), y, columns)
+        ) / (2.0 * bump[k])
 
 
 def _score_gamma_fd(gamma, y, columns, outer: bool) -> np.ndarray:
-    theta = flatten_params(gamma)
-    evaluate = log_density_outer if outer else log_density
-    grads = []
-    for j in range(theta.size):
-        step = FD_STEP_GAMMA * (1.0 + abs(theta[j]))
-        up, dn = theta.copy(), theta.copy()
-        up[j] += step
-        dn[j] -= step
-        g = (
-            evaluate(unflatten_params(gamma, up), y, columns)
-            - evaluate(unflatten_params(gamma, dn), y, columns)
-        ) / (2.0 * step)
-        grads.append(g)
+    """Finite-difference scores: (n, q), or (q, n, m) over every row and y value."""
     if outer:
-        return np.stack(grads)  # (q, n0, nd)
-    return np.column_stack(grads)  # (n, q)
+        return np.stack(list(_fd_slices(gamma, y, columns, log_density_outer)))
+    return np.column_stack(list(_fd_slices(gamma, y, columns, log_density)))
+
+
+def _score_sums(gamma: OutcomeSpec, y_donors: np.ndarray, columns, weights):
+    """Per-unit sums ``sum_j V_rj s1(x_r, y_j)``, (units, q), for each V in ``weights``.
+
+    Closed form from the row moments of V where there is one; otherwise
+    each parameter's central-difference slice of ``log_density_outer`` is
+    reduced against every V, so no (q, units, donors) tensor is held.
+    """
+    if _has_closed_form(gamma):
+        shift = float(np.mean(y_donors))
+        y_c = y_donors - shift
+        return [
+            _closed_form_sums(gamma, columns, shift, v.sum(axis=1), v @ y_c, v @ y_c**2)
+            for v in weights
+        ]
+    q = flatten_params(gamma).size
+    sums = [np.empty((v.shape[0], q)) for v in weights]
+    slices = _fd_slices(gamma, y_donors, columns, log_density_outer)
+    for k, slice_k in enumerate(slices):
+        for out, v in zip(sums, weights):
+            out[:, k] = np.einsum("ij,ij->i", v, slice_k)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +187,14 @@ def _score_gamma_fd(gamma, y, columns, outer: bool) -> np.ndarray:
 
 
 def _missing_pieces(phi: ResponseSpec, weights: FractionalWeights, data: Dataset):
-    """Per-missing-unit mean scores and mean design vectors."""
+    """Missing-unit designs, the w*pi weights, mean scores and mean design vectors."""
     b_miss = phi.h_basis.design(data.missing_columns())
-    y_d = weights.donor_matrix()
-    pi = _propensity_matrix(phi, b_miss, weights.donor_y)
-    wp = weights.w * pi
-    d = b_miss.shape[1] + 1
-    n0 = weights.n_missing
-    s0bar = np.zeros((n0, d))
-    s0bar[:, :-1] = -wp.sum(axis=1)[:, None] * b_miss
-    s0bar[:, -1] = -(wp * y_d).sum(axis=1)
-    z0bar = np.column_stack([b_miss, (weights.w * y_d).sum(axis=1)])
-    return b_miss, y_d, pi, s0bar, z0bar
+    y_d = weights.donor_y
+    wp = _propensity_matrix(phi, b_miss, y_d)
+    wp *= weights.w
+    s0bar = -np.column_stack([wp.sum(axis=1)[:, None] * b_miss, wp @ y_d])
+    z0bar = np.column_stack([b_miss, weights.w @ y_d])
+    return b_miss, wp, s0bar, z0bar
 
 
 def variance_estimate(
@@ -212,7 +219,7 @@ def variance_estimate(
 
     resp_cols = data.respondent_columns()
     z_resp = phi.design(resp_cols, data.y_observed)
-    p_resp = expit(np.clip(z_resp @ phi.phi, -35.0, 35.0))
+    p_resp = _respondent_propensity(phi, z_resp)
     s_resp = z_resp * (1.0 - p_resp)[:, None]  # delta = 1 scores
 
     gamma = gamma_fit.spec
@@ -231,25 +238,16 @@ def variance_estimate(
         )
         return _assemble(bread, middle, n), parts
 
-    b_miss, y_d, pi, s0bar, z0bar = _missing_pieces(phi, weights, data)
+    b_miss, wp, s0bar, z0bar = _missing_pieces(phi, weights, data)
     bread = (s0bar.T @ z0bar) / n
     _check_cond(bread, "mean-score Jacobian (I22)")
 
-    # coupling between the weights and the outcome-model parameters:
-    # E = (1/n) sum_i sum_j w_ij (S_ij - s0bar_i) s1'(x_i, y_j)
-    s1_outer = _score_gamma_outer(gamma, weights.donor_y, data.missing_columns())
-    e_cross = np.zeros((d, q))
-    w = weights.w
-    for k in range(q):
-        s1k = s1_outer[k]
-        for ell in range(d - 1):
-            s_ell = -pi * b_miss[:, ell][:, None]
-            e_cross[ell, k] = float(
-                np.sum(w * (s_ell - s0bar[:, ell][:, None]) * s1k)
-            )
-        s_y = -pi * y_d
-        e_cross[d - 1, k] = float(np.sum(w * (s_y - s0bar[:, -1][:, None]) * s1k))
-    e_cross /= n
+    # S_ij = -pi_ij (b_i, y_j), so n E = -(b' R[w pi] ; 1' R[w pi y]) - s0bar' R[w]
+    y_d = weights.donor_y
+    r_w, r_wp, r_wpy = _score_sums(
+        gamma, y_d, data.missing_columns(), (weights.w, wp, wp * y_d)
+    )
+    e_cross = -(np.vstack([b_miss.T @ r_wp, r_wpy.sum(axis=0)]) + s0bar.T @ r_w) / n
 
     j_resp = s_resp + s1_resp @ np.linalg.solve(i11, e_cross.T)
     middle = (j_resp.T @ j_resp + s0bar.T @ s0bar) / n
@@ -275,13 +273,6 @@ def _assemble(bread: np.ndarray, middle: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _mu_y_with_base(phi: ResponseSpec, base: np.ndarray, data: Dataset) -> float:
-    """Outcome mean with the density part of the weights precomputed."""
-    y_d = data.y_observed
-    w = _weights_from_base(phi.beta, y_d, base)
-    return (float(np.sum(y_d)) + float(np.sum(w * y_d[None, :]))) / data.n
-
-
 def _mu_y_grad_beta(weights: FractionalWeights, n: int) -> float:
     """Closed-form d mu/d beta = -(1/n) sum_i Var_{w_i}(y).
 
@@ -291,6 +282,32 @@ def _mu_y_grad_beta(weights: FractionalWeights, n: int) -> float:
     y_c = weights.donor_y - np.mean(weights.donor_y)
     ybar_c = weights.w @ y_c
     return -float(np.sum(weights.w @ y_c**2 - ybar_c**2)) / n
+
+
+def _mu_y_grad_gamma(gamma: OutcomeSpec, weights: FractionalWeights, data: Dataset):
+    """d mu/d gamma through the weights' ``log f(y_j | x_i) - log C(y_j)``:
+
+        n d mu/d gamma = sum_ij w_ij (y_j - ybar_i) s1(x_i, y_j)
+                         - sum_j c_j sum_l P(l | y_j) s1(x_l, y_j)
+
+    with ``c_j = sum_i w_ij (y_j - ybar_i)`` and, over respondents l,
+    ``P(l | y_j) = f(y_j | x_l) / C(y_j)``, so that the last sum is
+    ``d log C(y_j)/d gamma``.
+    """
+    y_d = weights.donor_y
+    v = np.subtract(y_d[None, :], (weights.w @ y_d)[:, None])
+    v *= weights.w
+    c = v.sum(axis=0)
+    (local,) = _score_sums(gamma, y_d, data.missing_columns(), (v,))
+    del v  # freed before the respondent x donor grid is built
+    # c_j P(l | y_j), built in the buffer of the respondent log densities
+    resp_cols = data.respondent_columns()
+    p = log_density_outer(gamma, y_d, resp_cols)
+    p -= p.max(axis=0)
+    np.exp(p, out=p)
+    p *= c / p.sum(axis=0)
+    (via_c,) = _score_sums(gamma, y_d, resp_cols, (p,))
+    return (local.sum(axis=0) - via_c.sum(axis=0)) / data.n
 
 
 def mu_y_variance(
@@ -304,33 +321,21 @@ def mu_y_variance(
     Builds the per-unit influence of the mean functional: its direct
     sampling term plus gradients through the response parameters and
     the outcome-model parameters, each propagated with the matching
-    influence vectors from the sandwich assembly.  The gradient in the
-    response parameters is closed form (zero in alpha, which the weights
-    do not depend on); the gradient in the outcome-model parameters is
-    central finite differences through the donor base.
+    influence vectors from the sandwich assembly.  Both gradients are
+    closed form (zero in alpha, which the weights do not depend on); the
+    one in gamma is a weighted sum of outcome-model scores, which are
+    finite differences only for models without a closed-form score.
     """
-    gamma = gamma_fit.spec
     mu_hat = estimate_mu_y(fit, data)
     n = data.n
-    d = fit.phi.size
 
     if fit.weights.n_missing == 0:
         resid = data.y_observed - mu_hat
         return float(np.sum(resid**2)) / n**2
 
-    grad_phi = np.zeros(d)  # the weights, hence mu, do not depend on alpha
+    grad_phi = np.zeros(fit.phi.size)  # the weights do not depend on alpha
     grad_phi[-1] = _mu_y_grad_beta(fit.weights, n)
-
-    theta = flatten_params(gamma)
-    grad_gamma = np.zeros(theta.size)
-    for j in range(theta.size):
-        step = FD_STEP_MU * (1.0 + abs(theta[j]))
-        up = unflatten_params(gamma, _bump(theta, j, step))
-        dn = unflatten_params(gamma, _bump(theta, j, -step))
-        grad_gamma[j] = (
-            _mu_y_with_base(fit.phi_hat, _donor_log_base(up, data), data)
-            - _mu_y_with_base(fit.phi_hat, _donor_log_base(dn, data), data)
-        ) / (2 * step)
+    grad_gamma = _mu_y_grad_gamma(gamma_fit.spec, fit.weights, data)
 
     bread_inv_g = np.linalg.solve(parts.bread.T, grad_phi)  # A^{-T} g
     i11_inv_b = np.linalg.solve(parts.i11, grad_gamma)
@@ -338,7 +343,7 @@ def mu_y_variance(
     eta = np.empty(n)
     mask = data.respondent_mask
     eta[mask] = data.y_observed
-    eta[~mask] = (fit.weights.w * fit.weights.donor_matrix()).sum(axis=1)
+    eta[~mask] = fit.weights.w @ fit.weights.donor_y
 
     psi = eta - mu_hat
     # response-parameter influence: phi_hat - phi0 ~ -A^{-1} (mean of u_i)
@@ -347,12 +352,6 @@ def mu_y_variance(
     # outcome-parameter influence: gamma_hat - gamma0 ~ I11^{-1} (mean of s1_i)
     psi[mask] += parts.s1_resp @ i11_inv_b
     return float(np.sum(psi**2)) / n**2
-
-
-def _bump(vec: np.ndarray, j: int, step: float) -> np.ndarray:
-    out = vec.copy()
-    out[j] += step
-    return out
 
 
 def wald_interval(estimate: float, variance: float) -> tuple[float, float]:

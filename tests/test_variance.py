@@ -6,14 +6,36 @@ from scipy.special import expit
 
 from fimnar.basis import binary, continuous, parse_formula
 from fimnar.dataio import Dataset
-from fimnar.expfam import Component, Family, OutcomeSpec
-from fimnar.fiem import FitResult, em_fit, estimate_mu_y, fractional_weights
+from fimnar.expfam import (
+    Component,
+    Family,
+    OutcomeSpec,
+    flatten_params,
+    unflatten_params,
+)
+from fimnar.fiem import (
+    FitResult,
+    _donor_log_base,
+    _weights_from_base,
+    em_fit,
+    estimate_mu_y,
+    fractional_weights,
+)
 from fimnar.respondent import RespondentFit, fit_glm
 from fimnar.response import ResponseSpec
-from fimnar.sim import generate, scenario_s1, scenario_s3
+from fimnar.sim import (
+    _fit_respondent,
+    built_in_scenario,
+    generate,
+    scenario_s1,
+    scenario_s3,
+)
 from fimnar.variance import (
     SingularInformationError,
     _mu_y_grad_beta,
+    _mu_y_grad_gamma,
+    _score_gamma_fd,
+    _score_sums,
     mu_y_variance,
     respondent_score_gamma,
     variance_estimate,
@@ -225,3 +247,157 @@ def test_wald_interval_brackets_estimate():
     lo, hi = wald_interval(1.0, 0.04)
     assert lo == pytest.approx(1.0 - 1.959963984540054 * 0.2)
     assert hi == pytest.approx(1.0 + 1.959963984540054 * 0.2)
+
+
+# ---------------------------------------------------------------------------
+# weighted outcome-score sums against the paths they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_score_outer(gamma, y_donors, columns):
+    """(q, n0, nd) scores of every donor value under every row's model."""
+    comp = gamma.components[0]
+    if gamma.k == 1 and gamma.family in (Family.NORMAL, Family.BERNOULLI):
+        design = comp.basis.design(columns)
+        eta = design @ np.asarray(comp.coef)
+        if gamma.family is Family.BERNOULLI:
+            resid = y_donors[None, :] - expit(eta)[:, None]
+            return np.stack([resid * design[:, [j]] for j in range(design.shape[1])])
+        sigma2 = float(comp.dispersion)
+        resid = y_donors[None, :] - eta[:, None]
+        out = [resid / sigma2 * design[:, [j]] for j in range(design.shape[1])]
+        out.append((resid**2 - sigma2) / (2.0 * sigma2**2))
+        return np.stack(out)
+    return _score_gamma_fd(gamma, y_donors, columns, outer=True)
+
+
+def reference_variances(fit, gf, data):
+    """(sigma, Var(mu), e_cross, d mu/d gamma) by the previous code's paths.
+
+    ``e_cross`` is the d x q loop over the materialized score tensor and
+    d mu/d gamma central differences through a rebuilt donor base.
+    """
+    phi, gamma, n = fit.phi_hat, gf.spec, data.n
+    w = fit.weights.w
+    y_d = np.broadcast_to(data.y_observed[None, :], w.shape)
+    resp_cols = data.respondent_columns()
+    z_resp = phi.design(resp_cols, data.y_observed)
+    s_resp = z_resp * (1.0 - expit(z_resp @ phi.phi))[:, None]
+    s1_resp = respondent_score_gamma(gamma, data.y_observed, resp_cols)
+    i11 = s1_resp.T @ s1_resp / n
+
+    b_miss = phi.h_basis.design(data.missing_columns())
+    pi = expit((b_miss @ np.asarray(phi.alpha))[:, None] + phi.beta * y_d)
+    d = b_miss.shape[1] + 1
+    s0bar = np.zeros((w.shape[0], d))
+    s0bar[:, :-1] = -(w * pi).sum(axis=1)[:, None] * b_miss
+    s0bar[:, -1] = -(w * pi * y_d).sum(axis=1)
+    z0bar = np.column_stack([b_miss, (w * y_d).sum(axis=1)])
+    bread = s0bar.T @ z0bar / n
+
+    s1_outer = reference_score_outer(gamma, data.y_observed, data.missing_columns())
+    e_cross = np.zeros((d, s1_resp.shape[1]))
+    for k in range(s1_resp.shape[1]):
+        for ell in range(d - 1):
+            s_ell = -pi * b_miss[:, ell][:, None]
+            e_cross[ell, k] = np.sum(w * (s_ell - s0bar[:, ell][:, None]) * s1_outer[k])
+        s_y = -pi * y_d
+        e_cross[d - 1, k] = np.sum(w * (s_y - s0bar[:, -1][:, None]) * s1_outer[k])
+    e_cross /= n
+    j_resp = s_resp + s1_resp @ np.linalg.solve(i11, e_cross.T)
+    middle = (j_resp.T @ j_resp + s0bar.T @ s0bar) / n
+    inv = np.linalg.inv(bread)
+    sigma = inv @ middle @ inv.T / n
+
+    def mu_at(theta):
+        base = _donor_log_base(unflatten_params(gamma, theta), data)
+        w_t = _weights_from_base(phi.beta, data.y_observed, base)
+        return (np.sum(data.y_observed) + np.sum(w_t * y_d)) / n
+
+    theta = flatten_params(gamma)
+    grad_gamma = np.zeros(theta.size)
+    for k in range(theta.size):
+        step = np.zeros(theta.size)
+        step[k] = 1e-5 * (1.0 + abs(theta[k]))
+        grad_gamma[k] = (mu_at(theta + step) - mu_at(theta - step)) / (2 * step[k])
+
+    ybar = (w * y_d).sum(axis=1)
+    mu_hat = (np.sum(data.y_observed) + np.sum(ybar)) / n
+    grad_phi = np.zeros(d)
+    grad_phi[-1] = -np.sum((w * y_d**2).sum(axis=1) - ybar**2) / n
+    a_g = np.linalg.solve(bread.T, grad_phi)
+    mask = data.respondent_mask
+    psi = np.empty(n)
+    psi[mask] = data.y_observed - mu_hat - j_resp @ a_g
+    psi[mask] += s1_resp @ np.linalg.solve(i11, grad_gamma)
+    psi[~mask] = ybar - mu_hat - s0bar @ a_g
+    return sigma, np.sum(psi**2) / n**2, e_cross, grad_gamma
+
+
+def election_fit():
+    from pathlib import Path
+
+    from fimnar.config import load_config
+    from fimnar.dataio import ingest
+
+    repo = Path(__file__).resolve().parents[1]
+    config = load_config(repo / "data" / "election_like.json")
+    data = ingest(repo / "data" / "election_like.csv", config.schema())
+    (basis,) = config.candidates[0].bases(config.kinds)
+    gf = fit_glm(data.y_observed, data.respondent_columns(), Family.BERNOULLI, basis)
+    return data, gf, em_fit(data, gf, config.h_basis())
+
+
+def scenario_fit(name, seed, n=500):
+    scn = built_in_scenario(name, n=n)
+    rng = np.random.default_rng(seed)
+    data = generate(scn, rng)
+    gf = _fit_respondent(scn, data, rng, 4)
+    return data, gf, em_fit(data, gf, scn.response.h_basis)
+
+
+def rel_err(got, ref):
+    return np.max(np.abs(np.asarray(got) - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", [("s1", 31), ("s2", 32), ("s3", 33), "election"])
+def test_variance_matches_previous_code(case):
+    data, gf, fit = election_fit() if case == "election" else scenario_fit(*case)
+    ref_sigma, ref_mu_var, ref_e, ref_grad = reference_variances(fit, gf, data)
+    sigma, parts = variance_estimate(fit, gf, data)
+    assert rel_err(parts.e_cross, ref_e) <= 1e-12
+    assert rel_err(_mu_y_grad_gamma(gf.spec, fit.weights, data), ref_grad) <= 1e-6
+    assert rel_err(sigma, ref_sigma) <= 1e-10
+    assert rel_err(mu_y_variance(fit, gf, data, parts), ref_mu_var) <= 1e-8
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from([Family.NORMAL, Family.BERNOULLI]),
+    units=st.integers(1, 6),
+    donors=st.integers(1, 7),
+    coef=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    sigma2=st.floats(0.2, 3.0),
+    offset=st.floats(-30.0, 30.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_closed_form_score_sums_match_finite_differences(
+    seed, family, units, donors, coef, sigma2, offset
+):
+    rng = np.random.default_rng(seed)
+    cols = {"x": rng.normal(size=units)}
+    if family is Family.NORMAL:
+        comp = Component(B1X, (offset + coef[0], coef[1]), sigma2)
+        gamma = OutcomeSpec(family, (comp,))
+        y = offset + rng.normal(size=donors)
+    else:
+        gamma = OutcomeSpec(family, (Component(B1X, coef),))
+        y = (rng.random(donors) < 0.5).astype(float)
+    weights = [rng.normal(size=(units, donors)) for _ in range(2)]
+    got = _score_sums(gamma, y, cols, weights)
+    fd = _score_gamma_fd(gamma, y, cols, outer=True)
+    for v, sums in zip(weights, got):
+        ref = np.einsum("kij,ij->ik", fd, v)
+        scale = np.einsum("kij,ij->ik", np.abs(fd), np.abs(v))
+        assert np.all(np.abs(sums - ref) <= 1e-6 * (1.0 + scale))
+
