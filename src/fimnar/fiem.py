@@ -20,13 +20,22 @@ Newton with the exact Jacobian: the fixed-weight one plus a beta column.
 EM remains only for the weakly identified fits where Newton stalls.
 
 The respondents' model ``gamma`` is fitted once from complete cases and
-held fixed throughout; only ``base`` depends on it, so it is computed
-once per fit.
+held fixed throughout; only ``base = log f(y_j | x_i) - log C(y_j)``
+depends on it, so it is computed once per fit.
+
+Memory: one donor kernel, ``_donor_blocks``, walks the missing units in
+row blocks of about ``CELLS`` grid cells and yields each block's weights
+and propensities, which the solver and the variance code reduce;
+``log C`` is an online logsumexp over row blocks of respondents.  So a
+fit stores one (n_missing, n_respondents) array, ``base`` during the
+solve and the final weights ``w`` normalized in its place, plus the
+temporaries of one block; only the EM fallback holds its iteration's
+weights beside ``base``.
 
 An alternative "parametric" engine draws a fixed per-unit pool of M
 imputed values from the respondents' density and weights it by the
-nonresponse odds alone (``base = 0``); it exists for cross-checking the
-donor scheme and is not used for variance estimation.
+nonresponse odds alone (``-beta*y``, no base); it exists for
+cross-checking the donor scheme and is not used for variance estimation.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dataio import Dataset
-from .expfam import OutcomeSpec, _logsumexp0, log_density_outer, sample
+from .expfam import OutcomeSpec, log_density_outer, sample
 from .identify import IdentifyVerdict, Status
 from .respondent import FitError, RespondentFit
 from .response import LP_CLAMP, ResponseSpec
@@ -92,12 +101,15 @@ class FractionalWeights:
     ``donor_y`` is the shared respondent outcome vector for the donor
     engine, or an (n_missing, M) array of per-unit imputed pools for
     the parametric engine.  ``w`` has one row per missing unit and one
-    column per donor; rows sum to one.
+    column per donor; rows sum to one.  ``log_c`` is the donor engine's
+    ``log C(y_j)`` under the respondents' model the weights were built
+    with, kept for the variance of the outcome mean.
     """
 
     missing_rows: np.ndarray
     donor_y: np.ndarray
     w: np.ndarray
+    log_c: Optional[np.ndarray] = None
 
     @property
     def n_missing(self) -> int:
@@ -123,26 +135,32 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# weights
+# the donor kernel: row blocks of the missing-unit x donor grid
 # ---------------------------------------------------------------------------
 
-
-def _donor_log_base(gamma: OutcomeSpec, data: Dataset) -> np.ndarray:
-    """log f(y_j | x_i) - log C(y_j): the phi-independent weight factors."""
-    y_d = data.y_observed
-    resp_cols = data.respondent_columns()
-    miss_cols = data.missing_columns()
-    log_c = _logsumexp0(log_density_outer(gamma, y_d, resp_cols))
-    return log_density_outer(gamma, y_d, miss_cols) - log_c[None, :]
+CELLS = 1 << 16  # grid cells per row block; a block of 64k doubles fits in cache
 
 
-def _normalize_rows(logw: np.ndarray) -> np.ndarray:
-    """In-place exponentiation after per-row max subtraction."""
+def _row_blocks(n_rows: int, n_cols: int):
+    """Slices of ``max(1, CELLS // n_cols)`` rows that cover ``range(n_rows)``."""
+    step = max(1, CELLS // max(n_cols, 1))
+    return (slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step))
+
+
+def _take(columns, rows: slice) -> dict:
+    return {name: col[rows] for name, col in columns.items()}
+
+
+def _normalize_rows(logw: np.ndarray, first: int = 0) -> np.ndarray:
+    """In-place exponentiation after per-row max subtraction.
+
+    ``first`` is the missing-unit index of row 0, for the error message.
+    """
     if logw.size == 0:
         return np.zeros_like(logw)
     row_max = np.max(logw, axis=1)
     if np.any(~np.isfinite(row_max)):
-        bad = int(np.nonzero(~np.isfinite(row_max))[0][0])
+        bad = first + int(np.nonzero(~np.isfinite(row_max))[0][0])
         raise FitError(
             f"missing unit {bad}: every donor has zero density under the "
             "respondents' model; the outcome model does not cover this unit"
@@ -153,11 +171,103 @@ def _normalize_rows(logw: np.ndarray) -> np.ndarray:
     return w
 
 
-def _weights_from_base(
-    beta: float, donor_y: np.ndarray, base: np.ndarray
+@dataclass(frozen=True)
+class _LogWeights:
+    """Row-normalized ``exp(base - beta*y)``, built block by block on indexing.
+
+    ``base`` is None for the parametric engine, whose weights come from
+    ``-beta*y`` alone.
+    """
+
+    base: Optional[np.ndarray]
+    beta: float
+    donor_y: np.ndarray
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        y = self.donor_y if self.donor_y.ndim == 1 else self.donor_y[rows]
+        logw = -self.beta * y if self.base is None else self.base[rows] - self.beta * y
+        return _normalize_rows(logw, rows.start)
+
+
+def _donor_blocks(phi: ResponseSpec, b_miss: np.ndarray, donor_y: np.ndarray, w):
+    """The donor kernel: ``(rows, y, w, pi)`` for each row block of missing units.
+
+    ``y`` is the block's donor values (the shared vector, or its rows of
+    per-unit pools), ``w`` its normalized weights (a slice of a weight
+    array, or built by a ``_LogWeights``), and ``pi`` the propensity
+    ``P(delta=1 | x_i, y)`` at every donor value, computed in the block's
+    own buffer, which the caller may reuse.
+    """
+    lin = b_miss @ np.asarray(phi.alpha)
+    for rows in _row_blocks(b_miss.shape[0], donor_y.shape[-1]):
+        y = donor_y if donor_y.ndim == 1 else donor_y[rows]
+        # 1 / (1 + exp(-lp)); exp overflows to inf where pi is 0
+        pi = np.subtract(-lin[rows, None], phi.beta * y)
+        with np.errstate(over="ignore"):
+            np.exp(pi, out=pi)
+        pi += 1.0
+        yield rows, y, w[rows], np.reciprocal(pi, out=pi)
+
+
+def _logsumexp_blocks(blocks, n_cols: int) -> np.ndarray:
+    """``expfam._logsumexp0`` of the row blocks stacked, in one pass over them.
+
+    A running column max rescales the running sum whenever it rises;
+    columns that are ``-inf`` throughout stay ``-inf``.
+    """
+    top, total = np.full(n_cols, -np.inf), np.zeros(n_cols)
+    shift = np.zeros(n_cols)
+    for a in blocks:
+        new_top = np.maximum(top, a.max(axis=0))
+        shift = np.where(np.isfinite(new_top), new_top, 0.0)
+        total *= np.exp(top - shift)
+        total += np.exp(a - shift).sum(axis=0)
+        top = new_top
+    with np.errstate(divide="ignore"):
+        return np.where(np.isfinite(top), shift + np.log(total), top)
+
+
+def _donor_log_c(gamma: OutcomeSpec, data: Dataset) -> np.ndarray:
+    """log C(y_j) = log sum_l f(y_j | x_l) over respondents l, by blocks of them."""
+    y_d = data.y_observed
+    resp_cols = data.respondent_columns()
+    blocks = (
+        log_density_outer(gamma, y_d, _take(resp_cols, rows))
+        for rows in _row_blocks(y_d.size, y_d.size)
+    )
+    return _logsumexp_blocks(blocks, y_d.size)
+
+
+def _donor_log_base(
+    gamma: OutcomeSpec, data: Dataset, log_c: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Row-normalized ``exp(base - beta*y)``; the covariate odds factor cancels."""
-    return _normalize_rows(base - beta * donor_y)
+    """log f(y_j | x_i) - log C(y_j): the phi-independent weight factors.
+
+    Written block by block into one (n_missing, n_respondents) array;
+    ``log_c`` is computed unless given.
+    """
+    y_d = data.y_observed
+    miss_cols = data.missing_columns()
+    base = np.empty((data.n_missing, y_d.size))
+    if base.size and log_c is None:
+        log_c = _donor_log_c(gamma, data)
+    for rows in _row_blocks(*base.shape):
+        block = log_density_outer(gamma, y_d, _take(miss_cols, rows))
+        np.subtract(block, log_c, out=base[rows])
+    return base
+
+
+def _weights_from_base(
+    beta: float, donor_y: np.ndarray, base: Optional[np.ndarray]
+) -> np.ndarray:
+    """Row-normalized ``exp(base - beta*y)``, in place of ``base``.
+
+    The covariate odds factor cancels; ``base`` None stands for zero.
+    """
+    if base is None:
+        return _normalize_rows(-beta * donor_y)
+    base -= beta * donor_y
+    return _normalize_rows(base)
 
 
 def fractional_weights(
@@ -171,11 +281,13 @@ def fractional_weights(
     """
     if data.n_respondents < 1:
         raise FitError("at least one respondent donor is required")
-    base = _donor_log_base(gamma, data)
+    log_c = _donor_log_c(gamma, data) if data.n_missing else None
+    base = _donor_log_base(gamma, data, log_c)
     return FractionalWeights(
         missing_rows=np.nonzero(data.delta == 0)[0],
         donor_y=data.y_observed.copy(),
         w=_weights_from_base(phi.beta, data.y_observed, base),
+        log_c=log_c,
     )
 
 
@@ -216,14 +328,6 @@ def _respondent_propensity(phi: ResponseSpec, z_resp: np.ndarray) -> np.ndarray:
     return expit(np.clip(z_resp @ phi.phi, -LP_CLAMP, LP_CLAMP))
 
 
-def _propensity_matrix(phi: ResponseSpec, b_miss, donor_y) -> np.ndarray:
-    """P(delta=1 | x_i, y) for every missing unit i and each of its donor values."""
-    # expit saturates cleanly at extreme arguments, so no clamp is needed;
-    # one buffer is reused for the whole computation
-    lp = (b_miss @ np.asarray(phi.alpha))[:, None] + phi.beta * donor_y
-    return expit(lp, out=lp)
-
-
 def _row_dot(a: np.ndarray, donor_y: np.ndarray) -> np.ndarray:
     """Per-unit ``sum_j a_ij y_ij`` for shared or per-unit donor values."""
     if donor_y.ndim == 1:
@@ -231,37 +335,57 @@ def _row_dot(a: np.ndarray, donor_y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, donor_y)
 
 
+def _power_sums(v: np.ndarray, y: np.ndarray, powers) -> np.ndarray:
+    """Per-unit sums of ``v`` against (1, y, y^2), as (units, 3).
+
+    One matmul with the shared donors' ``powers`` matrix; row dots with
+    a block's per-unit pools ``y`` when there is none.
+    """
+    if powers is not None:
+        return v @ powers
+    return np.column_stack([v.sum(axis=1), _row_dot(v, y), _row_dot(v, y * y)])
+
+
 def _score_and_jacobian(phi, arrays, w, donor_y, weights_move: bool):
     """Mean score at phi for donor weights ``w``, and its Jacobian.
 
-    With ``weights_move`` the Jacobian includes the weights' dependence
-    on beta, ``dw_ij/dbeta = -w_ij (y_j - ybar_i)``; otherwise it holds
-    the weights fixed.
+    ``w`` is an (n_missing, donors) weight array or a ``_LogWeights``;
+    either is reduced block by block through ``_donor_blocks``.  With
+    ``weights_move`` the Jacobian includes the weights' dependence on
+    beta, ``dw_ij/dbeta = -w_ij (y_j - ybar_i)``; otherwise it holds the
+    weights fixed.
     """
     z = arrays.z_resp
     p_resp = _respondent_propensity(phi, z)
     score = z.T @ (1.0 - p_resp)  # delta = 1
     jac = -(z.T @ (z * (p_resp * (1.0 - p_resp))[:, None]))
-    if w.shape[0]:
-        L, b = arrays.h_index, arrays.b_miss
-        pi = _propensity_matrix(phi, b, donor_y)
-        wp = w * pi  # delta = 0, so the residual is -pi
-        # w pi (1 - pi), built in pi's buffer to keep one n0 x n1 array fewer
-        q = np.multiply(wp, np.subtract(1.0, pi, out=pi), out=pi)
-        row, wpy, qy = wp.sum(axis=1), _row_dot(wp, donor_y), _row_dot(q, donor_y)
-        y2 = donor_y**2
+    L, b = arrays.h_index, arrays.b_miss
+    if b.shape[0]:
+        # per unit: sums of w pi and of w pi (1 - pi) against (1, y, y^2),
+        # and the weighted donor mean ybar
+        n0 = b.shape[0]
+        m_wp, m_q, ybar = np.empty((n0, 3)), np.empty((n0, 3)), np.empty(n0)
+        powers = None
+        if donor_y.ndim == 1:
+            powers = np.column_stack([np.ones_like(donor_y), donor_y, donor_y**2])
+        for rows, y, w_b, pi in _donor_blocks(phi, b, donor_y, w):
+            wp = w_b * pi  # delta = 0, so the residual is -pi
+            q = np.multiply(wp, np.subtract(1.0, pi, out=pi), out=pi)
+            m_wp[rows] = _power_sums(wp, y, powers)
+            m_q[rows] = _power_sums(q, y, powers)
+            ybar[rows] = _row_dot(w_b, y)
+        row, wpy, wpy2 = m_wp.T
         score[:L] -= b.T @ row
         score[L] -= float(np.sum(wpy))
-        jac[:L, :L] -= b.T @ (b * q.sum(axis=1)[:, None])
-        cross = b.T @ qy
+        jac[:L, :L] -= b.T @ (b * m_q[:, [0]])
+        cross = b.T @ m_q[:, 1]
         jac[:L, L] -= cross
         jac[L, :L] -= cross
-        jac[L, L] -= float(np.sum(_row_dot(q, y2)))
+        jac[L, L] -= float(np.sum(m_q[:, 2]))
         if weights_move:
-            ybar = _row_dot(w, donor_y)
             # per unit: sum_j w_ij (y_j - ybar_i) pi_ij, and the same times y_j
             jac[:L, L] += b.T @ (wpy - ybar * row)
-            jac[L, L] += float(np.sum(_row_dot(wp, y2) - ybar * wpy))
+            jac[L, L] += float(np.sum(wpy2 - ybar * wpy))
     return score, jac
 
 
@@ -427,20 +551,21 @@ def em_fit(
 
     if engine == "donor":
         donor_y = data.y_observed.copy()
-        base = _donor_log_base(gamma, data) if data.n_missing else np.zeros((0, donor_y.size))
+        log_c = _donor_log_c(gamma, data) if data.n_missing else None
+        base = _donor_log_base(gamma, data, log_c)
     elif engine == "parametric":
         rng = rng or np.random.default_rng(0)
         donor_y = _parametric_pool(gamma, data, m_draws, rng)
         # proposal equals the respondents' density, so only the odds factor
         # survives in the self-normalized weights
-        base = np.zeros_like(donor_y)
+        log_c = base = None
     else:
         raise ValueError(f"unknown imputation engine {engine!r}")
 
     arrays = _score_arrays(phi, data)
 
     def system(p: ResponseSpec):
-        w = _weights_from_base(p.beta, donor_y, base)
+        w = _LogWeights(base, p.beta, donor_y)
         return _score_and_jacobian(p, arrays, w, donor_y, True)
 
     steps = min(controls.max_newton_iter, controls.max_em_iter)
@@ -458,6 +583,7 @@ def em_fit(
         np.nonzero(data.delta == 0)[0],
         donor_y,
         _weights_from_base(phi.beta, donor_y, base),
+        log_c,
     )
     return FitResult(
         phi_hat=phi,
@@ -475,11 +601,12 @@ def _em(phi, arrays, donor_y, base, controls: FiControls):
     """EM: weights at the current beta, then the fixed-weight solve, until phi settles.
 
     Returns ``(phi, max-abs score, trace)``; raises FitError after
-    ``controls.max_em_iter`` iterations.
+    ``controls.max_em_iter`` iterations.  Each iteration's weights are
+    built once, beside ``base``: the M-step evaluates them many times.
     """
     trace: list[tuple[int, float, float]] = []
     for iteration in range(1, controls.max_em_iter + 1):
-        w = _weights_from_base(phi.beta, donor_y, base)
+        w = _weights_from_base(phi.beta, donor_y, None if base is None else base.copy())
         new_phi, score_norm = _fixed_weight_solve(phi, arrays, w, donor_y, controls)
         change = float(np.max(np.abs(new_phi.phi - phi.phi)))
         trace.append((iteration, change, score_norm))

@@ -25,6 +25,12 @@ outcome mean need only per-unit sums ``sum_j V_ij s1(x_i, y_j)`` over a
 few weight matrices V: closed form from the row moments of V for
 one-component normal and Bernoulli models, central differences otherwise.
 
+Memory: besides the fit's stored weights ``w``, the variance holds only
+per-unit vectors and the temporaries of one row block: the missing-unit
+pieces are reduced block by block from ``fiem``'s donor kernel, and the
+``d log C/d gamma`` term walks blocks of respondents with the ``log C``
+that the fit kept.
+
 When the data contain no missing units the weighted terms vanish and
 the bread degenerates; the estimator then reduces to the ordinary
 logistic-regression sandwich, which is returned directly.
@@ -50,8 +56,11 @@ from .expfam import (
 from .fiem import (
     FitResult,
     FractionalWeights,
-    _propensity_matrix,
+    _donor_blocks,
+    _donor_log_c,
     _respondent_propensity,
+    _row_blocks,
+    _take,
     estimate_mu_y,
 )
 from .respondent import FitError, RespondentFit
@@ -186,15 +195,30 @@ def _score_sums(gamma: OutcomeSpec, y_donors: np.ndarray, columns, weights):
 # ---------------------------------------------------------------------------
 
 
-def _missing_pieces(phi: ResponseSpec, weights: FractionalWeights, data: Dataset):
-    """Missing-unit designs, the w*pi weights, mean scores and mean design vectors."""
-    b_miss = phi.h_basis.design(data.missing_columns())
+def _missing_pieces(
+    phi: ResponseSpec, gamma: OutcomeSpec, weights: FractionalWeights, data: Dataset
+):
+    """Missing-unit designs, mean scores, mean design vectors, and score sums.
+
+    ``s0bar``, ``z0bar`` and the ``_score_sums`` of (w, w pi, w pi y) are
+    reduced block by block from the donor kernel.
+    """
+    miss_cols = data.missing_columns()
+    b_miss = phi.h_basis.design(miss_cols)
     y_d = weights.donor_y
-    wp = _propensity_matrix(phi, b_miss, y_d)
-    wp *= weights.w
-    s0bar = -np.column_stack([wp.sum(axis=1)[:, None] * b_miss, wp @ y_d])
-    z0bar = np.column_stack([b_miss, weights.w @ y_d])
-    return b_miss, wp, s0bar, z0bar
+    n0, d, q = b_miss.shape[0], b_miss.shape[1] + 1, flatten_params(gamma).size
+    s0bar, z0bar = np.empty((n0, d)), np.empty((n0, d))
+    sums = [np.empty((n0, q)) for _ in range(3)]
+    for rows, _, w, pi in _donor_blocks(phi, b_miss, y_d, weights.w):
+        wp = np.multiply(w, pi, out=pi)
+        s0bar[rows, :-1] = -wp.sum(axis=1)[:, None] * b_miss[rows]
+        s0bar[rows, -1] = -(wp @ y_d)
+        z0bar[rows, :-1] = b_miss[rows]
+        z0bar[rows, -1] = w @ y_d
+        block = _score_sums(gamma, y_d, _take(miss_cols, rows), (w, wp, wp * y_d))
+        for out, r in zip(sums, block):
+            out[rows] = r
+    return b_miss, s0bar, z0bar, sums
 
 
 def variance_estimate(
@@ -238,15 +262,13 @@ def variance_estimate(
         )
         return _assemble(bread, middle, n), parts
 
-    b_miss, wp, s0bar, z0bar = _missing_pieces(phi, weights, data)
+    b_miss, s0bar, z0bar, (r_w, r_wp, r_wpy) = _missing_pieces(
+        phi, gamma, weights, data
+    )
     bread = (s0bar.T @ z0bar) / n
     _check_cond(bread, "mean-score Jacobian (I22)")
 
     # S_ij = -pi_ij (b_i, y_j), so n E = -(b' R[w pi] ; 1' R[w pi y]) - s0bar' R[w]
-    y_d = weights.donor_y
-    r_w, r_wp, r_wpy = _score_sums(
-        gamma, y_d, data.missing_columns(), (weights.w, wp, wp * y_d)
-    )
     e_cross = -(np.vstack([b_miss.T @ r_wp, r_wpy.sum(axis=0)]) + s0bar.T @ r_w) / n
 
     j_resp = s_resp + s1_resp @ np.linalg.solve(i11, e_cross.T)
@@ -292,22 +314,31 @@ def _mu_y_grad_gamma(gamma: OutcomeSpec, weights: FractionalWeights, data: Datas
 
     with ``c_j = sum_i w_ij (y_j - ybar_i)`` and, over respondents l,
     ``P(l | y_j) = f(y_j | x_l) / C(y_j)``, so that the last sum is
-    ``d log C(y_j)/d gamma``.
+    ``d log C(y_j)/d gamma``.  The first sum runs over blocks of missing
+    units, the second over blocks of respondents, with ``log C`` from the
+    weights when the fit kept it.
     """
     y_d = weights.donor_y
-    v = np.subtract(y_d[None, :], (weights.w @ y_d)[:, None])
-    v *= weights.w
-    c = v.sum(axis=0)
-    (local,) = _score_sums(gamma, y_d, data.missing_columns(), (v,))
-    del v  # freed before the respondent x donor grid is built
-    # c_j P(l | y_j), built in the buffer of the respondent log densities
+    miss_cols = data.missing_columns()
+    c, local = np.zeros(y_d.size), 0.0
+    for rows in _row_blocks(weights.n_missing, y_d.size):
+        w = weights.w[rows]
+        v = np.subtract(y_d[None, :], (w @ y_d)[:, None])
+        v *= w
+        c += v.sum(axis=0)
+        local += _score_sums(gamma, y_d, _take(miss_cols, rows), (v,))[0].sum(axis=0)
+    log_c = weights.log_c if weights.log_c is not None else _donor_log_c(gamma, data)
     resp_cols = data.respondent_columns()
-    p = log_density_outer(gamma, y_d, resp_cols)
-    p -= p.max(axis=0)
-    np.exp(p, out=p)
-    p *= c / p.sum(axis=0)
-    (via_c,) = _score_sums(gamma, y_d, resp_cols, (p,))
-    return (local.sum(axis=0) - via_c.sum(axis=0)) / data.n
+    via_c = 0.0
+    for rows in _row_blocks(y_d.size, y_d.size):
+        block = _take(resp_cols, rows)
+        # c_j P(l | y_j), built in the buffer of the block's log densities
+        p = log_density_outer(gamma, y_d, block)
+        p -= log_c
+        np.exp(p, out=p)
+        p *= c
+        via_c += _score_sums(gamma, y_d, block, (p,))[0].sum(axis=0)
+    return (local - via_c) / data.n
 
 
 def mu_y_variance(
