@@ -259,47 +259,40 @@ def _logsumexp0(a: np.ndarray) -> np.ndarray:
     return np.where(finite, out, top)
 
 
-def log_density(spec: OutcomeSpec, y, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Pointwise log density: y[i] evaluated under the row i model."""
+def _log_density(spec: OutcomeSpec, y, columns, outer: bool) -> np.ndarray:
+    """Log density of y[i] under row i's model, or with ``outer`` of every
+    y value under every row's model, shape (n, m)."""
     y = np.asarray(y, dtype=float)
     _check_support(spec.family, y)
-    if spec.k == 1:
-        theta = _effective_theta(spec, 0, columns)
-        tau = spec.tau(0)
-        return tau * (y * theta - _b(spec.family, theta)) + _log_c(spec.family, y, tau)
-    logw = _log_mix_weights(spec, columns)
-    parts = np.empty((spec.k,) + y.shape)
-    for k in range(spec.k):
+
+    def component(k: int) -> np.ndarray:
         theta = _effective_theta(spec, k, columns)
+        if outer:
+            theta = theta[:, None]
         tau = spec.tau(k)
-        parts[k] = tau * (y * theta - _b(spec.family, theta)) + _log_c(
-            spec.family, y, tau
-        )
+        return tau * (y * theta - _b(spec.family, theta)) + _log_c(spec.family, y, tau)
+
+    if spec.k == 1:
+        return component(0)
+    logw = _log_mix_weights(spec, columns)  # (K, n)
+    if outer:
+        logw = logw[:, :, None]
+    parts = np.empty(np.broadcast_shapes(logw.shape, y.shape))
+    for k in range(spec.k):
+        parts[k] = component(k)
     return _logsumexp0(parts + logw)
+
+
+def log_density(spec: OutcomeSpec, y, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Pointwise log density: y[i] evaluated under the row i model."""
+    return _log_density(spec, y, columns, outer=False)
 
 
 def log_density_outer(
     spec: OutcomeSpec, y_values: np.ndarray, columns: Mapping[str, np.ndarray]
 ) -> np.ndarray:
     """Log density of every y value under every row's model, shape (n, m)."""
-    y = np.asarray(y_values, dtype=float)
-    _check_support(spec.family, y)
-    if spec.k == 1:
-        theta = _effective_theta(spec, 0, columns)[:, None]
-        tau = spec.tau(0)
-        return tau * (y[None, :] * theta - _b(spec.family, theta)) + _log_c(
-            spec.family, y, tau
-        )[None, :]
-    logw = _log_mix_weights(spec, columns)  # (K, n)
-    n = logw.shape[1]
-    parts = np.empty((spec.k, n, y.size))
-    for k in range(spec.k):
-        theta = _effective_theta(spec, k, columns)[:, None]
-        tau = spec.tau(k)
-        parts[k] = tau * (y[None, :] * theta - _b(spec.family, theta)) + _log_c(
-            spec.family, y, tau
-        )[None, :]
-    return _logsumexp0(parts + logw[:, :, None])
+    return _log_density(spec, y_values, columns, outer=True)
 
 
 def density(spec: OutcomeSpec, y, columns: Mapping[str, np.ndarray]) -> np.ndarray:

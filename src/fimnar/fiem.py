@@ -17,7 +17,9 @@ mean ``ybar_i``.  The estimator is the root of the mean score equation
 ``S(phi; w(beta)) = 0``; instead of EM's linearly converging alternation
 of weight updates and fixed-weight solves, ``em_fit`` finds it by damped
 Newton with the exact Jacobian: the fixed-weight one plus a beta column.
-EM remains only for the weakly identified fits where Newton stalls.
+Every solve here is ``respondent._newton``, the package's one
+damped-Newton loop; where it stalls on weakly identified data, EM gives
+it a second start, so every fit passes the same convergence test.
 
 The respondents' model ``gamma`` is fitted once from complete cases and
 held fixed throughout; only ``base = log f(y_j | x_i) - log C(y_j)``
@@ -51,7 +53,7 @@ from scipy.special import expit
 from .dataio import Dataset
 from .expfam import OutcomeSpec, log_density_outer, sample
 from .identify import IdentifyVerdict, Status
-from .respondent import FitError, RespondentFit
+from .respondent import GRAD_TOL, FitError, RespondentFit, _canonical_system, _newton
 from .response import LP_CLAMP, ResponseSpec
 
 __all__ = [
@@ -76,22 +78,20 @@ class UnidentifiableModelError(RuntimeError):
 class FiControls:
     """Stopping rules of the solves of the mean score equation.
 
-    ``em_fit``'s Newton solve converges when the max-abs score is at most
-    ``tol_score`` and the next step at most ``tol_phi`` in every parameter,
-    within ``min(max_newton_iter, max_em_iter)`` steps; the EM that takes
-    over when it does not stops once an iteration moves phi by at most
-    ``tol_phi``, within ``max_em_iter`` iterations.  Fixed-weight solves
-    stop at ``tol_score`` within ``max_newton_iter`` steps.  Each step is
-    halved at most ``max_halvings`` times; ``ridge`` regularizes a
-    numerically singular Jacobian.
+    Every solve is ``respondent._newton``.  ``em_fit`` converges when the
+    max-abs score ``S(phi; w(beta))`` is at most ``tol_score`` and the next
+    step at most ``tol_phi`` in every parameter, within
+    ``min(max_newton_iter, max_em_iter)`` steps.  Where it does not, EM
+    from the same start runs until an iteration moves phi by at most
+    ``tol_phi`` (within ``max_em_iter`` iterations), and the same solve
+    starts again from EM's phi.  Fixed-weight solves stop at
+    ``tol_score`` within ``max_newton_iter`` steps.
     """
 
     tol_phi: float = 1e-8
     tol_score: float = 1e-8
     max_em_iter: int = 500
     max_newton_iter: int = 50
-    max_halvings: int = 30
-    ridge: float = 1e-10
 
 
 @dataclass
@@ -406,56 +406,8 @@ def score_jacobian(
 
 
 # ---------------------------------------------------------------------------
-# Newton solver
+# fixed-weight solve
 # ---------------------------------------------------------------------------
-
-
-def _newton_step(jac: np.ndarray, score: np.ndarray, ridge: float) -> np.ndarray:
-    try:
-        step = np.linalg.solve(jac, -score)
-        # a near-singular solve shows up as a poor residual
-        if not np.all(np.isfinite(step)) or float(
-            np.max(np.abs(jac @ step + score))
-        ) > 1e-8 * (1.0 + float(np.max(np.abs(score)))):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        jac = jac - ridge * np.eye(jac.shape[0])
-        step = np.linalg.lstsq(jac, -score, rcond=None)[0]
-    return step
-
-
-def _newton(phi, system, max_steps: int, controls: FiControls, step_tol: float):
-    """Damped Newton on ``system(phi) -> (score, jacobian)``.
-
-    Converged when the max-abs score is at most ``controls.tol_score``
-    and the next step at most ``step_tol`` in every parameter.  Returns
-    ``(phi, max-abs score, trace, converged)``, with a trace entry
-    ``(step, max|delta phi|, max-abs score)`` per accepted step;
-    unconverged after ``max_steps`` steps or when halvings are exhausted.
-    """
-    score, jac = system(phi)
-    norm = float(np.max(np.abs(score)))
-    trace: list[tuple[int, float, float]] = []
-    while True:
-        step = _newton_step(jac, score, controls.ridge)
-        size = float(np.max(np.abs(step)))
-        if norm <= controls.tol_score and size <= step_tol:
-            return phi, norm, trace, True
-        if len(trace) >= max_steps:
-            return phi, norm, trace, False
-        l2 = float(np.linalg.norm(score))
-        for _ in range(controls.max_halvings + 1):
-            cand = phi.with_phi(phi.phi + step)
-            cand_score, cand_jac = system(cand)
-            if float(np.linalg.norm(cand_score)) < l2 or size < 1e-15:
-                break
-            step = 0.5 * step
-            size *= 0.5
-        else:
-            return phi, norm, trace, False
-        phi, score, jac = cand, cand_score, cand_jac
-        norm = float(np.max(np.abs(score)))
-        trace.append((len(trace) + 1, size, norm))
 
 
 def solve_mean_score(
@@ -464,12 +416,10 @@ def solve_mean_score(
     data: Dataset,
     controls: FiControls = FiControls(),
 ) -> ResponseSpec:
-    """Newton solve of ``mean_score(phi) = 0`` with the weights fixed.
+    """Damped Newton solve of ``mean_score(phi) = 0`` with the weights fixed.
 
-    Step-halving backs off any step that increases the score norm; a
-    small ridge stabilizes a near-singular Jacobian.  Raises FitError
-    when halvings are exhausted or ``controls.max_newton_iter`` steps
-    do not converge.
+    Raises FitError when ``respondent._newton`` does not converge within
+    ``controls.max_newton_iter`` steps.
     """
     arrays = _score_arrays(phi, data)
     return _fixed_weight_solve(phi, arrays, weights.w, weights.donor_y, controls)[0]
@@ -478,15 +428,15 @@ def solve_mean_score(
 def _fixed_weight_solve(phi, arrays, w, donor_y, controls: FiControls):
     """``solve_mean_score`` on prepared arrays; returns (phi, max-abs score)."""
 
-    def system(p: ResponseSpec):
-        return _score_and_jacobian(p, arrays, w, donor_y, False)
+    def system(x):
+        return _score_and_jacobian(phi.with_phi(x), arrays, w, donor_y, False)
 
     # as an M-step this needs no step test: EM's own test on phi follows
-    steps = controls.max_newton_iter
-    phi, norm, _, converged = _newton(phi, system, steps, controls, math.inf)
+    x, path, converged = _newton(phi.phi, system, controls.max_newton_iter, controls.tol_score)
+    norm = path[-1][2]
     if not converged:
         raise FitError(f"M-step Newton did not converge (score norm {norm:.3g})")
-    return phi, norm
+    return phi.with_phi(x), norm
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +450,10 @@ def _initial_phi(h_basis, data: Dataset) -> ResponseSpec:
     This is the fit one would use under ignorable missingness; it is
     always computable and leaves beta at zero.
     """
-    from .respondent import _newton_canonical
-
     x = h_basis.design(data.columns)
-    delta = data.delta.astype(float)
-    coef, _, trace = _newton_canonical(x, delta, expit, lambda mu: mu * (1 - mu))
-    if trace[-1] > 1e-6:
+    system = _canonical_system(x, data.delta.astype(float), expit, lambda mu: mu * (1 - mu))
+    coef, path, _ = _newton(np.zeros(x.shape[1]), system, 100, GRAD_TOL)
+    if path[-1][2] > 1e-6:
         raise FitError("initial ignorable logistic fit did not converge")
     return ResponseSpec(h_basis, tuple(coef), 0.0)
 
@@ -526,13 +474,14 @@ def em_fit(
 
     Damped Newton on ``S(phi; w(beta)) = 0`` with the exact Jacobian and
     the weights recomputed at every trial point, from ``init_phi`` or
-    else the ignorable logistic fit.  When Newton does not converge (see
-    FiControls), EM runs from the same start; EM not converging within
-    ``controls.max_em_iter`` iterations raises FitError.  ``trace`` and
-    ``em_iterations`` list and count the Newton steps, then any EM
-    iterations.  When a verdict is supplied, a provably unidentifiable
-    model is refused unless ``force`` is set, and a not-provable one
-    warns.
+    else the ignorable logistic fit.  Where it does not converge (see
+    FiControls), EM from the same start gives the same solve a second
+    start; FitError is raised when EM or that solve does not converge.
+    ``mean_score_norm`` is the max-abs ``S(phi_hat; w(beta_hat))``;
+    ``trace`` and ``em_iterations`` list and count the Newton steps, any
+    EM iterations and the second solve's steps.  When a verdict is
+    supplied, a provably unidentifiable model is refused unless ``force``
+    is set, and a not-provable one warns.
     """
     if verdict is not None:
         if verdict.status is Status.PROVABLY_UNIDENTIFIABLE and not force:
@@ -564,34 +513,45 @@ def em_fit(
 
     arrays = _score_arrays(phi, data)
 
-    def system(p: ResponseSpec):
+    def system(x):
+        p = phi.with_phi(x)
         w = _LogWeights(base, p.beta, donor_y)
         return _score_and_jacobian(p, arrays, w, donor_y, True)
 
-    steps = min(controls.max_newton_iter, controls.max_em_iter)
-    start = phi
-    phi, score_norm, trace, converged = _newton(
-        start, system, steps, controls, controls.tol_phi
-    )
+    def solve(x):
+        steps = min(controls.max_newton_iter, controls.max_em_iter)
+        return _newton(x, system, steps, controls.tol_score, controls.tol_phi)
+
+    x, path, converged = solve(phi.phi)
+    trace = path[1:]
     if not converged:
         # on weakly identified data the damped Newton path can stall at a
         # minimum of ||S|| that is no root; EM's path is not monotone in
-        # ||S|| and gets past it, so EM takes over from the same start
-        phi, score_norm, em_trace = _em(start, arrays, donor_y, base, controls)
-        trace += [(len(trace) + k, change, norm) for k, change, norm in em_trace]
+        # ||S|| and gets past it, so EM from the same start supplies a new
+        # start for the same Newton solve
+        em_phi, em_trace = _em(phi, arrays, donor_y, base, controls)
+        x, path, converged = solve(em_phi.phi)
+        trace += [
+            (len(trace) + k, change, norm)
+            for k, (_, change, norm) in enumerate(em_trace + path[1:], 1)
+        ]
+        if not converged:
+            message = "Newton from EM's phi did not converge (last step {1:.3g}, score {2:.3g})"
+            raise FitError(message.format(*path[-1]), trace=tuple(trace))
+    phi_hat = phi.with_phi(x)
     weights = FractionalWeights(
         np.nonzero(data.delta == 0)[0],
         donor_y,
-        _weights_from_base(phi.beta, donor_y, base),
+        _weights_from_base(phi_hat.beta, donor_y, base),
         log_c,
     )
     return FitResult(
-        phi_hat=phi,
+        phi_hat=phi_hat,
         gamma=gamma_fit,
         weights=weights,
         covariance=None,
         em_iterations=len(trace),
-        mean_score_norm=score_norm,
+        mean_score_norm=path[-1][2],
         converged=True,
         trace=tuple(trace),
     )
@@ -600,7 +560,7 @@ def em_fit(
 def _em(phi, arrays, donor_y, base, controls: FiControls):
     """EM: weights at the current beta, then the fixed-weight solve, until phi settles.
 
-    Returns ``(phi, max-abs score, trace)``; raises FitError after
+    Returns ``(phi, trace)``; raises FitError after
     ``controls.max_em_iter`` iterations.  Each iteration's weights are
     built once, beside ``base``: the M-step evaluates them many times.
     """
@@ -612,7 +572,7 @@ def _em(phi, arrays, donor_y, base, controls: FiControls):
         trace.append((iteration, change, score_norm))
         phi = new_phi
         if change <= controls.tol_phi:
-            return phi, score_norm, trace
+            return phi, trace
     raise FitError(
         f"EM did not converge within {controls.max_em_iter} iterations "
         f"(last parameter change {trace[-1][1] if trace else math.nan:.3g})",

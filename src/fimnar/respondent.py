@@ -1,11 +1,15 @@
 """Maximum-likelihood fitting of the respondents' outcome model.
 
 Everything here sees complete cases only: outcome values paired with
-covariate columns.  Single-component families are fitted by Newton
-iterations on the log-likelihood (closed form for the normal family),
-normal mixtures by EM over per-component weighted least squares with
-random restarts, and model selection picks the smallest AIC among
+covariate columns.  Single-component families are fitted by damped
+Newton on the log-likelihood gradient (closed form for the normal
+family), normal mixtures by EM over per-component weighted least squares
+with random restarts, and model selection picks the smallest AIC among
 explicit candidates or over subsets of a term pool.
+
+``_newton`` is the package's one damped-Newton loop: the GLM fits here
+and every solve of the fractional-imputation mean score equation in
+``fiem`` hand it a ``system(x) -> (score, jacobian)`` closure.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ __all__ = [
 ]
 
 GRAD_TOL = 1e-8
+MAX_HALVINGS = 30  # step halvings per damped Newton step
+RIDGE = 1e-10  # regularizes a numerically singular Newton Jacobian
 SIGMA_FLOOR_FACTOR = 1e-6  # times the sample SD of y; EM collapse guard
 EXHAUSTIVE_LIMIT = 64
 
@@ -43,6 +49,56 @@ class FitError(RuntimeError):
     def __init__(self, message: str, trace: tuple = ()):
         super().__init__(message)
         self.trace = trace
+
+
+def _newton_step(jac: np.ndarray, score: np.ndarray) -> np.ndarray:
+    try:
+        step = np.linalg.solve(jac, -score)
+        # a near-singular solve shows up as a poor residual
+        if not np.all(np.isfinite(step)) or float(
+            np.max(np.abs(jac @ step + score))
+        ) > 1e-8 * (1.0 + float(np.max(np.abs(score)))):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        jac = jac - RIDGE * np.eye(jac.shape[0])
+        step = np.linalg.lstsq(jac, -score, rcond=None)[0]
+    return step
+
+
+def _newton(x, system, max_steps: int, tol: float, step_tol: float = math.inf):
+    """Damped Newton from the array ``x`` on ``system(x) -> (score, jacobian)``.
+
+    Converged when the max-abs score is at most ``tol`` and the next step
+    at most ``step_tol`` in every parameter.  A step is halved, at most
+    ``MAX_HALVINGS`` times, until it lowers the score's Euclidean norm.
+    Returns ``(x, trace, converged)``; ``trace`` starts with
+    ``(0, 0.0, max-abs score)`` at ``x`` and adds
+    ``(step, max|delta x|, max-abs score)`` per accepted step.  Unconverged
+    after ``max_steps`` steps or when the halvings run out.
+    """
+    score, jac = system(x)
+    norm = float(np.max(np.abs(score)))
+    trace: list[tuple[int, float, float]] = [(0, 0.0, norm)]
+    while True:
+        step = _newton_step(jac, score)
+        size = float(np.max(np.abs(step)))
+        if norm <= tol and size <= step_tol:
+            return x, trace, True
+        if len(trace) > max_steps:
+            return x, trace, False
+        l2 = float(np.linalg.norm(score))
+        for _ in range(MAX_HALVINGS + 1):
+            cand = x + step
+            cand_score, cand_jac = system(cand)
+            if float(np.linalg.norm(cand_score)) < l2 or size < 1e-15:
+                break
+            step = 0.5 * step
+            size *= 0.5
+        else:
+            return x, trace, False
+        x, score, jac = cand, cand_score, cand_jac
+        norm = float(np.max(np.abs(score)))
+        trace.append((len(trace), size, norm))
 
 
 @dataclass(frozen=True)
@@ -105,9 +161,11 @@ def fit_glm(
 ) -> RespondentFit:
     """Fit a one-component exponential-family model on complete cases.
 
-    Raises FitError on a rank-deficient design or if Newton fails to
-    push the max-abs log-likelihood gradient below `tol` within
-    `max_iter` iterations (the gradient trace rides on the exception).
+    Raises FitError on a rank-deficient design or if damped Newton
+    (``_newton``) fails to push the max-abs log-likelihood gradient below
+    `tol` within `max_iter` steps (the gradient trace rides on the
+    exception).  ``iterations`` counts the gradient evaluations at
+    accepted points, the start included.
     """
     y = np.asarray(y, dtype=float)
     x = mean_basis.design(columns)
@@ -126,93 +184,51 @@ def fit_glm(
             return RespondentFit(spec, math.inf, -math.inf, p, 1, True)
         return _finish(spec, y, columns, 1, True)
 
+    coef = np.zeros(x.shape[1])
     if family is Family.BERNOULLI:
-        coef, iters, trace = _newton_canonical(
-            x, y, expit, lambda mu: mu * (1.0 - mu), max_iter, tol
-        )
+        system = _canonical_system(x, y, expit, lambda mu: mu * (1.0 - mu))
     elif family is Family.POISSON:
         exp_mean = lambda eta: np.exp(np.clip(eta, -700, 30))
-        coef, iters, trace = _newton_canonical(
-            x, y, exp_mean, lambda mu: mu, max_iter, tol
-        )
+        system = _canonical_system(x, y, exp_mean, lambda mu: mu)
     elif family is Family.GAMMA:
-        return _fit_gamma(y, columns, mean_basis, x, max_iter, tol)
+        if np.any(y <= 0):
+            raise FitError("gamma outcomes must be positive")
+        if BasisTerm(()) in mean_basis.terms:
+            coef[list(mean_basis.terms).index(BasisTerm(()))] = math.log(float(np.mean(y)))
+
+        def system(c):  # log-mean link: the coefficient root is shape-free
+            r = y * np.exp(-(x @ c))  # y / mu
+            return x.T @ (r - 1.0), -(x.T @ (x * r[:, None]))
+
     else:  # pragma: no cover - exhaustive over Family
         raise ValueError(f"unsupported family {family}")
 
-    if trace[-1] > tol:
-        raise FitError(
-            f"Newton did not converge in {max_iter} iterations "
-            f"(last gradient norm {trace[-1]:.3g})",
-            trace=tuple(trace),
-        )
-    spec = OutcomeSpec(family, (Component(mean_basis, tuple(coef), None),))
-    return _finish(spec, y, columns, iters, True, tuple(trace))
-
-
-def _newton_canonical(x, y, mean_fn, var_fn, max_iter: int = 100, tol: float = GRAD_TOL):
-    """Newton iterations for a canonical-link GLM: grad = X'(y - mu)."""
-    coef = np.zeros(x.shape[1])
-    trace: list[float] = []
-    for it in range(1, max_iter + 1):
-        eta = np.clip(x @ coef, -35.0, 35.0)
-        mu = mean_fn(eta)
-        grad = x.T @ (y - mu)
-        gnorm = float(np.max(np.abs(grad)))
-        trace.append(gnorm)
-        if gnorm <= tol:
-            return coef, it, trace
-        w = np.maximum(var_fn(mu), 1e-12)
-        hess = x.T @ (x * w[:, None])
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        # halve until the gradient norm stops increasing
-        for _ in range(40):
-            new = coef + step
-            new_eta = np.clip(x @ new, -35.0, 35.0)
-            new_grad = x.T @ (y - mean_fn(new_eta))
-            if np.max(np.abs(new_grad)) <= gnorm or np.max(np.abs(step)) < 1e-14:
-                break
-            step *= 0.5
-        coef = coef + step
-    eta = np.clip(x @ coef, -35.0, 35.0)
-    trace.append(float(np.max(np.abs(x.T @ (y - mean_fn(eta))))))
-    return coef, max_iter, trace
-
-
-def _fit_gamma(y, columns, mean_basis, x, max_iter, tol):
-    """Gamma with log-mean link; the coefficient root is shape-free."""
-    if np.any(y <= 0):
-        raise FitError("gamma outcomes must be positive")
-    coef = np.zeros(x.shape[1])
-    if BasisTerm(()) in mean_basis.terms:
-        pos = list(mean_basis.terms).index(BasisTerm(()))
-        coef[pos] = math.log(float(np.mean(y)))
-    trace: list[float] = []
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        eta = x @ coef
-        r = y * np.exp(-eta)  # y / mu
-        grad = x.T @ (r - 1.0)
-        gnorm = float(np.max(np.abs(grad)))
-        trace.append(gnorm)
-        if gnorm <= tol:
-            converged = True
-            break
-        hess = x.T @ (x * r[:, None])
-        step = np.linalg.solve(hess, grad)
-        for _ in range(40):
-            new_eta = x @ (coef + step)
-            new_gnorm = np.max(np.abs(x.T @ (y * np.exp(-new_eta) - 1.0)))
-            if new_gnorm <= gnorm or np.max(np.abs(step)) < 1e-14:
-                break
-            step *= 0.5
-        coef = coef + step
+    coef, path, converged = _newton(coef, system, max_iter, tol)
+    trace = tuple(norm for _, _, norm in path)
     if not converged:
-        raise FitError("gamma Newton did not converge", trace=tuple(trace))
+        raise FitError(
+            f"{family.value} Newton did not converge in {len(path) - 1} steps "
+            f"(last gradient norm {trace[-1]:.3g})",
+            trace=trace,
+        )
+    dispersion = _gamma_shape(x, y, coef) if family is Family.GAMMA else None
+    spec = OutcomeSpec(family, (Component(mean_basis, tuple(coef), dispersion),))
+    return _finish(spec, y, columns, len(path), True, trace)
+
+
+def _canonical_system(x, y, mean_fn, var_fn):
+    """Canonical-link GLM: gradient ``X'(y - mu)``, Jacobian ``-X' V(mu) X``."""
+
+    def system(coef):
+        mu = mean_fn(np.clip(x @ coef, -35.0, 35.0))
+        w = np.maximum(var_fn(mu), 1e-12)
+        return x.T @ (y - mu), -(x.T @ (x * w[:, None]))
+
+    return system
+
+
+def _gamma_shape(x, y, coef) -> float:
+    """Gamma shape maximizing the likelihood at the fitted mean coefficients."""
     eta = x @ coef
     # profile score in the shape: log s + 1 - digamma(s) + mean(log y - eta - y/mu)
     stat = float(np.mean(np.log(y) - eta - y * np.exp(-eta)))
@@ -223,9 +239,7 @@ def _fit_gamma(y, columns, mean_basis, x, max_iter, tol):
     lo, hi = 1e-8, 1e8
     if dll(hi) > 0:
         raise FitError("gamma shape likelihood has no interior maximum")
-    shape = float(brentq(dll, lo, hi, xtol=1e-12, rtol=8.9e-16))
-    spec = OutcomeSpec(Family.GAMMA, (Component(mean_basis, tuple(coef), shape),))
-    return _finish(spec, y, columns, it, True, tuple(trace))
+    return float(brentq(dll, lo, hi, xtol=1e-12, rtol=8.9e-16))
 
 
 # ---------------------------------------------------------------------------
