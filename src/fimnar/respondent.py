@@ -3,9 +3,10 @@
 Everything here sees complete cases only: outcome values paired with
 covariate columns.  Single-component families are fitted by damped
 Newton on the log-likelihood gradient (closed form for the normal
-family), normal mixtures by EM over per-component weighted least squares
-with random restarts, and model selection picks the smallest AIC among
-explicit candidates or over subsets of a term pool.
+family), normal mixtures by one EM run over all random restarts at once
+(each component's weighted least squares is one solve stacked over the
+starts), and model selection picks the smallest AIC among explicit
+candidates or over subsets of a term pool.
 
 ``_newton`` is the package's one damped-Newton loop: the GLM fits here
 and every solve of the fractional-imputation mean score equation in
@@ -21,10 +22,17 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import digamma, expit, logsumexp
+from scipy.special import digamma, expit
 
 from .basis import BasisSet, BasisTerm
-from .expfam import Component, Family, OutcomeSpec, log_density, n_free_params
+from .expfam import (
+    Component,
+    Family,
+    OutcomeSpec,
+    _logsumexp0,
+    log_density,
+    n_free_params,
+)
 
 __all__ = [
     "FitError",
@@ -258,11 +266,14 @@ def fit_normal_mixture(
 ) -> RespondentFit:
     """EM fit of a K-component normal mixture with restarts.
 
-    Returns the best local maximum over one deterministic start
-    (quantile-sliced residuals of a pooled least-squares fit) plus
-    `restarts - 1` random starts.  A component whose standard deviation
-    collapses below 1e-6 times the sample SD of y aborts that start;
-    if every start collapses a FitError is raised.
+    Returns the best local maximum, the first start with the highest
+    log-likelihood, over one deterministic start (quantile-sliced
+    residuals of a pooled least-squares fit) plus `restarts - 1` random
+    starts.  All starts run as one batched EM (``_em_batch``), each with
+    its own trace, iteration count and abort rule: a component that loses
+    nearly all its mass, or whose standard deviation collapses below 1e-6
+    times the sample SD of y, aborts that start.  If every start aborts a
+    FitError is raised.
     """
     y = np.asarray(y, dtype=float)
     k = len(bases)
@@ -276,22 +287,20 @@ def fit_normal_mixture(
     if sd_floor == 0.0:
         raise FitError("outcome is constant; mixture fitting is degenerate")
 
-    best: Optional[tuple] = None
-    failures: list[str] = []
-    for start in range(max(1, restarts)):
-        resp = _initial_responsibilities(y, columns, bases, k, start, rng)
-        try:
-            result = _em_run(y, designs, resp, sd_floor, max_iter, tol)
-        except FitError as err:
-            failures.append(str(err))
-            continue
-        if best is None or result[0] > best[0]:
-            best = result
-    if best is None:
+    resp = np.stack(
+        [
+            _initial_responsibilities(y, columns, bases, k, start, rng).T
+            for start in range(max(1, restarts))
+        ],
+        axis=1,
+    )
+    runs = _em_batch(y, designs, resp, sd_floor, max_iter, tol)
+    fits = [run for run in runs if not isinstance(run, FitError)]
+    if not fits:
         raise FitError(
-            "all mixture starts degenerated: " + "; ".join(failures[:3])
+            "all mixture starts degenerated: " + "; ".join(map(str, runs[:3]))
         )
-    ll, coefs, sigma2s, weights, iters, converged, trace = best
+    ll, coefs, sigma2s, weights, iters, converged, trace = max(fits, key=lambda r: r[0])
     comps = tuple(
         Component(b, tuple(c), float(s2))
         for b, c, s2 in zip(bases, coefs, sigma2s)
@@ -317,48 +326,101 @@ def _initial_responsibilities(y, columns, bases, k, start, rng):
     return resp / resp.sum(axis=1, keepdims=True)
 
 
-def _em_run(y, designs, resp, sd_floor, max_iter, tol):
-    n, k = resp.shape
-    trace: list[float] = []
-    ll_prev = -np.inf
-    converged = False
-    coefs = [np.zeros(d.shape[1]) for d in designs]
-    sigma2s = np.ones(k)
-    weights = np.full(k, 1.0 / k)
-    for it in range(1, max_iter + 1):
-        # M-step: weighted least squares per component
-        for j, d in enumerate(designs):
-            w = resp[:, j]
-            total = w.sum()
-            if total < d.shape[1]:
-                raise FitError("a mixture component lost nearly all its mass")
-            wd = d * w[:, None]
+def _solve_stack(gram, rhs):
+    """Solve stacked systems; returns the solutions and a mask of singular ones."""
+    try:
+        return np.linalg.solve(gram, rhs[..., None])[..., 0], np.zeros(len(gram), bool)
+    except np.linalg.LinAlgError:
+        out, singular = np.zeros(rhs.shape), np.zeros(len(gram), bool)
+        for i, (g, r) in enumerate(zip(gram, rhs)):
             try:
-                coefs[j] = np.linalg.solve(wd.T @ d, wd.T @ y)
+                out[i] = np.linalg.solve(g, r)
             except np.linalg.LinAlgError:
-                raise FitError("singular weighted design in the M-step") from None
-            r = y - d @ coefs[j]
-            sigma2s[j] = float(np.sum(w * r**2) / total)
-            if sigma2s[j] < sd_floor**2:
-                raise FitError("component variance collapsed")
-            weights[j] = total / n
-        # E-step: responsibilities and the observed-data log-likelihood
-        logp = np.empty((n, k))
+                singular[i] = True
+        return out, singular
+
+
+def _em_batch(y, designs, resp, sd_floor, max_iter, tol):
+    """EM from every start at once over (K, starts, n) responsibilities.
+
+    Each start iterates as a lone EM would: an M-step of weighted least
+    squares per component (one stacked solve over the starts), then an
+    E-step giving the responsibilities and the observed-data
+    log-likelihood, until the log-likelihood gains at most
+    ``tol * (1 + |ll|)``.  A start leaves the active set when it converges
+    or aborts.  Returns one entry per start: ``(ll, coefs, sigma2s,
+    weights, iterations, converged, trace)``, or the FitError that
+    aborted it.
+    """
+    k, starts, n = resp.shape
+    # per-unit x x' and x y, so each start's normal equations are one matmul
+    outers = [(d[:, :, None] * d[:, None, :]).reshape(n, -1) for d in designs]
+    cross = [d * y[:, None] for d in designs]
+    runs: list = [None] * starts
+    traces: list[list[float]] = [[] for _ in range(starts)]
+    active = np.arange(starts)
+    ll_prev = np.full(starts, -np.inf)
+    for it in range(1, max_iter + 1):
+        ok = np.ones(active.size, dtype=bool)
+        errors: dict[int, FitError] = {}
+
+        def abort(mask, message):
+            bad = mask & ok
+            if bad.any():
+                errors.update((i, FitError(message)) for i in np.flatnonzero(bad))
+                ok[bad] = False
+
+        # M-step: weighted least squares per component, all starts stacked
+        coefs, resid = [], []
+        sigma2s, weights = np.empty((k, active.size)), np.empty((k, active.size))
         for j, d in enumerate(designs):
-            r = y - d @ coefs[j]
-            logp[:, j] = (
-                math.log(weights[j])
-                - 0.5 * (math.log(2.0 * math.pi * sigma2s[j]) + r**2 / sigma2s[j])
-            )
-        norm = logsumexp(logp, axis=1)
-        ll = float(np.sum(norm))
-        trace.append(ll)
-        resp = np.exp(logp - norm[:, None])
-        if ll - ll_prev <= tol * (1.0 + abs(ll)) and it > 1:
-            converged = True
+            w = resp[j]
+            total = w.sum(axis=1)
+            abort(total < d.shape[1], "a mixture component lost nearly all its mass")
+            p = d.shape[1]
+            gram, rhs = (w[ok] @ outers[j]).reshape(-1, p, p), w[ok] @ cross[j]
+            coef = np.zeros((active.size, p))
+            singular = np.zeros(active.size, dtype=bool)
+            coef[ok], singular[ok] = _solve_stack(gram, rhs)
+            abort(singular, "singular weighted design in the M-step")
+            r = y - coef @ d.T
+            sigma2s[j] = np.sum(w * r**2, axis=1) / np.where(ok, total, 1.0)
+            abort(sigma2s[j] < sd_floor**2, "component variance collapsed")
+            weights[j] = total / n
+            coefs.append(coef)
+            resid.append(r)
+        for i, err in errors.items():
+            runs[active[i]] = err
+        active, ll_prev = active[ok], ll_prev[ok]
+        if not active.size:
             break
-        ll_prev = ll
-    return ll, coefs, sigma2s, weights, it, converged, tuple(trace)
+        sigma2s, weights = sigma2s[:, ok], weights[:, ok]
+        coefs, resid = [c[ok] for c in coefs], [r[ok] for r in resid]
+        # E-step: responsibilities and the observed-data log-likelihood
+        logp = np.stack(
+            [
+                np.log(pi)[:, None]
+                - 0.5 * (np.log(2.0 * math.pi * s2)[:, None] + r**2 / s2[:, None])
+                for pi, s2, r in zip(weights, sigma2s, resid)
+            ]
+        )
+        norm = _logsumexp0(logp)
+        ll = np.sum(norm, axis=1)
+        resp = np.exp(logp - norm)
+        for start, value in zip(active.tolist(), ll.tolist()):
+            traces[start].append(value)
+        done = (ll - ll_prev <= tol * (1.0 + np.abs(ll))) & (it > 1)
+        for i in np.flatnonzero(done | (it == max_iter)):
+            start = active[i]
+            runs[start] = (
+                float(ll[i]), [c[i] for c in coefs], sigma2s[:, i], weights[:, i],
+                it, bool(done[i]), tuple(traces[start]),
+            )
+        keep = ~done
+        active, ll_prev, resp = active[keep], ll[keep], resp[:, keep]
+        if not active.size:
+            break
+    return runs
 
 
 # ---------------------------------------------------------------------------

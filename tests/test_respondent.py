@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from fimnar.basis import binary, continuous, parse_formula
 from fimnar.expfam import (
@@ -13,8 +14,11 @@ from fimnar.expfam import (
     unflatten_params,
 )
 from fimnar.respondent import (
+    SIGMA_FLOOR_FACTOR,
     Candidate,
     FitError,
+    _em_batch,
+    _initial_responsibilities,
     fit_glm,
     fit_normal_mixture,
     search_basis_by_aic,
@@ -242,6 +246,108 @@ def test_mixture_collapse_raises_when_all_starts_degenerate():
         fit_normal_mixture(
             y, cols(np.zeros(40)), [parse_formula("1", KINDS)] * 2, restarts=3
         )
+
+
+def _sequential_em_run(y, designs, resp, sd_floor, max_iter, tol):
+    """The one-start EM that the batched EM replaced, kept as its reference."""
+    n, k = resp.shape
+    trace = []
+    ll_prev = -np.inf
+    converged = False
+    coefs = [np.zeros(d.shape[1]) for d in designs]
+    sigma2s = np.ones(k)
+    weights = np.full(k, 1.0 / k)
+    for it in range(1, max_iter + 1):
+        for j, d in enumerate(designs):
+            w = resp[:, j]
+            total = w.sum()
+            if total < d.shape[1]:
+                raise FitError("a mixture component lost nearly all its mass")
+            wd = d * w[:, None]
+            try:
+                coefs[j] = np.linalg.solve(wd.T @ d, wd.T @ y)
+            except np.linalg.LinAlgError:
+                raise FitError("singular weighted design in the M-step") from None
+            r = y - d @ coefs[j]
+            sigma2s[j] = float(np.sum(w * r**2) / total)
+            if sigma2s[j] < sd_floor**2:
+                raise FitError("component variance collapsed")
+            weights[j] = total / n
+        logp = np.empty((n, k))
+        for j, d in enumerate(designs):
+            r = y - d @ coefs[j]
+            logp[:, j] = math.log(weights[j]) - 0.5 * (
+                math.log(2.0 * math.pi * sigma2s[j]) + r**2 / sigma2s[j]
+            )
+        norm = logsumexp(logp, axis=1)
+        ll = float(np.sum(norm))
+        trace.append(ll)
+        resp = np.exp(logp - norm[:, None])
+        if ll - ll_prev <= tol * (1.0 + abs(ll)) and it > 1:
+            converged = True
+            break
+        ll_prev = ll
+    return ll, coefs, sigma2s, weights, it, converged, tuple(trace)
+
+
+def _spiked_data(seed=7, n=40):
+    # three tied points: some starts put a component on them and collapse
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=n), rng.normal(size=n)
+    x[:3], y[:3] = 0.3, 2.5
+    return y, cols(x)
+
+
+def _s3_data():
+    from fimnar.sim import generate, scenario_s3
+
+    scn = scenario_s3(500)
+    data = generate(scn, np.random.default_rng(3001))
+    return data.y_observed, data.respondent_columns()
+
+
+@pytest.mark.parametrize(
+    "make_data, bases, aborted",
+    [(_s3_data, [B1X, B1XX], 0), (_spiked_data, [B1X, B1X], 5)],
+    ids=["s3", "collapse"],
+)
+def test_batched_em_matches_sequential_starts(make_data, bases, aborted):
+    y, columns = make_data()
+    designs = [b.design(columns) for b in bases]
+    sd_floor = SIGMA_FLOOR_FACTOR * float(np.std(y))
+    rng = np.random.default_rng(11)
+    starts = [
+        _initial_responsibilities(y, columns, bases, len(bases), s, rng)
+        for s in range(10)
+    ]
+    ref = []
+    for resp in starts:
+        try:
+            ref.append(_sequential_em_run(y, designs, resp, sd_floor, 500, 1e-10))
+        except FitError as err:
+            ref.append(err)
+    got = _em_batch(y, designs, np.stack([r.T for r in starts], axis=1), sd_floor, 500, 1e-10)
+    assert sum(isinstance(r, FitError) for r in ref) == aborted
+    for want, have in zip(ref, got):
+        if isinstance(want, FitError):
+            assert isinstance(have, FitError) and str(have) == str(want)
+            continue
+        assert have[4:6] == want[4:6]  # iterations, converged
+        assert len(have[6]) == len(want[6])
+        assert np.allclose(have[6], want[6], rtol=1e-12, atol=0.0)
+        for a, b in zip(have[1], want[1]):
+            assert np.max(np.abs(a - b)) <= 1e-10
+        assert np.max(np.abs(have[2] - want[2])) <= 1e-10
+        assert np.max(np.abs(have[3] - want[3])) <= 1e-10
+
+    # fit_normal_mixture selects the first start with the highest loglik
+    fits = [r for r in ref if not isinstance(r, FitError)]
+    best = max(fits, key=lambda r: r[0])
+    fit = fit_normal_mixture(y, columns, bases, rng=np.random.default_rng(11))
+    assert fit.iterations == best[4] and len(fit.trace) == len(best[6])
+    assert np.allclose(fit.trace, best[6], rtol=1e-12, atol=0.0)
+    coef = np.concatenate(best[1] + [best[2], best[3][:-1]])
+    assert np.max(np.abs(flatten_params(fit.spec) - coef)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

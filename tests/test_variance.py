@@ -401,3 +401,73 @@ def test_closed_form_score_sums_match_finite_differences(
         scale = np.einsum("kij,ij->ik", np.abs(fd), np.abs(v))
         assert np.all(np.abs(sums - ref) <= 1e-6 * (1.0 + scale))
 
+
+def _drawn_spec(family, rng, coef, dispersion, weight, offset):
+    """A spec of ``family`` (mixture: two normal components) and 7 donor values."""
+    if family == "mixture":
+        comps = (
+            Component(B1X, (offset + coef[0], coef[1]), dispersion),
+            Component(B1XX, (offset - coef[1], coef[0], 0.5 * coef[1]), 2 * dispersion),
+        )
+        gamma = OutcomeSpec(Family.NORMAL, comps, (weight, 1.0 - weight))
+        return gamma, offset + rng.normal(scale=2.0, size=7)
+    small = (0.5 * coef[0], 0.5 * coef[1])
+    if family is Family.POISSON:
+        gamma = OutcomeSpec(family, (Component(B1X, small),))
+        return gamma, rng.poisson(2.0, 7).astype(float)
+    gamma = OutcomeSpec(family, (Component(B1X, small, 1.0 / dispersion),))
+    return gamma, rng.gamma(2.0, 0.5, size=7) + 0.05
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["mixture", Family.POISSON, Family.GAMMA]),
+    units=st.integers(1, 6),
+    donors=st.integers(1, 7),
+    coef=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    dispersion=st.floats(0.2, 3.0),
+    weight=st.floats(0.1, 0.9),
+    offset=st.floats(-30.0, 30.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_mixture_poisson_gamma_score_sums_match_finite_differences(
+    seed, family, units, donors, coef, dispersion, weight, offset
+):
+    rng = np.random.default_rng(seed)
+    cols = {"x": rng.normal(size=units)}
+    gamma, y = _drawn_spec(family, rng, coef, dispersion, weight, offset)
+    y = y[:donors]
+    weights = [rng.normal(size=(units, donors)) for _ in range(2)]
+    got = _score_sums(gamma, y, cols, weights)
+    fd = _score_gamma_fd(gamma, y, cols, outer=True)
+    for v, sums in zip(weights, got):
+        ref = np.einsum("kij,ij->ik", fd, v)
+        scale = np.einsum("kij,ij->ik", np.abs(fd), np.abs(v))
+        assert np.all(np.abs(sums - ref) <= 1e-6 * (1.0 + scale))
+    # one donor per unit: the respondents' scores
+    y_units = rng.choice(y, size=units)
+    got = respondent_score_gamma(gamma, y_units, cols)
+    fd = _score_gamma_fd(gamma, y_units, cols, outer=False)
+    assert np.all(np.abs(got - fd) <= 1e-6 * (1.0 + np.abs(fd)))
+
+
+def test_s3_variances_match_the_finite_difference_path(monkeypatch):
+    import fimnar.variance as variance
+
+    data, gf, fit = scenario_fit("s3", 33)
+    sigma, parts = variance_estimate(fit, gf, data)
+    mu_var = mu_y_variance(fit, gf, data, parts)
+
+    def fd_sums(gamma, y_donors, columns, weights):
+        fd = _score_gamma_fd(gamma, y_donors, columns, outer=True)
+        return [np.einsum("kij,ij->ik", fd, v) for v in weights]
+
+    monkeypatch.setattr(variance, "_score_sums", fd_sums)
+    monkeypatch.setattr(
+        variance,
+        "respondent_score_gamma",
+        lambda gamma, y, columns: _score_gamma_fd(gamma, y, columns, outer=False),
+    )
+    fd_sigma, fd_parts = variance_estimate(fit, gf, data)
+    assert rel_err(sigma, fd_sigma) <= 1e-6
+    assert rel_err(mu_var, mu_y_variance(fit, gf, data, fd_parts)) <= 1e-6
