@@ -1,11 +1,15 @@
-"""Per-layer wall time of Monte Carlo replicates, written to a BENCH json.
+"""Per-layer wall time and memory of Monte Carlo replicates, written to a BENCH json.
 
 Each replicate is the one ``run_mc(scenario, b=1, seed=s)`` runs for a seed
 ``s`` of the list: the respondent fit, ``em_fit``, ``variance_estimate`` and
 ``mu_y_variance`` are timed one by one with ``time.perf_counter``.  A run
 walks every seed once; the script reports, per layer, the median over runs
 of the mean milliseconds per replicate, every run's value, and the
-process's peak RSS from ``resource.getrusage``.  BLAS runs on one thread.
+process's peak RSS from ``resource.getrusage``.  After the timed runs, one
+untimed pass over the seeds runs each layer under ``tracemalloc`` and
+reports its largest peak of traced allocations (NumPy reports its
+buffers), since tracing slows code that allocates.  BLAS runs on one
+thread.
 
 The results are merged into the output file under ``--label``, so two
 checkouts can be compared in one file:
@@ -28,6 +32,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -56,8 +61,25 @@ def git_revision(src: Path) -> str:
         return "unknown"
 
 
-def replicate(scenario, seed, timings):
-    """One ``run_mc`` replicate; adds each layer's seconds to ``timings``."""
+def timed(call):
+    """``call()`` and its wall time in seconds."""
+    start = time.perf_counter()
+    out = call()
+    return out, time.perf_counter() - start
+
+
+def traced(call):
+    """``call()`` and the peak of its traced allocations in MB."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def replicate(scenario, seed, measure):
+    """One ``run_mc`` replicate: its Var(mu) and ``measure``'s value for each layer."""
     # imported here, after main has put the --src tree on the path
     import numpy as np
 
@@ -81,11 +103,10 @@ def replicate(scenario, seed, timings):
             out["em_fit"], out["respondent_fit"], data, out["variance_estimate"][1]
         )),
     )
+    values = {}
     for layer, call in calls:
-        start = time.perf_counter()
-        out[layer] = call()
-        timings[layer] += time.perf_counter() - start
-    return float(out["mu_y_variance"])
+        out[layer], values[layer] = measure(call)
+    return float(out["mu_y_variance"]), values
 
 
 def main() -> int:
@@ -108,17 +129,17 @@ def main() -> int:
 
     scenario = built_in_scenario(args.scenario, n=args.n)
     seeds = parse_seeds(args.seeds)
-    replicate(scenario, seeds[0], dict.fromkeys(LAYERS, 0.0))  # warm-up
+    replicate(scenario, seeds[0], timed)  # warm-up
 
     per_run = {layer: [] for layer in LAYERS}
     mu_var = []
     for _ in range(args.runs):
-        timings = dict.fromkeys(LAYERS, 0.0)
-        mu_var = [replicate(scenario, seed, timings) for seed in seeds]
+        mu_var, runs = zip(*(replicate(scenario, seed, timed) for seed in seeds))
         for layer in LAYERS:
-            per_run[layer].append(1e3 * timings[layer] / len(seeds))
+            per_run[layer].append(1e3 * sum(r[layer] for r in runs) / len(seeds))
     totals = [sum(run) for run in zip(*per_run.values())]
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    peaks = [replicate(scenario, seed, traced)[1] for seed in seeds]
 
     result = {
         "revision": git_revision(src),
@@ -132,7 +153,10 @@ def main() -> int:
         "total_ms_per_replicate": statistics.median(totals),
         "runs_ms_per_replicate": per_run,
         "peak_rss_mb": round(peak_rss_mb, 1),
-        "mu_y_variance": mu_var,
+        "peak_alloc_mb": {
+            layer: round(max(p[layer] for p in peaks), 2) for layer in LAYERS
+        },
+        "mu_y_variance": list(mu_var),
         "machine": {
             "python": platform.python_version(),
             "platform": platform.platform(),
@@ -144,7 +168,8 @@ def main() -> int:
     merged[args.label] = result
     out_path.write_text(json.dumps(merged, indent=2) + "\n")
     for layer in LAYERS:
-        print(f"{layer:>18}: {result['ms_per_replicate'][layer]:8.1f} ms")
+        print(f"{layer:>18}: {result['ms_per_replicate'][layer]:8.1f} ms, "
+              f"peak alloc {result['peak_alloc_mb'][layer]:8.2f} MB")
     print(f"{'total':>18}: {result['total_ms_per_replicate']:8.1f} ms, "
           f"peak RSS {result['peak_rss_mb']} MB -> {out_path} [{args.label}]")
     return 0

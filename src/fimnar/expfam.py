@@ -37,6 +37,7 @@ __all__ = [
     "density",
     "log_density",
     "log_density_outer",
+    "log_density_factors",
     "log_odds_normalizer",
     "tilt",
     "mean",
@@ -293,6 +294,25 @@ def log_density_outer(
 ) -> np.ndarray:
     """Log density of every y value under every row's model, shape (n, m)."""
     return _log_density(spec, y_values, columns, outer=True)
+
+
+def log_density_factors(
+    spec: OutcomeSpec, y_values: np.ndarray, columns: Mapping[str, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A one-component ``log_density_outer`` as ``slope[:, None]*y + offset[:, None] + log_c``.
+
+    Returns the row slope ``tau*theta``, the row offset ``-tau*b(theta)``
+    and the column term ``log c(y)``: the formula of ``_log_density``'s
+    ``component``, so that an (n, m) grid of log densities is never needed.
+    The support check runs once on ``y_values``.
+    """
+    if spec.k != 1:
+        raise ValueError("a mixture's log density has no rank-one factors")
+    y = np.asarray(y_values, dtype=float)
+    _check_support(spec.family, y)
+    theta = _effective_theta(spec, 0, columns)
+    tau = spec.tau(0)
+    return tau * theta, -tau * _b(spec.family, theta), _log_c(spec.family, y, tau)
 
 
 def density(spec: OutcomeSpec, y, columns: Mapping[str, np.ndarray]) -> np.ndarray:

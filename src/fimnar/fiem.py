@@ -22,17 +22,28 @@ damped-Newton loop; where it stalls on weakly identified data, EM gives
 it a second start, so every fit passes the same convergence test.
 
 The respondents' model ``gamma`` is fitted once from complete cases and
-held fixed throughout; only ``base = log f(y_j | x_i) - log C(y_j)``
-depends on it, so it is computed once per fit.
+held fixed throughout; only ``log f(y_j | x_i) - log C(y_j)`` depends on
+it.  For a one-component model ``log f(y | x_i) = slope_i*y + offset_i +
+log c(y)`` (``expfam.log_density_factors``), and the row constant
+``offset_i`` cancels when a unit's weights are normalized, so the log
+weights are ``(slope_i - beta)*y_j + e_j`` with ``e_j = log c(y_j) -
+log C(y_j)``: one vector over missing units and one over donors, both
+computed once per fit.  The donors are
+collapsed to their unique values, each carrying its multiplicity in
+``e``; this is exact, because a weight depends on the donor only through
+its value.
 
 Memory: one donor kernel, ``_donor_blocks``, walks the missing units in
 row blocks of about ``CELLS`` grid cells and yields each block's weights
-and propensities, which the solver and the variance code reduce;
+and propensities, which the solver and the variance code reduce; each
+block's weights are rebuilt from the factors by ``_LogWeights``, and
 ``log C`` is an online logsumexp over row blocks of respondents.  So a
-fit stores one (n_missing, n_respondents) array, ``base`` during the
-solve and the final weights ``w`` normalized in its place, plus the
-temporaries of one block; only the EM fallback holds its iteration's
-weights beside ``base``.
+one-component fit stores only vectors over units and unique donor
+values, plus the temporaries of one block; only the EM fallback holds
+its iteration's (n_missing, unique values) weights.  A mixture's log
+density has no such factors, so its fit stores one (n_missing, unique
+values) array of ``log f - log C``; ``_LogWeights`` builds a block from
+whichever of the two it holds, so its readers do not tell them apart.
 
 An alternative "parametric" engine draws a fixed per-unit pool of M
 imputed values from the respondents' density and weights it by the
@@ -44,14 +55,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 from scipy.special import expit
 
 from .dataio import Dataset
-from .expfam import OutcomeSpec, log_density_outer, sample
+from .expfam import OutcomeSpec, log_density_factors, log_density_outer, sample
 from .identify import IdentifyVerdict, Status
 from .respondent import GRAD_TOL, FitError, RespondentFit, _canonical_system, _newton
 from .response import LP_CLAMP, ResponseSpec
@@ -94,26 +106,56 @@ class FiControls:
     max_newton_iter: int = 50
 
 
-@dataclass
 class FractionalWeights:
     """Normalized donor weights for every missing unit.
 
     ``donor_y`` is the shared respondent outcome vector for the donor
     engine, or an (n_missing, M) array of per-unit imputed pools for
-    the parametric engine.  ``w`` has one row per missing unit and one
-    column per donor; rows sum to one.  ``log_c`` is the donor engine's
-    ``log C(y_j)`` under the respondents' model the weights were built
-    with, kept for the variance of the outcome mean.
+    the parametric engine.  The weights are given as an array ``w``, one
+    row per missing unit and one column per donor, or by the engines as
+    ``kernel``, a ``_LogWeights`` over the values ``kernel.donor_y``: the
+    donor engine's are the donors' unique values, and ``inverse`` maps
+    each donor to its value.  ``kernel`` and ``values`` are what the
+    solver and the variance code reduce.  The property ``w`` is the
+    per-donor array, rows summing to one; from a kernel it is built on
+    each read (a value's weight split evenly among its donors) and never
+    kept.  ``ybar`` and ``spread`` are each unit's weighted donor mean and
+    centred second moment ``sum_j w_ij (y_j - ybar_i)^2``, computed once
+    here.  ``log_c`` is the donor engine's per-donor ``log C(y_j)`` under
+    the respondents' model the weights were built with, kept for the
+    variance of the outcome mean.
     """
 
-    missing_rows: np.ndarray
-    donor_y: np.ndarray
-    w: np.ndarray
-    log_c: Optional[np.ndarray] = None
+    def __init__(
+        self,
+        missing_rows: np.ndarray,
+        donor_y: np.ndarray,
+        w: Optional[np.ndarray] = None,
+        log_c: Optional[np.ndarray] = None,
+        *,
+        kernel: Optional["_LogWeights"] = None,
+        inverse: Optional[np.ndarray] = None,
+    ) -> None:
+        if (w is None) == (kernel is None):
+            raise ValueError("give the weights as either an array w or a kernel")
+        self.missing_rows = np.asarray(missing_rows)
+        self.donor_y = donor_y
+        self.log_c = log_c
+        self.kernel = w if kernel is None else kernel
+        self.values = donor_y if kernel is None else kernel.donor_y
+        self.inverse = inverse
+        self.ybar, self.spread = _unit_moments(self.kernel, self.values, self.n_missing)
 
     @property
     def n_missing(self) -> int:
-        return self.w.shape[0]
+        return self.missing_rows.size
+
+    @property
+    def w(self) -> np.ndarray:
+        full = self.kernel[: self.n_missing]
+        if self.inverse is None:
+            return full
+        return full[:, self.inverse] / np.bincount(self.inverse)[self.inverse]
 
 
 @dataclass
@@ -151,6 +193,19 @@ def _take(columns, rows: slice) -> dict:
     return {name: col[rows] for name, col in columns.items()}
 
 
+def _check_covered(finite: np.ndarray, first: int = 0) -> None:
+    """FitError naming the first missing unit whose ``finite`` entry is False.
+
+    ``first`` is the missing-unit index of entry 0.
+    """
+    if not np.all(finite):
+        bad = first + int(np.nonzero(~finite)[0][0])
+        raise FitError(
+            f"missing unit {bad}: every donor has zero density under the "
+            "respondents' model; the outcome model does not cover this unit"
+        )
+
+
 def _normalize_rows(logw: np.ndarray, first: int = 0) -> np.ndarray:
     """In-place exponentiation after per-row max subtraction.
 
@@ -159,12 +214,7 @@ def _normalize_rows(logw: np.ndarray, first: int = 0) -> np.ndarray:
     if logw.size == 0:
         return np.zeros_like(logw)
     row_max = np.max(logw, axis=1)
-    if np.any(~np.isfinite(row_max)):
-        bad = first + int(np.nonzero(~np.isfinite(row_max))[0][0])
-        raise FitError(
-            f"missing unit {bad}: every donor has zero density under the "
-            "respondents' model; the outcome model does not cover this unit"
-        )
+    _check_covered(np.isfinite(row_max), first)
     logw -= row_max[:, None]
     w = np.exp(logw, out=logw)
     w /= w.sum(axis=1, keepdims=True)
@@ -175,18 +225,34 @@ def _normalize_rows(logw: np.ndarray, first: int = 0) -> np.ndarray:
 class _LogWeights:
     """Row-normalized ``exp(base - beta*y)``, built block by block on indexing.
 
-    ``base`` is None for the parametric engine, whose weights come from
-    ``-beta*y`` alone.
+    The columns are the values ``donor_y``.  ``base`` is an (n_missing, values) array; or, with ``slope`` given,
+    the column term ``e`` of a rank-one grid whose row i is
+    ``slope_i*y + e``, the one-component donor base up to a row constant
+    that the normalization cancels; or None, standing for zero, in the
+    parametric engine, whose weights come from ``-beta*y`` alone.
     """
 
     base: Optional[np.ndarray]
     beta: float
     donor_y: np.ndarray
+    slope: Optional[np.ndarray] = None
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(slope - beta, 1)`` by unit and ``(y, e)`` by value: a block is one matmul."""
+        left = np.column_stack([self.slope - self.beta, np.ones_like(self.slope)])
+        return left, np.vstack([self.donor_y, self.base])
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         y = self.donor_y if self.donor_y.ndim == 1 else self.donor_y[rows]
-        logw = -self.beta * y if self.base is None else self.base[rows] - self.beta * y
-        return _normalize_rows(logw, rows.start)
+        if self.slope is not None:
+            left, right = self._factors
+            logw = left[rows] @ right
+        elif self.base is None:
+            logw = -self.beta * y
+        else:
+            logw = self.base[rows] - self.beta * y
+        return _normalize_rows(logw, rows.start or 0)
 
 
 def _donor_blocks(phi: ResponseSpec, b_miss: np.ndarray, donor_y: np.ndarray, w):
@@ -227,15 +293,66 @@ def _logsumexp_blocks(blocks, n_cols: int) -> np.ndarray:
         return np.where(np.isfinite(top), shift + np.log(total), top)
 
 
+def _log_density_blocks(gamma: OutcomeSpec, y: np.ndarray, columns, n_rows: int):
+    """``(rows, log f(y | x_r))`` for each row block of the ``n_rows`` rows of ``columns``.
+
+    A one-component block is rebuilt from ``log_density_factors``, taken
+    once for all rows; a mixture block is its ``log_density_outer``.
+    """
+    if gamma.k > 1:
+        for rows in _row_blocks(n_rows, y.size):
+            yield rows, log_density_outer(gamma, y, _take(columns, rows))
+        return
+    slope, offset, log_c_y = log_density_factors(gamma, y, columns)
+    left = np.column_stack([slope, offset, np.ones_like(slope)])
+    right = np.vstack([y, np.ones_like(y), log_c_y])
+    for rows in _row_blocks(n_rows, y.size):
+        yield rows, left[rows] @ right
+
+
+def _log_c_at(gamma: OutcomeSpec, y: np.ndarray, data: Dataset) -> np.ndarray:
+    """log C(y) = log sum_l f(y | x_l) over respondents l at each value, by blocks of them."""
+    blocks = _log_density_blocks(gamma, y, data.respondent_columns(), data.n_respondents)
+    return _logsumexp_blocks((block for _, block in blocks), y.size)
+
+
 def _donor_log_c(gamma: OutcomeSpec, data: Dataset) -> np.ndarray:
-    """log C(y_j) = log sum_l f(y_j | x_l) over respondents l, by blocks of them."""
-    y_d = data.y_observed
-    resp_cols = data.respondent_columns()
-    blocks = (
-        log_density_outer(gamma, y_d, _take(resp_cols, rows))
-        for rows in _row_blocks(y_d.size, y_d.size)
+    """log C(y_j) for every donor j, computed once per unique value."""
+    values, inverse = np.unique(data.y_observed, return_inverse=True)
+    return _log_c_at(gamma, values, data)[inverse]
+
+
+def _donor_kernel(gamma: OutcomeSpec, data: Dataset):
+    """The donor engine's weights at beta = 0, the donors' value index and log C.
+
+    Returns ``(kernel, inverse, log_c)``: a ``_LogWeights`` over the
+    donors' unique values, each weighted by its multiplicity m so that
+    it stands for all its donors, the index of each donor's value, and
+    the per-donor ``log C``.  For one component the kernel keeps the
+    factors ``slope`` over missing units and ``e = log c(y) - log C(y) +
+    log m`` over values; for a mixture it keeps the (n_missing, values)
+    array ``log f - log C + log m``.
+    """
+    if data.n_respondents < 1:
+        raise FitError("at least one respondent donor is required")
+    values, inverse, counts = np.unique(
+        data.y_observed, return_inverse=True, return_counts=True
     )
-    return _logsumexp_blocks(blocks, y_d.size)
+    log_c = _log_c_at(gamma, values, data)
+    e = np.log(counts) - log_c
+    miss_cols = data.missing_columns()
+    if gamma.k > 1:
+        base = np.empty((data.n_missing, values.size))
+        for rows, block in _log_density_blocks(gamma, values, miss_cols, data.n_missing):
+            np.add(block, e, out=base[rows])
+        kernel = _LogWeights(base, 0.0, values)
+    else:
+        slope, offset, log_c_y = log_density_factors(gamma, values, miss_cols)
+        # the offset cancels from the weights, but a unit whose density
+        # vanishes everywhere shows only there
+        _check_covered(np.isfinite(slope) & np.isfinite(offset))
+        kernel = _LogWeights(log_c_y + e, 0.0, values, slope)
+    return kernel, inverse, log_c[inverse]
 
 
 def _donor_log_base(
@@ -279,16 +396,34 @@ def fractional_weights(
     row's maximum.  Raises FitError when some missing unit has zero
     density at every donor value.
     """
-    if data.n_respondents < 1:
-        raise FitError("at least one respondent donor is required")
-    log_c = _donor_log_c(gamma, data) if data.n_missing else None
-    base = _donor_log_base(gamma, data, log_c)
+    kernel, inverse, log_c = _donor_kernel(gamma, data)
     return FractionalWeights(
-        missing_rows=np.nonzero(data.delta == 0)[0],
-        donor_y=data.y_observed.copy(),
-        w=_weights_from_base(phi.beta, data.y_observed, base),
+        np.nonzero(data.delta == 0)[0],
+        data.y_observed.copy(),
         log_c=log_c,
+        kernel=replace(kernel, beta=phi.beta),
+        inverse=inverse,
     )
+
+
+def _unit_moments(w, y: np.ndarray, n_missing: int):
+    """Per-unit weighted donor mean and centred second moment, by row blocks of ``w``.
+
+    The donor values are centred on their mean first, so that the two
+    moments do not cancel.
+    """
+    ybar, spread = np.empty(n_missing), np.empty(n_missing)
+    shift = float(np.mean(y)) if y.size else 0.0
+    y_c = y - shift
+    powers = None
+    if y.ndim == 1:
+        powers = np.column_stack([np.ones_like(y_c), y_c, y_c**2])
+    for rows in _row_blocks(n_missing, y.shape[-1]):
+        y_b = y_c if y.ndim == 1 else y_c[rows]
+        _, m1, m2 = _power_sums(w[rows], y_b, powers).T
+        ybar[rows] = shift + m1
+        spread[rows] = m2 - m1**2
+    return ybar, spread
 
 
 def _parametric_pool(
@@ -394,7 +529,7 @@ def mean_score(
 ) -> np.ndarray:
     """Weighted mean score: respondent scores plus donor-averaged scores."""
     arrays = _score_arrays(phi, data)
-    return _score_and_jacobian(phi, arrays, weights.w, weights.donor_y, False)[0]
+    return _score_and_jacobian(phi, arrays, weights.kernel, weights.values, False)[0]
 
 
 def score_jacobian(
@@ -402,7 +537,7 @@ def score_jacobian(
 ) -> np.ndarray:
     """d mean_score / d phi with the weights held fixed (negative definite)."""
     arrays = _score_arrays(phi, data)
-    return _score_and_jacobian(phi, arrays, weights.w, weights.donor_y, False)[1]
+    return _score_and_jacobian(phi, arrays, weights.kernel, weights.values, False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +557,7 @@ def solve_mean_score(
     ``controls.max_newton_iter`` steps.
     """
     arrays = _score_arrays(phi, data)
-    return _fixed_weight_solve(phi, arrays, weights.w, weights.donor_y, controls)[0]
+    return _fixed_weight_solve(phi, arrays, weights.kernel, weights.values, controls)[0]
 
 
 def _fixed_weight_solve(phi, arrays, w, donor_y, controls: FiControls):
@@ -500,14 +635,13 @@ def em_fit(
 
     if engine == "donor":
         donor_y = data.y_observed.copy()
-        log_c = _donor_log_c(gamma, data) if data.n_missing else None
-        base = _donor_log_base(gamma, data, log_c)
+        kernel, inverse, log_c = _donor_kernel(gamma, data)
     elif engine == "parametric":
         rng = rng or np.random.default_rng(0)
         donor_y = _parametric_pool(gamma, data, m_draws, rng)
         # proposal equals the respondents' density, so only the odds factor
         # survives in the self-normalized weights
-        log_c = base = None
+        kernel, inverse, log_c = _LogWeights(None, 0.0, donor_y), None, None
     else:
         raise ValueError(f"unknown imputation engine {engine!r}")
 
@@ -515,8 +649,7 @@ def em_fit(
 
     def system(x):
         p = phi.with_phi(x)
-        w = _LogWeights(base, p.beta, donor_y)
-        return _score_and_jacobian(p, arrays, w, donor_y, True)
+        return _score_and_jacobian(p, arrays, replace(kernel, beta=p.beta), kernel.donor_y, True)
 
     def solve(x):
         steps = min(controls.max_newton_iter, controls.max_em_iter)
@@ -529,7 +662,7 @@ def em_fit(
         # minimum of ||S|| that is no root; EM's path is not monotone in
         # ||S|| and gets past it, so EM from the same start supplies a new
         # start for the same Newton solve
-        em_phi, em_trace = _em(phi, arrays, donor_y, base, controls)
+        em_phi, em_trace = _em(phi, arrays, kernel, controls)
         x, path, converged = solve(em_phi.phi)
         trace += [
             (len(trace) + k, change, norm)
@@ -542,8 +675,9 @@ def em_fit(
     weights = FractionalWeights(
         np.nonzero(data.delta == 0)[0],
         donor_y,
-        _weights_from_base(phi_hat.beta, donor_y, base),
-        log_c,
+        log_c=log_c,
+        kernel=replace(kernel, beta=phi_hat.beta),
+        inverse=inverse,
     )
     return FitResult(
         phi_hat=phi_hat,
@@ -557,17 +691,18 @@ def em_fit(
     )
 
 
-def _em(phi, arrays, donor_y, base, controls: FiControls):
+def _em(phi, arrays, kernel: _LogWeights, controls: FiControls):
     """EM: weights at the current beta, then the fixed-weight solve, until phi settles.
 
     Returns ``(phi, trace)``; raises FitError after
     ``controls.max_em_iter`` iterations.  Each iteration's weights are
-    built once, beside ``base``: the M-step evaluates them many times.
+    built from ``kernel`` once, as one array: the M-step evaluates them
+    many times.
     """
     trace: list[tuple[int, float, float]] = []
     for iteration in range(1, controls.max_em_iter + 1):
-        w = _weights_from_base(phi.beta, donor_y, None if base is None else base.copy())
-        new_phi, score_norm = _fixed_weight_solve(phi, arrays, w, donor_y, controls)
+        w = replace(kernel, beta=phi.beta)[:]
+        new_phi, score_norm = _fixed_weight_solve(phi, arrays, w, kernel.donor_y, controls)
         change = float(np.max(np.abs(new_phi.phi - phi.phi)))
         trace.append((iteration, change, score_norm))
         phi = new_phi
@@ -582,7 +717,4 @@ def _em(phi, arrays, donor_y, base, controls: FiControls):
 
 def estimate_mu_y(fit: FitResult, data: Dataset) -> float:
     """Population outcome mean: observed values plus weighted donor values."""
-    total = float(np.sum(data.y_observed))
-    if fit.weights.n_missing:
-        total += float(np.sum(_row_dot(fit.weights.w, fit.weights.donor_y)))
-    return total / data.n
+    return (float(np.sum(data.y_observed)) + float(np.sum(fit.weights.ybar))) / data.n

@@ -27,11 +27,15 @@ against (1, y, y^2, log y) for one-component models, and for a normal
 mixture from one pass over its component densities that weights the
 complete-data score by the responsibilities (Louis, 1982).
 
-Memory: besides the fit's stored weights ``w``, the variance holds only
-per-unit vectors and the temporaries of one row block: the missing-unit
-pieces are reduced block by block from ``fiem``'s donor kernel, and the
+Memory: the variance holds only per-unit vectors and the temporaries of
+one row block.  The missing-unit pieces are reduced block by block from
+``fiem``'s donor kernel, which rebuilds each block's weights from the
+fit's factors, over the donors' unique values; the weighted donor mean
+and spread of each unit come with the fit's weights.  The
 ``d log C/d gamma`` term walks blocks of respondents with the ``log C``
-that the fit kept.
+that the fit kept, from the same factors for one component, and from
+the one pass over its component densities that also gives the
+responsibilities for a mixture.
 
 When the data contain no missing units the weighted terms vanish and
 the bread degenerates; the estimator then reduces to the ordinary
@@ -60,7 +64,8 @@ from .fiem import (
     FitResult,
     FractionalWeights,
     _donor_blocks,
-    _donor_log_c,
+    _log_c_at,
+    _log_density_blocks,
     _respondent_propensity,
     _row_blocks,
     _take,
@@ -144,15 +149,13 @@ def _one_component_sums(gamma: OutcomeSpec, columns, shift, m0, m1, m2, m_log):
     )
 
 
-def _mixture_sums(gamma: OutcomeSpec, y, columns, weights):
-    """``_score_sums`` of a normal mixture, ``y`` broadcasting to (units, donors).
+def _responsibilities(gamma: OutcomeSpec, y, columns):
+    """One pass over a normal mixture's K component densities at ``y``.
 
-    The observed score is the complete-data score weighted by the
-    responsibilities r_k (Louis, 1982), so one pass over the K component
-    densities gives, per V, ``A_k^p = sum_j V_rj r_k (y_j - mu_rk)^p`` and
-    from them the coefficient scores ``x_k A_k^1 / sigma2_k``, the variance
-    scores ``(A_k^2 - sigma2_k A_k^0) / (2 sigma2_k^2)`` and the weight
-    scores ``A_k^0 / pi_k - A_K^0 / pi_K``.
+    ``y`` broadcasts to (units, donors).  Returns the log density
+    ``log f = logsumexp_k(log pi_k + log f_k)`` and the pieces that
+    ``_mixture_sums`` reads: per component the design, the variance, the
+    residuals ``y - mu_k`` and the responsibilities ``r_k``.
     """
     comps, pis = gamma.components, gamma.weights
     designs = [c.basis.design(columns) for c in comps]
@@ -164,8 +167,23 @@ def _mixture_sums(gamma: OutcomeSpec, y, columns, weights):
             for pi, s2, r in zip(pis, sigma2, resid)
         ]
     )
-    logp -= _logsumexp0(logp)
-    resp = np.exp(logp, out=logp)
+    log_f = _logsumexp0(logp)
+    logp -= log_f
+    return log_f, (designs, sigma2, resid, np.exp(logp, out=logp))
+
+
+def _mixture_sums(gamma: OutcomeSpec, pieces, weights):
+    """``_score_sums`` of a normal mixture from its ``_responsibilities`` pieces.
+
+    The observed score is the complete-data score weighted by the
+    responsibilities r_k (Louis, 1982), so one pass over the K component
+    densities gives, per V, ``A_k^p = sum_j V_rj r_k (y_j - mu_rk)^p`` and
+    from them the coefficient scores ``x_k A_k^1 / sigma2_k``, the variance
+    scores ``(A_k^2 - sigma2_k A_k^0) / (2 sigma2_k^2)`` and the weight
+    scores ``A_k^0 / pi_k - A_K^0 / pi_K``.
+    """
+    designs, sigma2, resid, resp = pieces
+    pis = gamma.weights
     out = []
     for v in weights:
         a = np.empty((3, gamma.k, v.shape[0]))  # A_k^p
@@ -191,7 +209,8 @@ def respondent_score_gamma(gamma: OutcomeSpec, y: np.ndarray, columns) -> np.nda
     y = np.asarray(y, dtype=float)
     ones = np.ones_like(y)
     if gamma.k > 1:
-        return _mixture_sums(gamma, y[:, None], columns, (ones[:, None],))[0]
+        pieces = _responsibilities(gamma, y[:, None], columns)[1]
+        return _mixture_sums(gamma, pieces, (ones[:, None],))[0]
     zero = np.zeros_like(y)
     m_log = np.log(y) if gamma.family is Family.GAMMA else None
     return _one_component_sums(gamma, columns, y, ones, zero, zero, m_log)
@@ -228,7 +247,8 @@ def _score_sums(gamma: OutcomeSpec, y_donors: np.ndarray, columns, weights):
     ``gamma`` is a respondents' model, so it carries no tilt.
     """
     if gamma.k > 1:
-        return _mixture_sums(gamma, y_donors[None, :], columns, weights)
+        pieces = _responsibilities(gamma, y_donors[None, :], columns)[1]
+        return _mixture_sums(gamma, pieces, weights)
     shift = float(np.mean(y_donors))
     y_c = y_donors - shift
     log_y = np.log(y_donors) if gamma.family is Family.GAMMA else None
@@ -251,25 +271,23 @@ def _missing_pieces(
 ):
     """Missing-unit designs, mean scores, mean design vectors, and score sums.
 
-    ``s0bar``, ``z0bar`` and the ``_score_sums`` of (w, w pi, w pi y) are
-    reduced block by block from the donor kernel.
+    ``s0bar`` and the ``_score_sums`` of (w, w pi, w pi y) are reduced
+    block by block from the donor kernel; ``z0bar`` ends in ``ybar``.
     """
     miss_cols = data.missing_columns()
     b_miss = phi.h_basis.design(miss_cols)
-    y_d = weights.donor_y
+    y_u = weights.values
     n0, d, q = b_miss.shape[0], b_miss.shape[1] + 1, flatten_params(gamma).size
-    s0bar, z0bar = np.empty((n0, d)), np.empty((n0, d))
+    s0bar = np.empty((n0, d))
     sums = [np.empty((n0, q)) for _ in range(3)]
-    for rows, _, w, pi in _donor_blocks(phi, b_miss, y_d, weights.w):
+    for rows, _, w, pi in _donor_blocks(phi, b_miss, y_u, weights.kernel):
         wp = np.multiply(w, pi, out=pi)
         s0bar[rows, :-1] = -wp.sum(axis=1)[:, None] * b_miss[rows]
-        s0bar[rows, -1] = -(wp @ y_d)
-        z0bar[rows, :-1] = b_miss[rows]
-        z0bar[rows, -1] = w @ y_d
-        block = _score_sums(gamma, y_d, _take(miss_cols, rows), (w, wp, wp * y_d))
+        s0bar[rows, -1] = -(wp @ y_u)
+        block = _score_sums(gamma, y_u, _take(miss_cols, rows), (w, wp, wp * y_u))
         for out, r in zip(sums, block):
             out[rows] = r
-    return b_miss, s0bar, z0bar, sums
+    return b_miss, s0bar, np.column_stack([b_miss, weights.ybar]), sums
 
 
 def variance_estimate(
@@ -349,12 +367,10 @@ def _assemble(bread: np.ndarray, middle: np.ndarray, n: int) -> np.ndarray:
 def _mu_y_grad_beta(weights: FractionalWeights, n: int) -> float:
     """Closed-form d mu/d beta = -(1/n) sum_i Var_{w_i}(y).
 
-    Follows from ``dw_ij/dbeta = -w_ij (y_j - ybar_i)``; the donor values
-    are centred first so that the two moments do not cancel.
+    Follows from ``dw_ij/dbeta = -w_ij (y_j - ybar_i)``, with each unit's
+    variance the ``spread`` that came with the weights.
     """
-    y_c = weights.donor_y - np.mean(weights.donor_y)
-    ybar_c = weights.w @ y_c
-    return -float(np.sum(weights.w @ y_c**2 - ybar_c**2)) / n
+    return -float(np.sum(weights.spread)) / n
 
 
 def _mu_y_grad_gamma(gamma: OutcomeSpec, weights: FractionalWeights, data: Dataset):
@@ -365,30 +381,41 @@ def _mu_y_grad_gamma(gamma: OutcomeSpec, weights: FractionalWeights, data: Datas
 
     with ``c_j = sum_i w_ij (y_j - ybar_i)`` and, over respondents l,
     ``P(l | y_j) = f(y_j | x_l) / C(y_j)``, so that the last sum is
-    ``d log C(y_j)/d gamma``.  The first sum runs over blocks of missing
-    units, the second over blocks of respondents, with ``log C`` from the
-    weights when the fit kept it.
+    ``d log C(y_j)/d gamma``.  Both sums run over the weights' values
+    (donors sharing a value pool their ``c_j``); the first over blocks of
+    missing units, the second over blocks of respondents, with ``log C``
+    from the weights when the fit kept it.
     """
-    y_d = weights.donor_y
+    y_u = weights.values
     miss_cols = data.missing_columns()
-    c, local = np.zeros(y_d.size), 0.0
-    for rows in _row_blocks(weights.n_missing, y_d.size):
-        w = weights.w[rows]
-        v = np.subtract(y_d[None, :], (w @ y_d)[:, None])
-        v *= w
+    c, local = np.zeros(y_u.size), 0.0
+    for rows in _row_blocks(weights.n_missing, y_u.size):
+        v = np.subtract(y_u[None, :], weights.ybar[rows, None])
+        v *= weights.kernel[rows]
         c += v.sum(axis=0)
-        local += _score_sums(gamma, y_d, _take(miss_cols, rows), (v,))[0].sum(axis=0)
-    log_c = weights.log_c if weights.log_c is not None else _donor_log_c(gamma, data)
+        local += _score_sums(gamma, y_u, _take(miss_cols, rows), (v,))[0].sum(axis=0)
+    if weights.log_c is None:
+        log_c = _log_c_at(gamma, y_u, data)
+    else:  # donors that share a value share its log C
+        log_c = np.empty(y_u.size)
+        log_c[slice(None) if weights.inverse is None else weights.inverse] = weights.log_c
     resp_cols = data.respondent_columns()
     via_c = 0.0
-    for rows in _row_blocks(y_d.size, y_d.size):
-        block = _take(resp_cols, rows)
-        # c_j P(l | y_j), built in the buffer of the block's log densities
-        p = log_density_outer(gamma, y_d, block)
-        p -= log_c
-        np.exp(p, out=p)
-        p *= c
-        via_c += _score_sums(gamma, y_d, block, (p,))[0].sum(axis=0)
+    if gamma.k > 1:
+        # c_j P(l | y_j) from the log density of the responsibility pass
+        for rows in _row_blocks(data.n_respondents, y_u.size):
+            log_f, pieces = _responsibilities(gamma, y_u[None, :], _take(resp_cols, rows))
+            p = np.exp(np.subtract(log_f, log_c, out=log_f), out=log_f)
+            p *= c
+            via_c += _mixture_sums(gamma, pieces, (p,))[0].sum(axis=0)
+            del log_f, pieces, p  # else they live on while the next block is built
+    else:
+        for rows, p in _log_density_blocks(gamma, y_u, resp_cols, data.n_respondents):
+            # c_j P(l | y_j), built in the buffer of the block's log densities
+            p -= log_c
+            np.exp(p, out=p)
+            p *= c
+            via_c += _score_sums(gamma, y_u, _take(resp_cols, rows), (p,))[0].sum(axis=0)
     return (local - via_c) / data.n
 
 
@@ -425,7 +452,7 @@ def mu_y_variance(
     eta = np.empty(n)
     mask = data.respondent_mask
     eta[mask] = data.y_observed
-    eta[~mask] = fit.weights.w @ fit.weights.donor_y
+    eta[~mask] = fit.weights.ybar
 
     psi = eta - mu_hat
     # response-parameter influence: phi_hat - phi0 ~ -A^{-1} (mean of u_i)

@@ -7,19 +7,23 @@ must keep its allocations to about one stored grid.
 """
 
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
 import fimnar.fiem as fiem
+from fimnar.basis import continuous, parse_formula
 from fimnar.config import load_config
-from fimnar.dataio import ingest
-from fimnar.expfam import Family, _logsumexp0, log_density_outer
+from fimnar.dataio import Dataset, ingest
+from fimnar.expfam import Component, Family, OutcomeSpec, _logsumexp0, log_density_outer
 from fimnar.fiem import (
+    FitResult,
+    FractionalWeights,
     _donor_log_base,
     _donor_log_c,
     _LogWeights,
@@ -30,10 +34,11 @@ from fimnar.fiem import (
     _score_arrays,
     em_fit,
     estimate_mu_y,
+    fractional_weights,
 )
-from fimnar.respondent import fit_glm
-from fimnar.response import LP_CLAMP
-from fimnar.sim import _fit_respondent, built_in_scenario, generate
+from fimnar.respondent import Candidate, FitError, fit_glm
+from fimnar.response import LP_CLAMP, ResponseSpec
+from fimnar.sim import Scenario, _fit_respondent, built_in_scenario, generate
 from fimnar.variance import (
     _assemble,
     _mu_y_grad_gamma,
@@ -308,6 +313,213 @@ def test_each_stage_allocates_about_one_grid():
     fit, fit_peak = peak(lambda: em_fit(data, gf, h_basis))
     (_, parts), sandwich_peak = peak(lambda: variance_estimate(fit, gf, data))
     _, mu_peak = peak(lambda: mu_y_variance(fit, gf, data, parts))
+    assert fit_peak <= bound
+    assert sandwich_peak <= bound
+    assert mu_peak <= bound
+
+
+# ---------------------------------------------------------------------------
+# the factored, collapsed kernel against the stored per-donor grid
+# ---------------------------------------------------------------------------
+
+
+def stored_grid_kernel(gamma, data):
+    """``_donor_kernel`` as the stored-grid code built it: the full per-donor
+    base from ``log_density_outer``, one column per donor, no factors."""
+    log_c = reference_log_c(gamma, data)
+    base = log_density_outer(gamma, data.y_observed, data.missing_columns()) - log_c
+    return _LogWeights(base, 0.0, data.y_observed), None, log_c
+
+
+def glm_scenario_case(family, seed, n=500):
+    """A Poisson or gamma (shape 3, log link) outcome on 1 + x, fitted by ``fit_glm``."""
+    basis = built_in_scenario("s2").fit_plan.bases[0]  # 1 + x
+    dispersion = 3.0 if family is Family.GAMMA else None
+    scn = Scenario(
+        name=family.value,
+        n=n,
+        respondent=OutcomeSpec(family, (Component(basis, (0.5, 0.4), dispersion),)),
+        response=ResponseSpec(basis, (0.6, 0.3), 0.3),
+        fit_plan=Candidate(family, (basis,)),
+    )
+    data = generate(scn, np.random.default_rng(seed))
+    return data, _fit_respondent(scn, data, None, 1), scn.response.h_basis
+
+
+FACTOR_CASES = [("s1", 71), ("s2", 72), "election", Family.POISSON, Family.GAMMA]
+FACTOR_IDS = ["s1", "s2", "election", "poisson", "gamma"]
+
+
+def factor_case_data(case):
+    if isinstance(case, Family):
+        return glm_scenario_case(case, 73)
+    return case_data(case)
+
+
+@pytest.mark.parametrize("case", FACTOR_CASES, ids=FACTOR_IDS)
+def test_factored_kernel_matches_stored_grid(monkeypatch, case):
+    data, gf, h_basis = factor_case_data(case)
+    fit = em_fit(data, gf, h_basis)
+    with monkeypatch.context() as patch:
+        patch.setattr(fiem, "_donor_kernel", stored_grid_kernel)
+        ref_fit = em_fit(data, gf, h_basis)
+    assert rel_err(fit.weights.log_c, ref_fit.weights.log_c) <= 1e-12
+    assert rel_err(fit.phi, ref_fit.phi) <= 1e-12
+    assert rel_err(fit.weights.w, ref_fit.weights.w) <= 1e-12
+    # the per-donor weights are built on demand, never kept
+    assert fit.weights.w is not fit.weights.w
+
+    phi = fit.phi_hat.with_phi(fit.phi + 0.3)
+    arrays = _score_arrays(phi, data)
+    kernel = fiem._donor_kernel(gf.spec, data)[0]
+    ref_kernel = stored_grid_kernel(gf.spec, data)[0]
+    for moving in (True, False):
+        score, jac = _score_and_jacobian(
+            phi, arrays, replace(kernel, beta=phi.beta), kernel.donor_y, moving
+        )
+        ref_s, ref_j = _score_and_jacobian(
+            phi, arrays, replace(ref_kernel, beta=phi.beta), data.y_observed, moving
+        )
+        assert rel_err(score, ref_s) <= 1e-12
+        assert rel_err(jac, ref_j) <= 1e-12
+
+    # the variances of the factored fit against the full-array references
+    # evaluated on the stored-grid fit
+    ref_sigma, ref_mu_var, ref_e, ref_grad = reference_variances(ref_fit, gf, data)
+    sigma, parts = variance_estimate(fit, gf, data)
+    assert rel_err(parts.e_cross, ref_e) <= 1e-12
+    assert rel_err(sigma, ref_sigma) <= 1e-10
+    assert rel_err(mu_y_variance(fit, gf, data, parts), ref_mu_var) <= 1e-8
+    assert rel_err(_mu_y_grad_gamma(gf.spec, fit.weights, data), ref_grad) <= 1e-12
+
+
+def test_donors_collapse_to_their_unique_values():
+    data, gf, h_basis = election_case()
+    kernel, inverse, log_c = fiem._donor_kernel(gf.spec, data)
+    assert data.n_respondents > 900
+    assert np.array_equal(kernel.donor_y, [0.0, 1.0])
+    assert np.array_equal(kernel.donor_y[inverse], data.y_observed)
+    assert log_c.shape == (data.n_respondents,)
+
+
+# ---------------------------------------------------------------------------
+# exact dedup: donors that share a value, and respondent row order
+# ---------------------------------------------------------------------------
+
+
+def tied_dataset(seed, family, n1, n0, n_values, n_copies):
+    """Respondent outcomes on ``n_values`` distinct values, and the first
+    ``n_copies`` respondent rows repeated whole; missing units follow."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.normal(size=n1)
+    if family is Family.BERNOULLI:
+        y1 = (rng.random(n1) < expit(0.3 + x1)).astype(float)
+    elif family is Family.POISSON:
+        y1 = np.minimum(rng.poisson(np.exp(0.3 + 0.4 * x1)), n_values - 1).astype(float)
+    else:
+        y1 = np.round(0.5 * x1 + rng.normal(size=n1), 0) / 2.0
+        y1 = np.clip(y1, -n_values / 4.0, n_values / 4.0)
+    x1 = np.concatenate([x1, x1[:n_copies]])
+    y1 = np.concatenate([y1, y1[:n_copies]])
+    x = np.concatenate([x1, rng.normal(size=n0)])
+    y = np.concatenate([y1, np.full(n0, np.nan)])
+    delta = np.concatenate([np.ones(y1.size, dtype=int), np.zeros(n0, dtype=int)])
+    return Dataset(columns={"x": x}, y=y, delta=delta, kinds={"x": continuous()})
+
+
+def kernel_results(phi, gf, data, weights):
+    """Score and Jacobian (away from the root), per-donor w, the bread's
+    condition number, sigma and Var(mu) of one set of weights at phi."""
+    fit = FitResult(phi, gf, weights, None, 1, 0.0, True)
+    sigma, parts = variance_estimate(fit, gf, data)
+    off = phi.with_phi(phi.phi + 0.3)
+    score, jac = _score_and_jacobian(
+        off, _score_arrays(off, data), weights.kernel, weights.values, True
+    )
+    return {
+        "score": score,
+        "jac": jac,
+        "w": weights.w,
+        "cond": np.linalg.cond(parts.bread),
+        "sigma": sigma,
+        "mu_var": mu_y_variance(fit, gf, data, parts),
+    }
+
+
+# sigma and Var(mu) pass through the bread's inverse, which scales the
+# last-bit differences of reordered sums by its condition number: they get
+# the bounds of the differential tests above, on fits whose bread has a
+# condition number of at most 1e5
+BOUNDS = {"score": 1e-12, "jac": 1e-12, "w": 1e-12, "sigma": 1e-10, "mu_var": 1e-8}
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from([Family.NORMAL, Family.BERNOULLI, Family.POISSON]),
+    n_values=st.integers(2, 6),
+    n_copies=st.integers(0, 10),
+)
+@settings(max_examples=40, deadline=None)
+def test_collapsed_donors_match_every_donor_and_ignore_row_order(
+    seed, family, n_values, n_copies
+):
+    data = tied_dataset(seed, family, 120, 40, n_values, n_copies)
+    assume(np.unique(data.y_observed).size > 1)
+    basis = parse_formula("1 + x", {"x": continuous()})
+    try:
+        gf = fit_glm(data.y_observed, data.respondent_columns(), family, basis)
+        phi = em_fit(data, gf, basis).phi_hat
+        got = kernel_results(phi, gf, data, fractional_weights(phi, gf.spec, data))
+    except FitError:
+        assume(False)
+    assume(got.pop("cond") <= 1e5)
+    kernel, _, log_c = stored_grid_kernel(gf.spec, data)
+    every_donor = FractionalWeights(
+        np.nonzero(data.delta == 0)[0],
+        data.y_observed,
+        log_c=log_c,
+        kernel=replace(kernel, beta=phi.beta),
+    )
+    ref = kernel_results(phi, gf, data, every_donor)
+    for key, value in got.items():
+        assert rel_err(value, ref[key]) <= BOUNDS[key], key
+
+    # reverse the respondent rows: the donors change order, nothing else
+    n1 = data.n_respondents
+    order = np.concatenate([np.arange(n1)[::-1], np.arange(n1, data.n)])
+    flipped = Dataset(
+        columns={"x": data.columns["x"][order]},
+        y=data.y[order],
+        delta=data.delta[order],
+        kinds={"x": continuous()},
+    )
+    again = kernel_results(phi, gf, flipped, fractional_weights(phi, gf.spec, flipped))
+    again["w"] = again["w"][:, ::-1]
+    for key, value in got.items():
+        assert rel_err(again[key], value) <= BOUNDS[key], key
+
+
+# ---------------------------------------------------------------------------
+# memory without a grid
+# ---------------------------------------------------------------------------
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_component_stages_allocate_no_grid():
+    # the bound grows with n0 + n1, not with the n0 x n1 grid (about 15 MB here)
+    data, gf, h_basis = scenario_case("s1", 67, n=3000)
+    bound = 8e6 + 64 * (data.n_missing + data.n_respondents) * 8
+    fit, fit_peak = traced_peak(lambda: em_fit(data, gf, h_basis))
+    (_, parts), sandwich_peak = traced_peak(lambda: variance_estimate(fit, gf, data))
+    _, mu_peak = traced_peak(lambda: mu_y_variance(fit, gf, data, parts))
     assert fit_peak <= bound
     assert sandwich_peak <= bound
     assert mu_peak <= bound
