@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -18,7 +19,6 @@ from .config import ConfigError, OutcomeCandidate, RunConfig, load_config
 from .dataio import Dataset, IngestError, ingest
 from .expfam import SupportError, TiltDomainError, mean
 from .fiem import (
-    FiControls,
     UnidentifiableModelError,
     em_fit,
     estimate_mu_y,
@@ -128,16 +128,15 @@ def cmd_identify(args) -> int:
 
 
 def _parse_engine(raw: Optional[str], config: RunConfig) -> tuple[str, int]:
+    """``--engine``: ``donor``, ``parametric`` or ``parametric:M`` with M >= 1."""
     if raw is None:
         return config.engine, config.m_draws
-    if raw == "donor":
-        return "donor", config.m_draws
-    if raw.startswith("parametric"):
-        m = config.m_draws
-        if ":" in raw:
-            m = int(raw.split(":", 1)[1])
-        return "parametric", m
-    raise _UsageError(f"unknown engine {raw!r}")
+    name, sep, m = raw.partition(":")
+    if not sep and name in ("donor", "parametric"):
+        return name, config.m_draws
+    if name == "parametric" and m.isdecimal() and int(m) >= 1:
+        return name, int(m)
+    raise _UsageError(f"unknown engine {raw!r}; use donor, parametric or parametric:M, M >= 1")
 
 
 def _respondent_candidates(config: RunConfig) -> list[Candidate]:
@@ -175,14 +174,10 @@ def cmd_fit(args) -> int:
     data = ingest(args.data, schema)
     engine, m_draws = _parse_engine(args.engine, config)
     controls = config.controls
-    if args.tol is not None or args.max_iter is not None:
-        controls = FiControls(
-            tol_phi=args.tol if args.tol is not None else controls.tol_phi,
-            tol_score=controls.tol_score,
-            max_em_iter=args.max_iter
-            if args.max_iter is not None
-            else controls.max_em_iter,
-        )
+    if args.tol is not None:
+        controls = replace(controls, tol_phi=args.tol)
+    if args.max_iter is not None:
+        controls = replace(controls, max_em_iter=args.max_iter)
 
     # structural verdicts first: the fit is refused outright when every
     # candidate is provably unidentifiable

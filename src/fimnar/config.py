@@ -178,6 +178,8 @@ def parse_config(payload: Mapping) -> RunConfig:
         raise ConfigError(str(err)) from err
     if config.engine not in ("donor", "parametric"):
         raise ConfigError(f"unknown imputation engine {config.engine!r}")
+    if config.m_draws < 1:
+        raise ConfigError(f"controls.m_draws must be at least 1, got {config.m_draws}")
     return config
 
 

@@ -60,13 +60,12 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .dataio import Dataset
-from .expfam import OutcomeSpec, log_density_factors, log_density_outer, sample
+from .expfam import Family, OutcomeSpec, log_density_factors, log_density_outer, sample
 from .identify import IdentifyVerdict, Status
-from .respondent import GRAD_TOL, FitError, RespondentFit, _canonical_system, _newton
-from .response import LP_CLAMP, ResponseSpec
+from .respondent import FitError, RespondentFit, _newton, fit_glm
+from .response import ResponseSpec, propensity_from_log_odds
 
 __all__ = [
     "FiControls",
@@ -267,12 +266,8 @@ def _donor_blocks(phi: ResponseSpec, b_miss: np.ndarray, donor_y: np.ndarray, w)
     lin = b_miss @ np.asarray(phi.alpha)
     for rows in _row_blocks(b_miss.shape[0], donor_y.shape[-1]):
         y = donor_y if donor_y.ndim == 1 else donor_y[rows]
-        # 1 / (1 + exp(-lp)); exp overflows to inf where pi is 0
-        pi = np.subtract(-lin[rows, None], phi.beta * y)
-        with np.errstate(over="ignore"):
-            np.exp(pi, out=pi)
-        pi += 1.0
-        yield rows, y, w[rows], np.reciprocal(pi, out=pi)
+        pi = np.subtract(-lin[rows, None], phi.beta * y)  # log-odds
+        yield rows, y, w[rows], propensity_from_log_odds(pi, out=pi)
 
 
 def _logsumexp_blocks(blocks, n_cols: int) -> np.ndarray:
@@ -458,11 +453,6 @@ def _score_arrays(phi: ResponseSpec, data: Dataset) -> _ScoreArrays:
     return _ScoreArrays(z_resp, b_miss, z_resp.shape[1] - 1)
 
 
-def _respondent_propensity(phi: ResponseSpec, z_resp: np.ndarray) -> np.ndarray:
-    """P(delta=1 | x, y) at respondents' design rows, clamped like ``ResponseSpec``."""
-    return expit(np.clip(z_resp @ phi.phi, -LP_CLAMP, LP_CLAMP))
-
-
 def _row_dot(a: np.ndarray, donor_y: np.ndarray) -> np.ndarray:
     """Per-unit ``sum_j a_ij y_ij`` for shared or per-unit donor values."""
     if donor_y.ndim == 1:
@@ -491,7 +481,7 @@ def _score_and_jacobian(phi, arrays, w, donor_y, weights_move: bool):
     weights fixed.
     """
     z = arrays.z_resp
-    p_resp = _respondent_propensity(phi, z)
+    p_resp = propensity_from_log_odds(z @ -phi.phi)
     score = z.T @ (1.0 - p_resp)  # delta = 1
     jac = -(z.T @ (z * (p_resp * (1.0 - p_resp))[:, None]))
     L, b = arrays.h_index, arrays.b_miss
@@ -580,17 +570,9 @@ def _fixed_weight_solve(phi, arrays, w, donor_y, controls: FiControls):
 
 
 def _initial_phi(h_basis, data: Dataset) -> ResponseSpec:
-    """Logistic fit of the indicator on the covariate basis, outcome ignored.
-
-    This is the fit one would use under ignorable missingness; it is
-    always computable and leaves beta at zero.
-    """
-    x = h_basis.design(data.columns)
-    system = _canonical_system(x, data.delta.astype(float), expit, lambda mu: mu * (1 - mu))
-    coef, path, _ = _newton(np.zeros(x.shape[1]), system, 100, GRAD_TOL)
-    if path[-1][2] > 1e-6:
-        raise FitError("initial ignorable logistic fit did not converge")
-    return ResponseSpec(h_basis, tuple(coef), 0.0)
+    """The ignorable start: beta zero, alpha the Bernoulli ``fit_glm`` of delta on h."""
+    fit = fit_glm(data.delta, data.columns, Family.BERNOULLI, h_basis)
+    return ResponseSpec(h_basis, fit.spec.components[0].coef, 0.0)
 
 
 def em_fit(

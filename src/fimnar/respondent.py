@@ -33,6 +33,7 @@ from .expfam import (
     log_density,
     n_free_params,
 )
+from .response import LP_CLAMP
 
 __all__ = [
     "FitError",
@@ -228,7 +229,7 @@ def _canonical_system(x, y, mean_fn, var_fn):
     """Canonical-link GLM: gradient ``X'(y - mu)``, Jacobian ``-X' V(mu) X``."""
 
     def system(coef):
-        mu = mean_fn(np.clip(x @ coef, -35.0, 35.0))
+        mu = mean_fn(np.clip(x @ coef, -LP_CLAMP, LP_CLAMP))
         w = np.maximum(var_fn(mu), 1e-12)
         return x.T @ (y - mu), -(x.T @ (x * w[:, None]))
 

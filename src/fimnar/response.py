@@ -5,6 +5,8 @@ The probability of observing the outcome is
 monomial basis.  For this link the score of the response-indicator
 likelihood reduces to ``(delta - propensity)`` times the design vector
 ``(basis values, y)``, which is all the estimation machinery needs.
+``propensity_from_log_odds`` is the package's one evaluation of that
+propensity, from the nonresponse log-odds ``-(h + beta*y)``.
 """
 
 from __future__ import annotations
@@ -13,17 +15,27 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from scipy.special import expit
 
 from .basis import BasisSet, parse_formula
 
-__all__ = ["ResponseSpec", "LP_CLAMP"]
+__all__ = ["ResponseSpec", "LP_CLAMP", "propensity_from_log_odds"]
 
-# Linear predictors are clamped here before expit/exp so that the
-# propensity/odds pair stays internally consistent at double precision;
-# expit is saturated well before 35 anyway.  Weight computations use
-# log_odds, which is never clamped.
+# The GLM Newton fits (``respondent._canonical_system``) clip ``x @ coef``
+# here, so the Bernoulli and Poisson means stay finite when a step
+# overshoots; expit is saturated well before 35.  The propensity needs no
+# clamp: it is exactly 0 where exp overflows.
 LP_CLAMP = 35.0
+
+
+def propensity_from_log_odds(log_odds, out=None) -> np.ndarray:
+    """``1 / (1 + exp(log_odds))``, in ``out`` (which may be ``log_odds``) if given.
+
+    Where exp overflows the propensity is exactly 0, with no warning.
+    """
+    with np.errstate(over="ignore"):
+        out = np.exp(log_odds, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -55,22 +67,19 @@ class ResponseSpec:
     def h(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         return self.h_basis.design(columns) @ np.asarray(self.alpha)
 
-    def linear_predictor(self, columns, y) -> np.ndarray:
-        return self.h(columns) + self.beta * np.asarray(y, dtype=float)
+    def log_odds(self, columns, y) -> np.ndarray:
+        """Log-odds of nonresponse, ``-(h + beta*y)``."""
+        return -(self.h(columns) + self.beta * np.asarray(y, dtype=float))
 
     def propensity(self, columns, y) -> np.ndarray:
-        """P(delta=1 | x, y), clamped away from exact 0/1 overflow."""
-        lp = np.clip(self.linear_predictor(columns, y), -LP_CLAMP, LP_CLAMP)
-        return expit(lp)
+        """P(delta=1 | x, y); exactly 0 or 1 where it saturates."""
+        log_odds = self.log_odds(columns, y)
+        return propensity_from_log_odds(log_odds, out=log_odds)
 
     def odds(self, columns, y) -> np.ndarray:
-        """Odds of nonresponse P(delta=0|x,y) / P(delta=1|x,y)."""
-        lp = np.clip(self.linear_predictor(columns, y), -LP_CLAMP, LP_CLAMP)
-        return np.exp(-lp)
-
-    def log_odds(self, columns, y) -> np.ndarray:
-        """-(h + beta*y) without clamping, for log-space weight math."""
-        return -self.linear_predictor(columns, y)
+        """Odds of nonresponse P(delta=0|x,y) / P(delta=1|x,y); inf on overflow."""
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_odds(columns, y))
 
     def design(self, columns, y) -> np.ndarray:
         """Score design vector per row: (basis values, y)."""

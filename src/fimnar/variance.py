@@ -66,13 +66,12 @@ from .fiem import (
     _donor_blocks,
     _log_c_at,
     _log_density_blocks,
-    _respondent_propensity,
     _row_blocks,
     _take,
     estimate_mu_y,
 )
 from .respondent import FitError, RespondentFit
-from .response import ResponseSpec
+from .response import ResponseSpec, propensity_from_log_odds
 
 __all__ = [
     "SandwichParts",
@@ -312,7 +311,7 @@ def variance_estimate(
 
     resp_cols = data.respondent_columns()
     z_resp = phi.design(resp_cols, data.y_observed)
-    p_resp = _respondent_propensity(phi, z_resp)
+    p_resp = propensity_from_log_odds(z_resp @ -phi.phi)
     s_resp = z_resp * (1.0 - p_resp)[:, None]  # delta = 1 scores
 
     gamma = gamma_fit.spec

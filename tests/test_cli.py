@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fimnar.cli as cli
 from fimnar.cli import main
 from fimnar.config import ConfigError, load_config, parse_config
 
@@ -65,6 +67,13 @@ def test_config_errors(tmp_path, mutate):
     payload = base_config()
     mutate(payload)
     with pytest.raises(ConfigError):
+        parse_config(payload)
+
+
+@pytest.mark.parametrize("m_draws", [0, -3])
+def test_config_rejects_m_draws_below_one(m_draws):
+    payload = base_config(controls={"engine": "parametric", "m_draws": m_draws})
+    with pytest.raises(ConfigError, match="m_draws"):
         parse_config(payload)
 
 
@@ -160,6 +169,52 @@ def test_fit_gated_dataset_end_to_end(tmp_path, capsys):
     res = (out / "residuals.tsv").read_text().splitlines()
     levels = {line.split("\t")[0] for line in res[1:]}
     assert levels == {"1", "2", "3", "4", "5", "6"}
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [(None, ("donor", 500)), ("donor", ("donor", 500)),
+     ("parametric", ("parametric", 500)), ("parametric:7", ("parametric", 7))],
+)
+def test_engine_option_forms(raw, expected):
+    config = load_config(GATED_CONFIG)
+    assert cli._parse_engine(raw, config) == expected
+
+
+@pytest.mark.parametrize(
+    "engine",
+    ["parametric:abc", "parametric:0", "parametric:-2", "parametric:", "parametric:1.5",
+     "parametricxyz:5", "donor:3", "quantum"],
+)
+def test_fit_rejects_malformed_engine(tmp_path, capsys, engine):
+    rc = main([
+        "fit", "--data", str(GATED_DATA), "--config", str(GATED_CONFIG),
+        "--out", str(tmp_path / "out"), "--engine", engine,
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(engine) in err
+
+
+def test_fit_overrides_keep_the_config_controls(tmp_path, monkeypatch):
+    payload = json.loads(GATED_CONFIG.read_text())
+    payload["controls"]["score_tol"] = 1e-9
+    cfg = write_config(tmp_path, payload)
+    seen, real_em_fit = [], cli.em_fit
+
+    def recording_em_fit(*args, **kwargs):
+        seen.append(kwargs["controls"])
+        return real_em_fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "em_fit", recording_em_fit)
+    rc = main([
+        "fit", "--data", str(GATED_DATA), "--config", str(cfg),
+        "--out", str(tmp_path / "out"), "--tol", "1e-7", "--max-iter", "321",
+    ])
+    assert rc == 0
+    expected = replace(load_config(cfg).controls, tol_phi=1e-7, max_em_iter=321)
+    assert seen == [expected]
+    assert expected.tol_score == 1e-9
 
 
 def test_fit_refuses_not_provable_without_force(tmp_path):

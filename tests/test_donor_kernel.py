@@ -26,6 +26,7 @@ from fimnar.fiem import (
     FractionalWeights,
     _donor_log_base,
     _donor_log_c,
+    _donor_blocks,
     _LogWeights,
     _logsumexp_blocks,
     _parametric_pool,
@@ -226,6 +227,34 @@ def test_variances_match_full_array_code(case):
     assert rel_err(_mu_y_grad_gamma(gf.spec, fit.weights, data), ref_grad) <= 1e-12
     fit.weights.log_c = None
     assert rel_err(_mu_y_grad_gamma(gf.spec, fit.weights, data), ref_grad) <= 1e-12
+
+
+def reference_block_propensity(phi, b_miss, y, rows):
+    """The donor kernel's in-block propensity as it was hand-rolled."""
+    lin = b_miss @ np.asarray(phi.alpha)
+    pi = np.subtract(-lin[rows, None], phi.beta * y)
+    with np.errstate(over="ignore"):
+        np.exp(pi, out=pi)
+    pi += 1.0
+    return np.reciprocal(pi, out=pi)
+
+
+@pytest.mark.parametrize("case", [("s1", 61), ("s3", 63)], ids=["s1", "s3"])
+@pytest.mark.parametrize("shift", [0.3, -300.0, 300.0])
+def test_block_propensity_is_bitwise_the_hand_rolled_one(monkeypatch, case, shift):
+    # shifts of +-300 in every coefficient put many cells where exp
+    # overflows (pi exactly 0) and many where pi rounds to 1
+    monkeypatch.setattr(fiem, "CELLS", 4096)
+    data, gf, h_basis = case_data(case)
+    start = fiem._initial_phi(h_basis, data)
+    phi = start.with_phi(start.phi + shift)
+    b_miss = h_basis.design(data.missing_columns())
+    donor_y = data.y_observed
+    blocks = 0
+    for rows, y, _, pi in _donor_blocks(phi, b_miss, donor_y, np.ones((b_miss.shape[0], 1))):
+        np.testing.assert_array_equal(pi, reference_block_propensity(phi, b_miss, y, rows))
+        blocks += 1
+    assert blocks > 1
 
 
 # ---------------------------------------------------------------------------

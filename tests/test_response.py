@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from fimnar.basis import continuous, parse_formula
-from fimnar.response import ResponseSpec
+from fimnar.response import ResponseSpec, propensity_from_log_odds
 
 KINDS = {"x": continuous()}
 H1X = parse_formula("1 + x", KINDS)
@@ -39,6 +41,22 @@ def test_propensity_saturates_without_nan():
     got = s.propensity(cols(0.0), [0.0])
     assert got[0] == pytest.approx(1.0, abs=1e-14)
     assert np.isfinite(got).all()
+
+
+@given(st.lists(st.floats(-800, 800), min_size=1, max_size=50))
+@settings(max_examples=300)
+def test_propensity_from_log_odds_is_expit_without_warnings(log_odds):
+    # exp overflows past 709.8, where the propensity must be exactly 0
+    t = np.asarray(log_odds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = propensity_from_log_odds(t)
+        buf = np.full_like(t, np.nan)
+        into = propensity_from_log_odds(t, out=buf)
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    assert np.max(np.abs(got - expit(-t))) <= 2.3e-16
+    assert into is buf
+    np.testing.assert_array_equal(buf, got)
 
 
 def test_odds_even():
