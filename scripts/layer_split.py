@@ -2,14 +2,17 @@
 
 Each replicate is the one ``run_mc(scenario, b=1, seed=s)`` runs for a seed
 ``s`` of the list: the respondent fit, ``em_fit``, ``variance_estimate`` and
-``mu_y_variance`` are timed one by one with ``time.perf_counter``.  A run
-walks every seed once; the script reports, per layer, the median over runs
-of the mean milliseconds per replicate, every run's value, and the
-process's peak RSS from ``resource.getrusage``.  After the timed runs, one
-untimed pass over the seeds runs each layer under ``tracemalloc`` and
-reports its largest peak of traced allocations (NumPy reports its
-buffers), since tracing slows code that allocates.  BLAS runs on one
-thread.
+``mu_y_variance`` are timed one by one with ``time.perf_counter``, and
+their minor page faults counted as ``ru_minflt`` deltas of
+``resource.getrusage``.  A run walks every seed once; the script reports,
+per layer, the median over runs of the mean milliseconds and minor faults
+per replicate, every run's value, and the process's peak RSS.  It also
+reports ``import_s``, the median over runs of the time ``import
+fimnar.cli`` takes in a fresh interpreter on the same tree.  After the
+timed runs, one untimed pass over the seeds runs each layer under
+``tracemalloc`` and reports its largest peak of traced allocations (NumPy
+reports its buffers), since tracing slows code that allocates.  BLAS runs
+on one thread.
 
 The results are merged into the output file under ``--label``, so two
 checkouts can be compared in one file:
@@ -62,10 +65,22 @@ def git_revision(src: Path) -> str:
 
 
 def timed(call):
-    """``call()`` and its wall time in seconds."""
+    """``call()`` with its wall time in seconds and its minor page faults."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     out = call()
-    return out, time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    return out, (seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
+
+
+def import_seconds(src: Path) -> float:
+    """Wall time of ``import fimnar.cli`` in a fresh interpreter on ``src``."""
+    code = "import time; t = time.perf_counter(); import fimnar.cli; print(time.perf_counter() - t)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    return float(out.stdout)
 
 
 def traced(call):
@@ -132,11 +147,14 @@ def main() -> int:
     replicate(scenario, seeds[0], timed)  # warm-up
 
     per_run = {layer: [] for layer in LAYERS}
+    faults_per_run = {layer: [] for layer in LAYERS}
     mu_var = []
     for _ in range(args.runs):
         mu_var, runs = zip(*(replicate(scenario, seed, timed) for seed in seeds))
         for layer in LAYERS:
-            per_run[layer].append(1e3 * sum(r[layer] for r in runs) / len(seeds))
+            per_run[layer].append(1e3 * sum(r[layer][0] for r in runs) / len(seeds))
+            faults_per_run[layer].append(sum(r[layer][1] for r in runs) / len(seeds))
+    import_runs = [import_seconds(src) for _ in range(args.runs)]
     totals = [sum(run) for run in zip(*per_run.values())]
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     peaks = [replicate(scenario, seed, traced)[1] for seed in seeds]
@@ -152,6 +170,12 @@ def main() -> int:
         },
         "total_ms_per_replicate": statistics.median(totals),
         "runs_ms_per_replicate": per_run,
+        "minflt_per_replicate": {
+            layer: statistics.median(values) for layer, values in faults_per_run.items()
+        },
+        "runs_minflt_per_replicate": faults_per_run,
+        "import_s": statistics.median(import_runs),
+        "runs_import_s": import_runs,
         "peak_rss_mb": round(peak_rss_mb, 1),
         "peak_alloc_mb": {
             layer: round(max(p[layer] for p in peaks), 2) for layer in LAYERS
@@ -169,9 +193,11 @@ def main() -> int:
     out_path.write_text(json.dumps(merged, indent=2) + "\n")
     for layer in LAYERS:
         print(f"{layer:>18}: {result['ms_per_replicate'][layer]:8.1f} ms, "
+              f"{result['minflt_per_replicate'][layer]:9.0f} minor faults, "
               f"peak alloc {result['peak_alloc_mb'][layer]:8.2f} MB")
     print(f"{'total':>18}: {result['total_ms_per_replicate']:8.1f} ms, "
-          f"peak RSS {result['peak_rss_mb']} MB -> {out_path} [{args.label}]")
+          f"peak RSS {result['peak_rss_mb']} MB, import {result['import_s']:.3f} s "
+          f"-> {out_path} [{args.label}]")
     return 0
 
 

@@ -39,11 +39,12 @@ and propensities, which the solver and the variance code reduce; each
 block's weights are rebuilt from the factors by ``_LogWeights``, and
 ``log C`` is an online logsumexp over row blocks of respondents.  So a
 one-component fit stores only vectors over units and unique donor
-values, plus the temporaries of one block; only the EM fallback holds
-its iteration's (n_missing, unique values) weights.  A mixture's log
-density has no such factors, so its fit stores one (n_missing, unique
-values) array of ``log f - log C``; ``_LogWeights`` builds a block from
-whichever of the two it holds, so its readers do not tell them apart.
+values, plus a few block buffers that each pass allocates once and
+writes every block into; only the EM fallback holds its iteration's
+(n_missing, unique values) weights.  A mixture's log density has no such
+factors, so its fit stores one (n_missing, unique values) array of
+``log f - log C``; ``_LogWeights`` builds a block from whichever of the
+two it holds, so its readers do not tell them apart.
 
 An alternative "parametric" engine draws a fixed per-unit pool of M
 imputed values from the respondents' density and weights it by the
@@ -182,10 +183,25 @@ class FitResult:
 CELLS = 1 << 16  # grid cells per row block; a block of 64k doubles fits in cache
 
 
+def _block_rows(n_cols: int) -> int:
+    return max(1, CELLS // max(n_cols, 1))
+
+
 def _row_blocks(n_rows: int, n_cols: int):
     """Slices of ``max(1, CELLS // n_cols)`` rows that cover ``range(n_rows)``."""
-    step = max(1, CELLS // max(n_cols, 1))
+    step = _block_rows(n_cols)
     return (slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step))
+
+
+def _block_buffer(n_rows: int, n_cols: int) -> np.ndarray:
+    """Room for any block of ``_row_blocks(n_rows, n_cols)``: a pass allocates it
+    once and writes each block into ``_rows_of(buffer, rows)``."""
+    return np.empty((min(_block_rows(n_cols), n_rows), n_cols))
+
+
+def _rows_of(buffer: np.ndarray, rows: slice) -> np.ndarray:
+    """The leading rows of ``buffer`` that hold the block ``rows``."""
+    return buffer[: rows.stop - rows.start]
 
 
 def _take(columns, rows: slice) -> dict:
@@ -243,15 +259,24 @@ class _LogWeights:
         return left, np.vstack([self.donor_y, self.base])
 
     def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.block(rows)
+
+    def block(self, rows: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The weights of ``rows``, written into ``out`` when it is given."""
         y = self.donor_y if self.donor_y.ndim == 1 else self.donor_y[rows]
         if self.slope is not None:
             left, right = self._factors
-            logw = left[rows] @ right
+            logw = np.matmul(left[rows], right, out=out)
         elif self.base is None:
-            logw = -self.beta * y
+            logw = np.multiply(y, -self.beta, out=out)
         else:
-            logw = self.base[rows] - self.beta * y
+            logw = np.subtract(self.base[rows], self.beta * y, out=out)
         return _normalize_rows(logw, rows.start or 0)
+
+
+def _weight_block(w, rows: slice, out: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of a weight array, or of a ``_LogWeights`` built into ``out``."""
+    return w.block(rows, out) if isinstance(w, _LogWeights) else w[rows]
 
 
 def _donor_blocks(phi: ResponseSpec, b_miss: np.ndarray, donor_y: np.ndarray, w):
@@ -260,29 +285,39 @@ def _donor_blocks(phi: ResponseSpec, b_miss: np.ndarray, donor_y: np.ndarray, w)
     ``y`` is the block's donor values (the shared vector, or its rows of
     per-unit pools), ``w`` its normalized weights (a slice of a weight
     array, or built by a ``_LogWeights``), and ``pi`` the propensity
-    ``P(delta=1 | x_i, y)`` at every donor value, computed in the block's
-    own buffer, which the caller may reuse.
+    ``P(delta=1 | x_i, y)`` at every donor value.  ``pi`` and built
+    weights live in buffers of the pass, which the caller may overwrite,
+    and are rewritten by the next block.
     """
     lin = b_miss @ np.asarray(phi.alpha)
-    for rows in _row_blocks(b_miss.shape[0], donor_y.shape[-1]):
+    n_rows, n_cols = b_miss.shape[0], donor_y.shape[-1]
+    w_buf, pi_buf = _block_buffer(n_rows, n_cols), _block_buffer(n_rows, n_cols)
+    for rows in _row_blocks(n_rows, n_cols):
         y = donor_y if donor_y.ndim == 1 else donor_y[rows]
-        pi = np.subtract(-lin[rows, None], phi.beta * y)  # log-odds
-        yield rows, y, w[rows], propensity_from_log_odds(pi, out=pi)
+        pi = np.subtract(-lin[rows, None], phi.beta * y, out=_rows_of(pi_buf, rows))  # log-odds
+        w_b = _weight_block(w, rows, _rows_of(w_buf, rows))
+        yield rows, y, w_b, propensity_from_log_odds(pi, out=pi)
 
 
 def _logsumexp_blocks(blocks, n_cols: int) -> np.ndarray:
     """``expfam._logsumexp0`` of the row blocks stacked, in one pass over them.
 
     A running column max rescales the running sum whenever it rises;
-    columns that are ``-inf`` throughout stay ``-inf``.
+    columns that are ``-inf`` throughout stay ``-inf``.  The blocks are
+    read, not written: ``exp(a - shift)`` goes to a scratch buffer that
+    grows to the largest block.
     """
     top, total = np.full(n_cols, -np.inf), np.zeros(n_cols)
     shift = np.zeros(n_cols)
+    scratch = np.empty((0, n_cols))
     for a in blocks:
         new_top = np.maximum(top, a.max(axis=0))
         shift = np.where(np.isfinite(new_top), new_top, 0.0)
         total *= np.exp(top - shift)
-        total += np.exp(a - shift).sum(axis=0)
+        if a.shape[0] > scratch.shape[0]:
+            scratch = np.empty(a.shape)
+        tmp = np.subtract(a, shift, out=scratch[: a.shape[0]])
+        total += np.exp(tmp, out=tmp).sum(axis=0)
         top = new_top
     with np.errstate(divide="ignore"):
         return np.where(np.isfinite(top), shift + np.log(total), top)
@@ -292,7 +327,9 @@ def _log_density_blocks(gamma: OutcomeSpec, y: np.ndarray, columns, n_rows: int)
     """``(rows, log f(y | x_r))`` for each row block of the ``n_rows`` rows of ``columns``.
 
     A one-component block is rebuilt from ``log_density_factors``, taken
-    once for all rows; a mixture block is its ``log_density_outer``.
+    once for all rows, into one buffer of the pass that the caller may
+    overwrite and the next block rewrites; a mixture block is its
+    ``log_density_outer``.
     """
     if gamma.k > 1:
         for rows in _row_blocks(n_rows, y.size):
@@ -301,8 +338,9 @@ def _log_density_blocks(gamma: OutcomeSpec, y: np.ndarray, columns, n_rows: int)
     slope, offset, log_c_y = log_density_factors(gamma, y, columns)
     left = np.column_stack([slope, offset, np.ones_like(slope)])
     right = np.vstack([y, np.ones_like(y), log_c_y])
+    buffer = _block_buffer(n_rows, y.size)
     for rows in _row_blocks(n_rows, y.size):
-        yield rows, left[rows] @ right
+        yield rows, np.matmul(left[rows], right, out=_rows_of(buffer, rows))
 
 
 def _log_c_at(gamma: OutcomeSpec, y: np.ndarray, data: Dataset) -> np.ndarray:
@@ -413,9 +451,10 @@ def _unit_moments(w, y: np.ndarray, n_missing: int):
     powers = None
     if y.ndim == 1:
         powers = np.column_stack([np.ones_like(y_c), y_c, y_c**2])
+    buffer = _block_buffer(n_missing, y.shape[-1])
     for rows in _row_blocks(n_missing, y.shape[-1]):
         y_b = y_c if y.ndim == 1 else y_c[rows]
-        _, m1, m2 = _power_sums(w[rows], y_b, powers).T
+        _, m1, m2 = _power_sums(_weight_block(w, rows, _rows_of(buffer, rows)), y_b, powers).T
         ybar[rows] = shift + m1
         spread[rows] = m2 - m1**2
     return ybar, spread
@@ -493,8 +532,9 @@ def _score_and_jacobian(phi, arrays, w, donor_y, weights_move: bool):
         powers = None
         if donor_y.ndim == 1:
             powers = np.column_stack([np.ones_like(donor_y), donor_y, donor_y**2])
+        wp_buf = _block_buffer(n0, donor_y.shape[-1])
         for rows, y, w_b, pi in _donor_blocks(phi, b, donor_y, w):
-            wp = w_b * pi  # delta = 0, so the residual is -pi
+            wp = np.multiply(w_b, pi, out=_rows_of(wp_buf, rows))  # delta = 0: residual -pi
             q = np.multiply(wp, np.subtract(1.0, pi, out=pi), out=pi)
             m_wp[rows] = _power_sums(wp, y, powers)
             m_q[rows] = _power_sums(q, y, powers)
@@ -651,8 +691,13 @@ def em_fit(
             for k, (_, change, norm) in enumerate(em_trace + path[1:], 1)
         ]
         if not converged:
-            message = "Newton from EM's phi did not converge (last step {1:.3g}, score {2:.3g})"
-            raise FitError(message.format(*path[-1]), trace=tuple(trace))
+            _, step, norm = path[-1]
+            met = norm <= controls.tol_score
+            raise FitError(
+                f"Newton from EM's phi did not converge (last step {step:.3g}, score {norm:.3g})"
+                + ("; the score met tol_score, only the step did not settle" if met else ""),
+                trace=tuple(trace),
+            )
     phi_hat = phi.with_phi(x)
     weights = FractionalWeights(
         np.nonzero(data.delta == 0)[0],

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import digamma, expit
+from scipy.special import digamma, expit, polygamma
 
 from .basis import BasisSet, BasisTerm
 from .expfam import (
@@ -50,6 +49,7 @@ MAX_HALVINGS = 30  # step halvings per damped Newton step
 RIDGE = 1e-10  # regularizes a numerically singular Newton Jacobian
 SIGMA_FLOOR_FACTOR = 1e-6  # times the sample SD of y; EM collapse guard
 EXHAUSTIVE_LIMIT = 64
+SHAPE_MAX = 1e8  # a gamma shape whose profile score is still positive here has no maximum
 
 
 class FitError(RuntimeError):
@@ -237,18 +237,30 @@ def _canonical_system(x, y, mean_fn, var_fn):
 
 
 def _gamma_shape(x, y, coef) -> float:
-    """Gamma shape maximizing the likelihood at the fitted mean coefficients."""
+    """Gamma shape maximizing the likelihood at the fitted mean coefficients.
+
+    The profile score ``log s + 1 - digamma(s) + stat`` falls in s, so it
+    has one root, solved by ``_newton`` in ``u = log s`` from Minka's
+    (2002) closed-form approximation.  The score's terms are about
+    ``1 + |u| + |stat|`` in size, and the solve stops once the score is
+    within 16 ulps of that, as close to zero as it can be computed.
+    """
     eta = x @ coef
-    # profile score in the shape: log s + 1 - digamma(s) + mean(log y - eta - y/mu)
     stat = float(np.mean(np.log(y) - eta - y * np.exp(-eta)))
-
-    def dll(s):
-        return math.log(s) + 1.0 - digamma(s) + stat
-
-    lo, hi = 1e-8, 1e8
-    if dll(hi) > 0:
+    if math.log(SHAPE_MAX) + 1.0 - digamma(SHAPE_MAX) + stat > 0:
         raise FitError("gamma shape likelihood has no interior maximum")
-    return float(brentq(dll, lo, hi, xtol=1e-12, rtol=8.9e-16))
+
+    def system(u):
+        s = math.exp(u[0])
+        return np.array([u[0] + 1.0 - digamma(s) + stat]), np.array([[1.0 - s * polygamma(1, s)]])
+
+    gap = -1.0 - stat  # log s - digamma(s) at the root
+    start = math.log((3.0 - gap + math.sqrt((gap - 3.0) ** 2 + 24.0 * gap)) / (12.0 * gap))
+    tol = 16.0 * np.finfo(float).eps * (1.0 + abs(start) + abs(stat))
+    u, _, converged = _newton(np.array([start]), system, 50, tol)
+    if not converged:
+        raise FitError("gamma shape Newton did not converge")
+    return math.exp(float(u[0]))
 
 
 # ---------------------------------------------------------------------------

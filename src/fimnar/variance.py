@@ -63,11 +63,14 @@ from .expfam import (
 from .fiem import (
     FitResult,
     FractionalWeights,
+    _block_buffer,
     _donor_blocks,
     _log_c_at,
     _log_density_blocks,
     _row_blocks,
+    _rows_of,
     _take,
+    _weight_block,
     estimate_mu_y,
 )
 from .respondent import FitError, RespondentFit
@@ -279,11 +282,13 @@ def _missing_pieces(
     n0, d, q = b_miss.shape[0], b_miss.shape[1] + 1, flatten_params(gamma).size
     s0bar = np.empty((n0, d))
     sums = [np.empty((n0, q)) for _ in range(3)]
+    wpy_buf = _block_buffer(n0, y_u.size)
     for rows, _, w, pi in _donor_blocks(phi, b_miss, y_u, weights.kernel):
         wp = np.multiply(w, pi, out=pi)
         s0bar[rows, :-1] = -wp.sum(axis=1)[:, None] * b_miss[rows]
         s0bar[rows, -1] = -(wp @ y_u)
-        block = _score_sums(gamma, y_u, _take(miss_cols, rows), (w, wp, wp * y_u))
+        wpy = np.multiply(wp, y_u, out=_rows_of(wpy_buf, rows))
+        block = _score_sums(gamma, y_u, _take(miss_cols, rows), (w, wp, wpy))
         for out, r in zip(sums, block):
             out[rows] = r
     return b_miss, s0bar, np.column_stack([b_miss, weights.ybar]), sums
@@ -372,6 +377,21 @@ def _mu_y_grad_beta(weights: FractionalWeights, n: int) -> float:
     return -float(np.sum(weights.spread)) / n
 
 
+def _centred_weight_sums(gamma: OutcomeSpec, weights: FractionalWeights, data: Dataset):
+    """Over blocks of missing units, with ``V_ij = w_ij (y_j - ybar_i)``:
+    ``c_j = sum_i V_ij`` and ``sum_ij V_ij s1(x_i, y_j)``."""
+    y_u = weights.values
+    miss_cols = data.missing_columns()
+    c, local = np.zeros(y_u.size), 0.0
+    w_buf, v_buf = (_block_buffer(weights.n_missing, y_u.size) for _ in range(2))
+    for rows in _row_blocks(weights.n_missing, y_u.size):
+        v = np.subtract(y_u[None, :], weights.ybar[rows, None], out=_rows_of(v_buf, rows))
+        v *= _weight_block(weights.kernel, rows, _rows_of(w_buf, rows))
+        c += v.sum(axis=0)
+        local += _score_sums(gamma, y_u, _take(miss_cols, rows), (v,))[0].sum(axis=0)
+    return c, local
+
+
 def _mu_y_grad_gamma(gamma: OutcomeSpec, weights: FractionalWeights, data: Dataset):
     """d mu/d gamma through the weights' ``log f(y_j | x_i) - log C(y_j)``:
 
@@ -386,13 +406,7 @@ def _mu_y_grad_gamma(gamma: OutcomeSpec, weights: FractionalWeights, data: Datas
     from the weights when the fit kept it.
     """
     y_u = weights.values
-    miss_cols = data.missing_columns()
-    c, local = np.zeros(y_u.size), 0.0
-    for rows in _row_blocks(weights.n_missing, y_u.size):
-        v = np.subtract(y_u[None, :], weights.ybar[rows, None])
-        v *= weights.kernel[rows]
-        c += v.sum(axis=0)
-        local += _score_sums(gamma, y_u, _take(miss_cols, rows), (v,))[0].sum(axis=0)
+    c, local = _centred_weight_sums(gamma, weights, data)
     if weights.log_c is None:
         log_c = _log_c_at(gamma, y_u, data)
     else:  # donors that share a value share its log C

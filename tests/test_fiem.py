@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+import fimnar.fiem as fiem
 from fimnar.basis import continuous, parse_formula
 from fimnar.dataio import Dataset
 from fimnar.expfam import Component, Family, OutcomeSpec
@@ -550,3 +551,23 @@ def test_em_fit_does_not_depend_on_row_order(order):
         kinds=dict(KINDS),
     )
     assert np.max(np.abs(fit(shuffled) - fit(_ORDER_DATA))) <= 1e-8
+
+
+@pytest.mark.parametrize("score, met", [(1e-15, True), (1e-3, False)])
+def test_fallback_failure_says_whether_the_score_met_tol_score(monkeypatch, score, met):
+    # as on a weakly identified replicate (s1, kappa2 = 0.1, seed 1016), both
+    # Newton solves stop unconverged with a large last step
+    def stalled(x, system, max_steps, tol, step_tol=math.inf):
+        return x, [(0, 0.0, 1.0), (1, 22.1, score)], False
+
+    monkeypatch.setattr(fiem, "_newton", stalled)
+    monkeypatch.setattr(fiem, "_em", lambda phi, arrays, kernel, controls: (phi, []))
+    scn = scenario_s1(1.0, n=200)
+    rng = np.random.default_rng(3)
+    data = generate(scn, rng)
+    gf = _fit_respondent(scn, data, rng, 1)
+    with pytest.raises(FitError, match="Newton from EM's phi did not converge") as info:
+        em_fit(data, gf, scn.response.h_basis)
+    message = str(info.value)
+    assert "last step 22.1" in message
+    assert ("the score met tol_score, only the step did not settle" in message) is met

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import digamma, logsumexp
 
 from fimnar.basis import binary, continuous, parse_formula
 from fimnar.expfam import (
@@ -18,6 +21,7 @@ from fimnar.respondent import (
     Candidate,
     FitError,
     _em_batch,
+    _gamma_shape,
     _initial_responsibilities,
     fit_glm,
     fit_normal_mixture,
@@ -87,6 +91,36 @@ def test_gamma_recovery():
     fit = fit_glm(y, cols(x), Family.GAMMA, B1X)
     assert np.allclose(fit.spec.components[0].coef, (0.5, 0.3), atol=0.05)
     assert fit.spec.components[0].dispersion == pytest.approx(shape, rel=0.05)
+
+
+@given(
+    log_y=st.lists(st.floats(-16.0, 16.0), min_size=1, max_size=4),
+    coef=st.floats(-5.0, 5.0),
+)
+@example(log_y=[0.0], coef=0.0)  # the profile statistic at its bound: no maximum
+@example(log_y=[0.0, 1e-5], coef=0.0)
+@settings(max_examples=300, deadline=None)
+def test_gamma_shape_newton_matches_brentq(log_y, coef):
+    y = np.exp(np.asarray(log_y))
+    x = np.ones((y.size, 1))
+    eta = np.full(y.size, coef)
+    stat = float(np.mean(np.log(y) - eta - y * np.exp(-eta)))
+
+    def dll(s):
+        return math.log(s) + 1.0 - digamma(s) + stat
+
+    if dll(1e8) > 0:
+        with pytest.raises(FitError, match="no interior maximum"):
+            _gamma_shape(x, y, np.array([coef]))
+        return
+    got = _gamma_shape(x, y, np.array([coef]))
+    if dll(1e-8) < 0:  # outside the old bracket
+        assert got < 1e-8 and abs(dll(got)) <= 1e-8 * abs(stat)
+        return
+    ref = brentq(dll, 1e-8, 1e8, xtol=1e-300, rtol=8.9e-16, maxiter=500)
+    # above shape 30, log s - digamma(s) is about 1/(2s) and its rounding
+    # moves the root by more than 1e-12 relative, for brentq as for Newton
+    assert got == pytest.approx(ref, rel=1e-12 if ref <= 30 else 1e-6)
 
 
 def test_poisson_recovery():

@@ -11,9 +11,11 @@ from fimnar.expfam import (
     Family,
     OutcomeSpec,
     density,
+    mean,
     sample,
     tilt,
 )
+import fimnar.sim as sim
 from fimnar.fiem import FiControls
 from fimnar.respondent import Candidate
 from fimnar.response import ResponseSpec
@@ -177,6 +179,37 @@ def test_true_mu_y_odd_symmetry():
     assert true_mu_y(scn) == pytest.approx(0.0, abs=1e-9)
 
 
+def quad_true_mu_y(scn):
+    """The truth as computed before the trapezoid rule: adaptive quadrature."""
+    tilted = tilt(scn.respondent, scn.response.beta)
+
+    def integrand(x):
+        columns = {"x": np.array([x])}
+        p1 = float(scn.response_probability(columns)[0])
+        m1 = float(mean(scn.respondent, columns)[0])
+        m0 = float(mean(tilted, columns)[0])
+        return stats.norm.pdf(x) * (p1 * m1 + (1.0 - p1) * m0)
+
+    value, err = integrate.quad(integrand, -np.inf, np.inf, epsabs=1e-9, limit=400)
+    assert err <= 1e-7
+    return value
+
+
+@pytest.mark.parametrize(
+    "name, kappa2",
+    [("s1", 0.1), ("s1", 0.5), ("s1", 1.0), ("s1", 2.0), ("s2", 1.0), ("s3", 1.0)],
+)
+def test_true_mu_y_matches_adaptive_quadrature(name, kappa2):
+    scn = built_in_scenario(name, kappa2=kappa2)
+    assert abs(true_mu_y(scn) - quad_true_mu_y(scn)) <= 1e-12
+
+
+def test_true_mu_y_raises_when_the_step_halving_test_fails(monkeypatch):
+    monkeypatch.setattr(sim, "TRUTH_STEP", 1.0)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        true_mu_y(scenario_s1(1.0))
+
+
 def test_true_mu_y_matches_simulation_oracle():
     scn = scenario_s1(1.0, n=100)
     target = true_mu_y(scn)
@@ -285,6 +318,20 @@ def test_cc_interval_is_t_based():
     assert est == pytest.approx(y.mean())
     assert lo == pytest.approx(est - t * se)
     assert hi == pytest.approx(est + t * se)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 50, 1001])
+def test_cc_interval_matches_scipy_stats_t(n):
+    from fimnar.dataio import Dataset
+
+    y = np.random.default_rng(n).normal(size=n)
+    data = Dataset(
+        columns={"x": np.zeros(n)}, y=y, delta=np.ones(n, dtype=int), kinds=dict(KINDS)
+    )
+    est, lo, hi = cc_mu_y(data)
+    half = stats.t.ppf(0.975, n - 1) * y.std(ddof=1) / math.sqrt(n)
+    assert lo == pytest.approx(est - half, rel=1e-15, abs=0)
+    assert hi == pytest.approx(est + half, rel=1e-15, abs=0)
 
 
 def test_summary_row_invariants():
