@@ -26,7 +26,7 @@ from typing import Mapping, Optional
 import numpy as np
 from scipy.special import expit, gammaln
 
-from .basis import BasisSet, parse_formula
+from .basis import BasisSet
 
 __all__ = [
     "Family",
@@ -45,8 +45,6 @@ __all__ = [
     "flatten_params",
     "unflatten_params",
     "n_free_params",
-    "spec_to_dict",
-    "spec_from_dict",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -456,43 +454,3 @@ def unflatten_params(spec: OutcomeSpec, vec: np.ndarray) -> OutcomeSpec:
 def n_free_params(spec: OutcomeSpec) -> int:
     """Free parameter count: sum of basis sizes + dispersions + (K-1)."""
     return flatten_params(spec).size
-
-
-# ---------------------------------------------------------------------------
-# config serialization
-# ---------------------------------------------------------------------------
-
-
-def spec_to_dict(spec: OutcomeSpec) -> dict:
-    return {
-        "family": spec.family.value,
-        "k": spec.k,
-        "weights": list(spec.weights),
-        "tilt_beta": spec.tilt_beta,
-        "components": [
-            {
-                "mean": comp.basis.render(),
-                "coef": list(comp.coef),
-                "dispersion": comp.dispersion,
-            }
-            for comp in spec.components
-        ],
-    }
-
-
-def spec_from_dict(payload: Mapping, kinds) -> OutcomeSpec:
-    family = Family(payload["family"])
-    comps = []
-    for entry in payload["components"]:
-        basis = parse_formula(entry["mean"], kinds)
-        coef = entry.get("coef")
-        if coef is None:
-            coef = [0.0] * len(basis)
-        comps.append(Component(basis, tuple(coef), entry.get("dispersion")))
-    weights = tuple(payload.get("weights") or ())
-    return OutcomeSpec(
-        family,
-        tuple(comps),
-        weights,
-        float(payload.get("tilt_beta", 0.0)),
-    )

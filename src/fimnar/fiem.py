@@ -33,18 +33,20 @@ collapsed to their unique values, each carrying its multiplicity in
 ``e``; this is exact, because a weight depends on the donor only through
 its value.
 
-Memory: one donor kernel, ``_donor_blocks``, walks the missing units in
-row blocks of about ``CELLS`` grid cells and yields each block's weights
-and propensities, which the solver and the variance code reduce; each
-block's weights are rebuilt from the factors by ``_LogWeights``, and
-``log C`` is an online logsumexp over row blocks of respondents.  So a
-one-component fit stores only vectors over units and unique donor
-values, plus a few block buffers that each pass allocates once and
-writes every block into; only the EM fallback holds its iteration's
-(n_missing, unique values) weights.  A mixture's log density has no such
-factors, so its fit stores one (n_missing, unique values) array of
-``log f - log C``; ``_LogWeights`` builds a block from whichever of the
-two it holds, so its readers do not tell them apart.
+Memory: every walk of a grid goes through ``_blocks``, which cuts the
+rows into blocks of about ``CELLS`` grid cells and allocates the pass's
+block buffers once, so that each block is written into the same memory.
+On it, ``_weight_blocks`` yields each block's weights, rebuilt from the
+factors by ``_LogWeights``, and the donor kernel ``_donor_blocks`` adds
+the propensities; the solver and the variance code reduce these, and
+``log C`` is an online logsumexp over row blocks of respondents, kept
+once per unique value.  So a one-component fit stores only vectors over
+units and unique donor values, plus a few block buffers; only the EM
+fallback holds its iteration's (n_missing, unique values) weights.  A
+mixture's log density has no such factors, so its fit stores one
+(n_missing, unique values) array of ``log f - log C``; ``_LogWeights``
+builds a block from whichever of the two it holds, so its readers do not
+tell them apart.
 
 An alternative "parametric" engine draws a fixed per-unit pool of M
 imputed values from the respondents' density and weights it by the
@@ -111,38 +113,32 @@ class FractionalWeights:
 
     ``donor_y`` is the shared respondent outcome vector for the donor
     engine, or an (n_missing, M) array of per-unit imputed pools for
-    the parametric engine.  The weights are given as an array ``w``, one
-    row per missing unit and one column per donor, or by the engines as
-    ``kernel``, a ``_LogWeights`` over the values ``kernel.donor_y``: the
-    donor engine's are the donors' unique values, and ``inverse`` maps
-    each donor to its value.  ``kernel`` and ``values`` are what the
-    solver and the variance code reduce.  The property ``w`` is the
-    per-donor array, rows summing to one; from a kernel it is built on
-    each read (a value's weight split evenly among its donors) and never
-    kept.  ``ybar`` and ``spread`` are each unit's weighted donor mean and
-    centred second moment ``sum_j w_ij (y_j - ybar_i)^2``, computed once
-    here.  ``log_c`` is the donor engine's per-donor ``log C(y_j)`` under
-    the respondents' model the weights were built with, kept for the
-    variance of the outcome mean.
+    the parametric engine.  The weights are ``kernel``, a ``_LogWeights``
+    over the values ``values = kernel.donor_y``: the donor engine's are
+    the donors' unique values, and ``inverse`` maps each donor to its
+    value.  ``kernel`` and ``values`` are what the solver and the variance
+    code reduce.  The property ``w`` is the per-donor array, rows summing
+    to one, built on each read (a value's weight split evenly among its
+    donors) and never kept.  ``ybar`` and ``spread`` are each unit's
+    weighted donor mean and centred second moment ``sum_j w_ij (y_j -
+    ybar_i)^2``, computed once here.  ``log_c`` is the donor engine's
+    ``log C(y)`` at each of the values, under the respondents' model the
+    weights were built with, kept for the variance of the outcome mean.
     """
 
     def __init__(
         self,
         missing_rows: np.ndarray,
         donor_y: np.ndarray,
-        w: Optional[np.ndarray] = None,
+        kernel: "_LogWeights",
         log_c: Optional[np.ndarray] = None,
-        *,
-        kernel: Optional["_LogWeights"] = None,
         inverse: Optional[np.ndarray] = None,
     ) -> None:
-        if (w is None) == (kernel is None):
-            raise ValueError("give the weights as either an array w or a kernel")
         self.missing_rows = np.asarray(missing_rows)
         self.donor_y = donor_y
         self.log_c = log_c
-        self.kernel = w if kernel is None else kernel
-        self.values = donor_y if kernel is None else kernel.donor_y
+        self.kernel = kernel
+        self.values = kernel.donor_y
         self.inverse = inverse
         self.ybar, self.spread = _unit_moments(self.kernel, self.values, self.n_missing)
 
@@ -183,25 +179,19 @@ class FitResult:
 CELLS = 1 << 16  # grid cells per row block; a block of 64k doubles fits in cache
 
 
-def _block_rows(n_cols: int) -> int:
-    return max(1, CELLS // max(n_cols, 1))
+def _blocks(n_rows: int, n_cols: int, buffers: int = 0):
+    """``(rows, views)`` for each slice of ``max(1, CELLS // n_cols)`` rows of ``range(n_rows)``.
 
-
-def _row_blocks(n_rows: int, n_cols: int):
-    """Slices of ``max(1, CELLS // n_cols)`` rows that cover ``range(n_rows)``."""
-    step = _block_rows(n_cols)
-    return (slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step))
-
-
-def _block_buffer(n_rows: int, n_cols: int) -> np.ndarray:
-    """Room for any block of ``_row_blocks(n_rows, n_cols)``: a pass allocates it
-    once and writes each block into ``_rows_of(buffer, rows)``."""
-    return np.empty((min(_block_rows(n_cols), n_rows), n_cols))
-
-
-def _rows_of(buffer: np.ndarray, rows: slice) -> np.ndarray:
-    """The leading rows of ``buffer`` that hold the block ``rows``."""
-    return buffer[: rows.stop - rows.start]
+    ``views`` holds the block's leading rows of ``buffers`` arrays of
+    (rows, ``n_cols``) that the pass allocates once, so that each block is
+    written into the same memory; this is the one place that allocates
+    block buffers.
+    """
+    step = max(1, CELLS // max(n_cols, 1))
+    room = [np.empty((min(step, n_rows), n_cols)) for _ in range(buffers)]
+    for start in range(0, n_rows, step):
+        rows = slice(start, min(start + step, n_rows))
+        yield rows, [buffer[: rows.stop - start] for buffer in room]
 
 
 def _take(columns, rows: slice) -> dict:
@@ -274,29 +264,34 @@ class _LogWeights:
         return _normalize_rows(logw, rows.start or 0)
 
 
-def _weight_block(w, rows: slice, out: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of a weight array, or of a ``_LogWeights`` built into ``out``."""
-    return w.block(rows, out) if isinstance(w, _LogWeights) else w[rows]
-
-
-def _donor_blocks(phi: ResponseSpec, b_miss: np.ndarray, donor_y: np.ndarray, w):
-    """The donor kernel: ``(rows, y, w, pi)`` for each row block of missing units.
+def _weight_blocks(w, y: np.ndarray, n_rows: int, spare: int = 0):
+    """``(rows, y, w, *spares)`` for each row block of the ``n_rows`` missing units.
 
     ``y`` is the block's donor values (the shared vector, or its rows of
-    per-unit pools), ``w`` its normalized weights (a slice of a weight
-    array, or built by a ``_LogWeights``), and ``pi`` the propensity
-    ``P(delta=1 | x_i, y)`` at every donor value.  ``pi`` and built
-    weights live in buffers of the pass, which the caller may overwrite,
-    and are rewritten by the next block.
+    per-unit pools) and ``w`` its normalized weights: a slice of a weight
+    array, or built by a ``_LogWeights`` into a buffer of the pass.
+    ``spares`` are ``spare`` more block buffers for the caller.  Buffers
+    are rewritten by the next block.
+    """
+    own = 1 if isinstance(w, _LogWeights) else 0  # a buffer to build the weights in
+    for rows, room in _blocks(n_rows, y.shape[-1], own + spare):
+        w_b = w.block(rows, room[0]) if own else w[rows]
+        yield (rows, y if y.ndim == 1 else y[rows], w_b, *room[own:])
+
+
+def _donor_blocks(
+    phi: ResponseSpec, b_miss: np.ndarray, donor_y: np.ndarray, w, spare: int = 0
+):
+    """The donor kernel: ``(rows, y, w, pi, *spares)`` for each row block of missing units.
+
+    ``_weight_blocks`` plus ``pi``, the propensity ``P(delta=1 | x_i, y)``
+    at every donor value, in a buffer of the pass that the caller may
+    overwrite.
     """
     lin = b_miss @ np.asarray(phi.alpha)
-    n_rows, n_cols = b_miss.shape[0], donor_y.shape[-1]
-    w_buf, pi_buf = _block_buffer(n_rows, n_cols), _block_buffer(n_rows, n_cols)
-    for rows in _row_blocks(n_rows, n_cols):
-        y = donor_y if donor_y.ndim == 1 else donor_y[rows]
-        pi = np.subtract(-lin[rows, None], phi.beta * y, out=_rows_of(pi_buf, rows))  # log-odds
-        w_b = _weight_block(w, rows, _rows_of(w_buf, rows))
-        yield rows, y, w_b, propensity_from_log_odds(pi, out=pi)
+    for rows, y, w_b, pi, *spares in _weight_blocks(w, donor_y, b_miss.shape[0], spare + 1):
+        np.subtract(-lin[rows, None], phi.beta * y, out=pi)  # log-odds
+        yield (rows, y, w_b, propensity_from_log_odds(pi, out=pi), *spares)
 
 
 def _logsumexp_blocks(blocks, n_cols: int) -> np.ndarray:
@@ -332,15 +327,14 @@ def _log_density_blocks(gamma: OutcomeSpec, y: np.ndarray, columns, n_rows: int)
     ``log_density_outer``.
     """
     if gamma.k > 1:
-        for rows in _row_blocks(n_rows, y.size):
+        for rows, _ in _blocks(n_rows, y.size):
             yield rows, log_density_outer(gamma, y, _take(columns, rows))
         return
     slope, offset, log_c_y = log_density_factors(gamma, y, columns)
     left = np.column_stack([slope, offset, np.ones_like(slope)])
     right = np.vstack([y, np.ones_like(y), log_c_y])
-    buffer = _block_buffer(n_rows, y.size)
-    for rows in _row_blocks(n_rows, y.size):
-        yield rows, np.matmul(left[rows], right, out=_rows_of(buffer, rows))
+    for rows, (buffer,) in _blocks(n_rows, y.size, 1):
+        yield rows, np.matmul(left[rows], right, out=buffer)
 
 
 def _log_c_at(gamma: OutcomeSpec, y: np.ndarray, data: Dataset) -> np.ndarray:
@@ -361,7 +355,7 @@ def _donor_kernel(gamma: OutcomeSpec, data: Dataset):
     Returns ``(kernel, inverse, log_c)``: a ``_LogWeights`` over the
     donors' unique values, each weighted by its multiplicity m so that
     it stands for all its donors, the index of each donor's value, and
-    the per-donor ``log C``.  For one component the kernel keeps the
+    ``log C`` at each value.  For one component the kernel keeps the
     factors ``slope`` over missing units and ``e = log c(y) - log C(y) +
     log m`` over values; for a mixture it keeps the (n_missing, values)
     array ``log f - log C + log m``.
@@ -385,7 +379,7 @@ def _donor_kernel(gamma: OutcomeSpec, data: Dataset):
         # vanishes everywhere shows only there
         _check_covered(np.isfinite(slope) & np.isfinite(offset))
         kernel = _LogWeights(log_c_y + e, 0.0, values, slope)
-    return kernel, inverse, log_c[inverse]
+    return kernel, inverse, log_c
 
 
 def _donor_log_base(
@@ -401,7 +395,7 @@ def _donor_log_base(
     base = np.empty((data.n_missing, y_d.size))
     if base.size and log_c is None:
         log_c = _donor_log_c(gamma, data)
-    for rows in _row_blocks(*base.shape):
+    for rows, _ in _blocks(*base.shape):
         block = log_density_outer(gamma, y_d, _take(miss_cols, rows))
         np.subtract(block, log_c, out=base[rows])
     return base
@@ -451,10 +445,8 @@ def _unit_moments(w, y: np.ndarray, n_missing: int):
     powers = None
     if y.ndim == 1:
         powers = np.column_stack([np.ones_like(y_c), y_c, y_c**2])
-    buffer = _block_buffer(n_missing, y.shape[-1])
-    for rows in _row_blocks(n_missing, y.shape[-1]):
-        y_b = y_c if y.ndim == 1 else y_c[rows]
-        _, m1, m2 = _power_sums(_weight_block(w, rows, _rows_of(buffer, rows)), y_b, powers).T
+    for rows, y_b, w_b in _weight_blocks(w, y_c, n_missing):
+        _, m1, m2 = _power_sums(w_b, y_b, powers).T
         ybar[rows] = shift + m1
         spread[rows] = m2 - m1**2
     return ybar, spread
@@ -532,9 +524,8 @@ def _score_and_jacobian(phi, arrays, w, donor_y, weights_move: bool):
         powers = None
         if donor_y.ndim == 1:
             powers = np.column_stack([np.ones_like(donor_y), donor_y, donor_y**2])
-        wp_buf = _block_buffer(n0, donor_y.shape[-1])
-        for rows, y, w_b, pi in _donor_blocks(phi, b, donor_y, w):
-            wp = np.multiply(w_b, pi, out=_rows_of(wp_buf, rows))  # delta = 0: residual -pi
+        for rows, y, w_b, pi, wp in _donor_blocks(phi, b, donor_y, w, 1):
+            np.multiply(w_b, pi, out=wp)  # delta = 0: residual -pi
             q = np.multiply(wp, np.subtract(1.0, pi, out=pi), out=pi)
             m_wp[rows] = _power_sums(wp, y, powers)
             m_q[rows] = _power_sums(q, y, powers)

@@ -367,16 +367,17 @@ def _structural_c4(outcome: OutcomeSpec, m_terms) -> bool:
     return any(support and count % 2 == 1 for support, count in supports.items())
 
 
-def check_mixture(
+def check_model(
     outcome: OutcomeSpec,
     h: BasisSet,
     kinds: Mapping[str, CovariateKind],
     sign_beta_known: bool = False,
     values_known: bool = True,
 ) -> IdentifyVerdict:
-    """Identifiability check for normal mixture outcome models.
+    """Identifiability check for any outcome model.
 
-    Decision order, assuming continuous covariates (C1):
+    A one-component model goes to ``check_single``.  For a normal
+    mixture the decision order, assuming continuous covariates (C1), is:
 
     1. The mean structures contain extra terms outside the response
        basis (C2).  Then a known sign of beta (C3) or an asymmetric
@@ -591,14 +592,5 @@ def _check_two_component_linear(outcome: OutcomeSpec, slopes) -> IdentifyVerdict
     )
 
 
-def check_model(
-    outcome: OutcomeSpec,
-    h: BasisSet,
-    kinds: Mapping[str, CovariateKind],
-    sign_beta_known: bool = False,
-    values_known: bool = True,
-) -> IdentifyVerdict:
-    """Dispatch to the single-outcome or mixture checker."""
-    if outcome.k == 1:
-        return check_single(outcome, h, kinds, values_known)
-    return check_mixture(outcome, h, kinds, sign_beta_known, values_known)
+# the mixture checker is the same dispatch under its own name
+check_mixture = check_model

@@ -50,6 +50,8 @@ RIDGE = 1e-10  # regularizes a numerically singular Newton Jacobian
 SIGMA_FLOOR_FACTOR = 1e-6  # times the sample SD of y; EM collapse guard
 EXHAUSTIVE_LIMIT = 64
 SHAPE_MAX = 1e8  # a gamma shape whose profile score is still positive here has no maximum
+SERIES_SHAPE = 10.0  # from here up, log s - digamma(s) is summed as its asymptotic series
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)  # B_2 .. B_14
 
 
 class FitError(RuntimeError):
@@ -236,28 +238,51 @@ def _canonical_system(x, y, mean_fn, var_fn):
     return system
 
 
+def _shape_score(u: float, stat: float) -> tuple[float, float]:
+    """The gamma shape's profile score ``log s + 1 - digamma(s) + stat`` at
+    ``s = exp(u)``, and its derivative in u.
+
+    Below ``SERIES_SHAPE`` as written.  From there up ``log s - digamma(s)``
+    cancels to about ``1/(2s)``, so it comes from its asymptotic series
+    ``1/(2s) + sum_k B_2k / (2k s^2k)``, with derivative in u ``-1/(2s) -
+    sum_k B_2k / s^2k``; through B_14 both are exact to rounding there.
+    """
+    s = math.exp(u)
+    if s < SERIES_SHAPE:
+        return u + 1.0 - digamma(s) + stat, 1.0 - s * polygamma(1, s)
+    t = 1.0 / (s * s)
+    value = slope = 0.0
+    for k in range(len(_BERNOULLI), 0, -1):
+        value = (value + _BERNOULLI[k - 1] / (2 * k)) * t
+        slope = (slope + _BERNOULLI[k - 1]) * t
+    # stat is near -1, so 1 + stat is exact
+    return value + 0.5 / s + (1.0 + stat), -(slope + 0.5 / s)
+
+
 def _gamma_shape(x, y, coef) -> float:
     """Gamma shape maximizing the likelihood at the fitted mean coefficients.
 
-    The profile score ``log s + 1 - digamma(s) + stat`` falls in s, so it
-    has one root, solved by ``_newton`` in ``u = log s`` from Minka's
-    (2002) closed-form approximation.  The score's terms are about
-    ``1 + |u| + |stat|`` in size, and the solve stops once the score is
-    within 16 ulps of that, as close to zero as it can be computed.
+    The profile score (``_shape_score``) falls in s, so it has one root,
+    solved by ``_newton`` in ``u = log s`` from Minka's (2002) closed-form
+    approximation.  The solve stops once the score is within 16 ulps of
+    the size of its terms, as close to zero as it can be computed: about
+    ``1 + |u| + |stat|`` below ``SERIES_SHAPE``, and about ``log s -
+    digamma(s)`` where that is summed as its series.
     """
     eta = x @ coef
     stat = float(np.mean(np.log(y) - eta - y * np.exp(-eta)))
-    if math.log(SHAPE_MAX) + 1.0 - digamma(SHAPE_MAX) + stat > 0:
+    if _shape_score(math.log(SHAPE_MAX), stat)[0] > 0:
         raise FitError("gamma shape likelihood has no interior maximum")
 
     def system(u):
-        s = math.exp(u[0])
-        return np.array([u[0] + 1.0 - digamma(s) + stat]), np.array([[1.0 - s * polygamma(1, s)]])
+        score, slope = _shape_score(u[0], stat)
+        return np.array([score]), np.array([[slope]])
 
     gap = -1.0 - stat  # log s - digamma(s) at the root
     start = math.log((3.0 - gap + math.sqrt((gap - 3.0) ** 2 + 24.0 * gap)) / (12.0 * gap))
-    tol = 16.0 * np.finfo(float).eps * (1.0 + abs(start) + abs(stat))
-    u, _, converged = _newton(np.array([start]), system, 50, tol)
+    # the root lies well inside the series' range, or may lie below it
+    size = gap if start > math.log(2.0 * SERIES_SHAPE) else 1.0 + abs(start) + abs(stat)
+    u, _, converged = _newton(np.array([start]), system, 50, 16.0 * np.finfo(float).eps * size)
     if not converged:
         raise FitError("gamma shape Newton did not converge")
     return math.exp(float(u[0]))

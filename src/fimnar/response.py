@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .basis import BasisSet, parse_formula
+from .basis import BasisSet
 
 __all__ = ["ResponseSpec", "LP_CLAMP", "propensity_from_log_odds"]
 
@@ -92,18 +92,3 @@ class ResponseSpec:
         delta = np.asarray(delta, dtype=float)
         resid = delta - self.propensity(columns, y)
         return resid[:, None] * self.design(columns, y)
-
-    def to_dict(self) -> dict:
-        return {
-            "h": self.h_basis.render(),
-            "alpha": list(self.alpha),
-            "beta": self.beta,
-        }
-
-
-def response_from_dict(payload: Mapping, kinds) -> ResponseSpec:
-    basis = parse_formula(payload["h"], kinds)
-    alpha = payload.get("alpha")
-    if alpha is None:
-        alpha = [0.0] * len(basis)
-    return ResponseSpec(basis, tuple(alpha), float(payload.get("beta", 0.0)))

@@ -28,14 +28,14 @@ mixture from one pass over its component densities that weights the
 complete-data score by the responsibilities (Louis, 1982).
 
 Memory: the variance holds only per-unit vectors and the temporaries of
-one row block.  The missing-unit pieces are reduced block by block from
-``fiem``'s donor kernel, which rebuilds each block's weights from the
-fit's factors, over the donors' unique values; the weighted donor mean
-and spread of each unit come with the fit's weights.  The
-``d log C/d gamma`` term walks blocks of respondents with the ``log C``
-that the fit kept, from the same factors for one component, and from
-the one pass over its component densities that also gives the
-responsibilities for a mixture.
+one row block.  The missing-unit pieces of both variances are reduced in
+one walk of ``fiem``'s donor kernel at the fitted parameters, which
+rebuilds each block's weights from the fit's factors, over the donors'
+unique values; the weighted donor mean and spread of each unit come with
+the fit's weights.  The ``d log C/d gamma`` term walks blocks of
+respondents with the per-value ``log C`` that the fit kept, from the
+same factors for one component, and from the one pass over its
+component densities that also gives the responsibilities for a mixture.
 
 When the data contain no missing units the weighted terms vanish and
 the bread degenerates; the estimator then reduces to the ordinary
@@ -63,14 +63,10 @@ from .expfam import (
 from .fiem import (
     FitResult,
     FractionalWeights,
-    _block_buffer,
+    _blocks,
     _donor_blocks,
-    _log_c_at,
     _log_density_blocks,
-    _row_blocks,
-    _rows_of,
     _take,
-    _weight_block,
     estimate_mu_y,
 )
 from .respondent import FitError, RespondentFit
@@ -103,6 +99,9 @@ class SandwichParts:
     j_resp: np.ndarray  # respondent influence vectors, (n1, d)
     s0bar: np.ndarray  # missing-unit mean scores, (n0, d)
     s1_resp: np.ndarray  # respondent outcome-model scores, (n1, q)
+    # with V_ij = w_ij (y_j - ybar_i), for the outcome mean's gradient in gamma:
+    c_values: np.ndarray  # c_j = sum_i V_ij at each weight value, (values,)
+    v_score: np.ndarray  # sum_ij V_ij s1(x_i, y_j), (q,)
 
 
 def _check_cond(matrix: np.ndarray, label: str) -> None:
@@ -271,10 +270,12 @@ def _score_sums(gamma: OutcomeSpec, y_donors: np.ndarray, columns, weights):
 def _missing_pieces(
     phi: ResponseSpec, gamma: OutcomeSpec, weights: FractionalWeights, data: Dataset
 ):
-    """Missing-unit designs, mean scores, mean design vectors, and score sums.
+    """Missing-unit designs, mean scores, mean design vectors, score sums, and V's sums.
 
-    ``s0bar`` and the ``_score_sums`` of (w, w pi, w pi y) are reduced
-    block by block from the donor kernel; ``z0bar`` ends in ``ybar``.
+    One walk of the donor kernel reduces, block by block, ``s0bar``, the
+    ``_score_sums`` of (w, w pi, w pi y), and for ``V_ij = w_ij (y_j -
+    ybar_i)`` the per-value ``c_j = sum_i V_ij`` and ``sum_ij V_ij
+    s1(x_i, y_j)``; ``z0bar`` ends in ``ybar``.
     """
     miss_cols = data.missing_columns()
     b_miss = phi.h_basis.design(miss_cols)
@@ -282,16 +283,20 @@ def _missing_pieces(
     n0, d, q = b_miss.shape[0], b_miss.shape[1] + 1, flatten_params(gamma).size
     s0bar = np.empty((n0, d))
     sums = [np.empty((n0, q)) for _ in range(3)]
-    wpy_buf = _block_buffer(n0, y_u.size)
-    for rows, _, w, pi in _donor_blocks(phi, b_miss, y_u, weights.kernel):
+    c, v_score = np.zeros(y_u.size), 0.0
+    for rows, _, w, pi, wpy, v in _donor_blocks(phi, b_miss, y_u, weights.kernel, 2):
+        np.subtract(y_u[None, :], weights.ybar[rows, None], out=v)
+        v *= w
+        c += v.sum(axis=0)
         wp = np.multiply(w, pi, out=pi)
         s0bar[rows, :-1] = -wp.sum(axis=1)[:, None] * b_miss[rows]
         s0bar[rows, -1] = -(wp @ y_u)
-        wpy = np.multiply(wp, y_u, out=_rows_of(wpy_buf, rows))
-        block = _score_sums(gamma, y_u, _take(miss_cols, rows), (w, wp, wpy))
+        np.multiply(wp, y_u, out=wpy)
+        *block, r_v = _score_sums(gamma, y_u, _take(miss_cols, rows), (w, wp, wpy, v))
         for out, r in zip(sums, block):
             out[rows] = r
-    return b_miss, s0bar, np.column_stack([b_miss, weights.ybar]), sums
+        v_score += r_v.sum(axis=0)
+    return b_miss, s0bar, np.column_stack([b_miss, weights.ybar]), sums, c, v_score
 
 
 def variance_estimate(
@@ -331,11 +336,12 @@ def variance_estimate(
         _check_cond(bread, "score Jacobian (I22)")
         middle = (s_resp.T @ s_resp) / n
         parts = SandwichParts(
-            bread, middle, i11, np.zeros((d, q)), s_resp, np.zeros((0, d)), s1_resp
+            bread, middle, i11, np.zeros((d, q)), s_resp, np.zeros((0, d)), s1_resp,
+            np.zeros(weights.values.shape[-1]), np.zeros(q),
         )
         return _assemble(bread, middle, n), parts
 
-    b_miss, s0bar, z0bar, (r_w, r_wp, r_wpy) = _missing_pieces(
+    b_miss, s0bar, z0bar, (r_w, r_wp, r_wpy), c, v_score = _missing_pieces(
         phi, gamma, weights, data
     )
     bread = (s0bar.T @ z0bar) / n
@@ -346,7 +352,7 @@ def variance_estimate(
 
     j_resp = s_resp + s1_resp @ np.linalg.solve(i11, e_cross.T)
     middle = (j_resp.T @ j_resp + s0bar.T @ s0bar) / n
-    parts = SandwichParts(bread, middle, i11, e_cross, j_resp, s0bar, s1_resp)
+    parts = SandwichParts(bread, middle, i11, e_cross, j_resp, s0bar, s1_resp, c, v_score)
     return _assemble(bread, middle, n), parts
 
 
@@ -377,22 +383,9 @@ def _mu_y_grad_beta(weights: FractionalWeights, n: int) -> float:
     return -float(np.sum(weights.spread)) / n
 
 
-def _centred_weight_sums(gamma: OutcomeSpec, weights: FractionalWeights, data: Dataset):
-    """Over blocks of missing units, with ``V_ij = w_ij (y_j - ybar_i)``:
-    ``c_j = sum_i V_ij`` and ``sum_ij V_ij s1(x_i, y_j)``."""
-    y_u = weights.values
-    miss_cols = data.missing_columns()
-    c, local = np.zeros(y_u.size), 0.0
-    w_buf, v_buf = (_block_buffer(weights.n_missing, y_u.size) for _ in range(2))
-    for rows in _row_blocks(weights.n_missing, y_u.size):
-        v = np.subtract(y_u[None, :], weights.ybar[rows, None], out=_rows_of(v_buf, rows))
-        v *= _weight_block(weights.kernel, rows, _rows_of(w_buf, rows))
-        c += v.sum(axis=0)
-        local += _score_sums(gamma, y_u, _take(miss_cols, rows), (v,))[0].sum(axis=0)
-    return c, local
-
-
-def _mu_y_grad_gamma(gamma: OutcomeSpec, weights: FractionalWeights, data: Dataset):
+def _mu_y_grad_gamma(
+    gamma: OutcomeSpec, weights: FractionalWeights, data: Dataset, parts: SandwichParts
+):
     """d mu/d gamma through the weights' ``log f(y_j | x_i) - log C(y_j)``:
 
         n d mu/d gamma = sum_ij w_ij (y_j - ybar_i) s1(x_i, y_j)
@@ -401,22 +394,16 @@ def _mu_y_grad_gamma(gamma: OutcomeSpec, weights: FractionalWeights, data: Datas
     with ``c_j = sum_i w_ij (y_j - ybar_i)`` and, over respondents l,
     ``P(l | y_j) = f(y_j | x_l) / C(y_j)``, so that the last sum is
     ``d log C(y_j)/d gamma``.  Both sums run over the weights' values
-    (donors sharing a value pool their ``c_j``); the first over blocks of
-    missing units, the second over blocks of respondents, with ``log C``
-    from the weights when the fit kept it.
+    (donors sharing a value pool their ``c_j``).  The first sum and ``c``
+    came with ``parts`` from the sandwich's walk of the missing units;
+    the second walks blocks of respondents with the ``log C`` the fit kept.
     """
-    y_u = weights.values
-    c, local = _centred_weight_sums(gamma, weights, data)
-    if weights.log_c is None:
-        log_c = _log_c_at(gamma, y_u, data)
-    else:  # donors that share a value share its log C
-        log_c = np.empty(y_u.size)
-        log_c[slice(None) if weights.inverse is None else weights.inverse] = weights.log_c
+    y_u, c, log_c = weights.values, parts.c_values, weights.log_c
     resp_cols = data.respondent_columns()
     via_c = 0.0
     if gamma.k > 1:
         # c_j P(l | y_j) from the log density of the responsibility pass
-        for rows in _row_blocks(data.n_respondents, y_u.size):
+        for rows, _ in _blocks(data.n_respondents, y_u.size):
             log_f, pieces = _responsibilities(gamma, y_u[None, :], _take(resp_cols, rows))
             p = np.exp(np.subtract(log_f, log_c, out=log_f), out=log_f)
             p *= c
@@ -429,7 +416,7 @@ def _mu_y_grad_gamma(gamma: OutcomeSpec, weights: FractionalWeights, data: Datas
             np.exp(p, out=p)
             p *= c
             via_c += _score_sums(gamma, y_u, _take(resp_cols, rows), (p,))[0].sum(axis=0)
-    return (local - via_c) / data.n
+    return (parts.v_score - via_c) / data.n
 
 
 def mu_y_variance(
@@ -457,7 +444,7 @@ def mu_y_variance(
 
     grad_phi = np.zeros(fit.phi.size)  # the weights do not depend on alpha
     grad_phi[-1] = _mu_y_grad_beta(fit.weights, n)
-    grad_gamma = _mu_y_grad_gamma(gamma_fit.spec, fit.weights, data)
+    grad_gamma = _mu_y_grad_gamma(gamma_fit.spec, fit.weights, data, parts)
 
     bread_inv_g = np.linalg.solve(parts.bread.T, grad_phi)  # A^{-T} g
     i11_inv_b = np.linalg.solve(parts.i11, grad_gamma)

@@ -18,8 +18,6 @@ from fimnar.expfam import (
     mean,
     n_free_params,
     sample,
-    spec_from_dict,
-    spec_to_dict,
     tilt,
     unflatten_params,
 )
@@ -350,13 +348,6 @@ def test_flatten_unflatten_round_trip():
 def test_unflatten_rejects_wrong_length():
     with pytest.raises(ValueError):
         unflatten_params(s3_mixture(), np.zeros(3))
-
-
-def test_spec_dict_round_trip():
-    for spec in (s3_mixture(), gamma_spec((0.2, 0.4), 1.5)):
-        payload = spec_to_dict(spec)
-        again = spec_from_dict(payload, KINDS)
-        assert again == spec
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from fimnar.fiem import (
     FiControls,
     FractionalWeights,
     UnidentifiableModelError,
+    _LogWeights,
     _parametric_pool,
     _score_and_jacobian,
     _score_arrays,
@@ -407,9 +408,8 @@ def parametric_weights_at(pool, data):
 
     def weights_at(phi):
         logw = -(phi.h(data.missing_columns())[:, None] + phi.beta * pool)
-        w = np.exp(logw - logw.max(axis=1, keepdims=True))
         return FractionalWeights(
-            np.nonzero(data.delta == 0)[0], pool, w / w.sum(axis=1, keepdims=True)
+            np.nonzero(data.delta == 0)[0], pool, _LogWeights(logw, 0.0, pool)
         )
 
     return weights_at

@@ -123,6 +123,23 @@ def test_gamma_shape_newton_matches_brentq(log_y, coef):
     assert got == pytest.approx(ref, rel=1e-12 if ref <= 30 else 1e-6)
 
 
+def test_gamma_shape_is_accurate_at_large_shapes():
+    # log s - digamma(s) is about 1/(2s), so written out it cancels; the
+    # root of the profile score for the same float statistic, against a
+    # 40-digit one
+    mpmath = pytest.importorskip("mpmath")
+    x, coef = np.ones((1, 1)), np.zeros(1)
+    for shape in np.geomspace(10.0, 1e7, 61):
+        y = np.array([1.0 + shape**-0.5])  # the root is near shape
+        eta = x @ coef
+        stat = float(np.mean(np.log(y) - eta - y * np.exp(-eta)))
+        got = _gamma_shape(x, y, coef)
+        with mpmath.workdps(40):
+            score = lambda s: mpmath.log(s) + 1 - mpmath.digamma(s) + mpmath.mpf(stat)
+            ref = float(mpmath.findroot(score, got))
+        assert got == pytest.approx(ref, rel=1e-12), shape
+
+
 def test_poisson_recovery():
     rng = np.random.default_rng(13)
     n = 20_000

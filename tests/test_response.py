@@ -153,14 +153,3 @@ def test_phi_round_trip():
 def test_alpha_length_validated():
     with pytest.raises(ValueError):
         ResponseSpec(H1X, (0.1,), 0.0)
-
-
-def test_response_spec_serialization_round_trip():
-    from fimnar.response import response_from_dict
-
-    s = spec()
-    payload = s.to_dict()
-    again = response_from_dict(payload, KINDS)
-    assert again == s
-    bare = response_from_dict({"h": "1 + x"}, KINDS)
-    assert bare.alpha == (0.0, 0.0) and bare.beta == 0.0

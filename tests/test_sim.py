@@ -272,6 +272,15 @@ def test_run_mc_is_reproducible():
     assert a.rows == b.rows
 
 
+def test_run_mc_is_the_same_for_any_worker_count():
+    # two worker processes, no more: the pool path must reproduce the serial run
+    scn = scenario_s2(n=200)
+    serial = run_mc(scn, b=6, seed=11, workers=1)
+    pooled = run_mc(scn, b=6, seed=11, workers=2)
+    assert pooled.rows == serial.rows
+    assert pooled.replicates == serial.replicates
+
+
 def test_run_mc_seed_changes_results():
     scn = scenario_s1(1.0, n=250)
     a = run_mc(scn, b=4, seed=123)

@@ -366,7 +366,7 @@ def test_variance_matches_previous_code(case):
     ref_sigma, ref_mu_var, ref_e, ref_grad = reference_variances(fit, gf, data)
     sigma, parts = variance_estimate(fit, gf, data)
     assert rel_err(parts.e_cross, ref_e) <= 1e-12
-    assert rel_err(_mu_y_grad_gamma(gf.spec, fit.weights, data), ref_grad) <= 1e-6
+    assert rel_err(_mu_y_grad_gamma(gf.spec, fit.weights, data, parts), ref_grad) <= 1e-6
     assert rel_err(sigma, ref_sigma) <= 1e-10
     assert rel_err(mu_y_variance(fit, gf, data, parts), ref_mu_var) <= 1e-8
 
