@@ -24,9 +24,9 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.special import expit, gammaln
 
 from .basis import BasisSet
+from .response import propensity_from_log_odds
 
 __all__ = [
     "Family",
@@ -172,7 +172,7 @@ def _b_prime(family: Family, theta: np.ndarray) -> np.ndarray:
     if family is Family.NORMAL:
         return theta
     if family is Family.BERNOULLI:
-        return expit(theta)
+        return propensity_from_log_odds(-theta)
     if family is Family.POISSON:
         return np.exp(theta)
     return 1.0 / theta
@@ -190,10 +190,12 @@ def _log_c(family: Family, y: np.ndarray, tau: float) -> np.ndarray:
         return -0.5 * tau * y**2 + 0.5 * (math.log(tau) - _LOG_2PI)
     if family is Family.BERNOULLI:
         return np.zeros_like(y, dtype=float)
-    if family is Family.POISSON:
-        return -gammaln(y + 1.0)
+    if family is Family.POISSON:  # -log y!, one lgamma per distinct count
+        counts, inverse = np.unique(y, return_inverse=True)
+        log_factorial = np.array([math.lgamma(c + 1.0) for c in counts])
+        return -log_factorial[inverse].reshape(np.shape(y))
     s = -tau
-    return s * math.log(s) - gammaln(s) + (s - 1.0) * np.log(y)
+    return s * math.log(s) - math.lgamma(s) + (s - 1.0) * np.log(y)
 
 
 def _check_support(family: Family, y: np.ndarray) -> None:
@@ -397,7 +399,7 @@ def sample(
             sigma = math.sqrt(float(spec.components[k].dispersion))  # type: ignore[arg-type]
             out[rows] = rng.normal(theta, sigma)
         elif spec.family is Family.BERNOULLI:
-            out[rows] = (rng.random(theta.size) < expit(theta)).astype(float)
+            out[rows] = (rng.random(theta.size) < propensity_from_log_odds(-theta)).astype(float)
         elif spec.family is Family.POISSON:
             out[rows] = rng.poisson(np.exp(theta)).astype(float)
         else:

@@ -343,12 +343,6 @@ def _log_c_at(gamma: OutcomeSpec, y: np.ndarray, data: Dataset) -> np.ndarray:
     return _logsumexp_blocks((block for _, block in blocks), y.size)
 
 
-def _donor_log_c(gamma: OutcomeSpec, data: Dataset) -> np.ndarray:
-    """log C(y_j) for every donor j, computed once per unique value."""
-    values, inverse = np.unique(data.y_observed, return_inverse=True)
-    return _log_c_at(gamma, values, data)[inverse]
-
-
 def _donor_kernel(gamma: OutcomeSpec, data: Dataset):
     """The donor engine's weights at beta = 0, the donors' value index and log C.
 
@@ -380,38 +374,6 @@ def _donor_kernel(gamma: OutcomeSpec, data: Dataset):
         _check_covered(np.isfinite(slope) & np.isfinite(offset))
         kernel = _LogWeights(log_c_y + e, 0.0, values, slope)
     return kernel, inverse, log_c
-
-
-def _donor_log_base(
-    gamma: OutcomeSpec, data: Dataset, log_c: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """log f(y_j | x_i) - log C(y_j): the phi-independent weight factors.
-
-    Written block by block into one (n_missing, n_respondents) array;
-    ``log_c`` is computed unless given.
-    """
-    y_d = data.y_observed
-    miss_cols = data.missing_columns()
-    base = np.empty((data.n_missing, y_d.size))
-    if base.size and log_c is None:
-        log_c = _donor_log_c(gamma, data)
-    for rows, _ in _blocks(*base.shape):
-        block = log_density_outer(gamma, y_d, _take(miss_cols, rows))
-        np.subtract(block, log_c, out=base[rows])
-    return base
-
-
-def _weights_from_base(
-    beta: float, donor_y: np.ndarray, base: Optional[np.ndarray]
-) -> np.ndarray:
-    """Row-normalized ``exp(base - beta*y)``, in place of ``base``.
-
-    The covariate odds factor cancels; ``base`` None stands for zero.
-    """
-    if base is None:
-        return _normalize_rows(-beta * donor_y)
-    base -= beta * donor_y
-    return _normalize_rows(base)
 
 
 def fractional_weights(

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import digamma, expit, polygamma
 
 from .basis import BasisSet, BasisTerm
 from .expfam import (
@@ -32,7 +31,7 @@ from .expfam import (
     log_density,
     n_free_params,
 )
-from .response import LP_CLAMP
+from .response import LP_CLAMP, propensity_from_log_odds
 
 __all__ = [
     "FitError",
@@ -197,7 +196,8 @@ def fit_glm(
 
     coef = np.zeros(x.shape[1])
     if family is Family.BERNOULLI:
-        system = _canonical_system(x, y, expit, lambda mu: mu * (1.0 - mu))
+        logistic = lambda eta: propensity_from_log_odds(-eta)
+        system = _canonical_system(x, y, logistic, lambda mu: mu * (1.0 - mu))
     elif family is Family.POISSON:
         exp_mean = lambda eta: np.exp(np.clip(eta, -700, 30))
         system = _canonical_system(x, y, exp_mean, lambda mu: mu)
@@ -238,25 +238,57 @@ def _canonical_system(x, y, mean_fn, var_fn):
     return system
 
 
-def _shape_score(u: float, stat: float) -> tuple[float, float]:
-    """The gamma shape's profile score ``log s + 1 - digamma(s) + stat`` at
-    ``s = exp(u)``, and its derivative in u.
+def _series(s: float) -> tuple[float, float]:
+    """``log s - digamma(s)`` for ``s >= SERIES_SHAPE``, and its derivative in ``u = log s``.
 
-    Below ``SERIES_SHAPE`` as written.  From there up ``log s - digamma(s)``
-    cancels to about ``1/(2s)``, so it comes from its asymptotic series
-    ``1/(2s) + sum_k B_2k / (2k s^2k)``, with derivative in u ``-1/(2s) -
-    sum_k B_2k / s^2k``; through B_14 both are exact to rounding there.
+    Written out the difference cancels to about ``1/(2s)``, so it comes
+    from its asymptotic series ``1/(2s) + sum_k B_2k / (2k s^2k)``, and its
+    derivative ``1 - s*trigamma(s)`` is ``-1/(2s) - sum_k B_2k / s^2k``;
+    through B_14 both are exact to rounding there.
     """
-    s = math.exp(u)
-    if s < SERIES_SHAPE:
-        return u + 1.0 - digamma(s) + stat, 1.0 - s * polygamma(1, s)
     t = 1.0 / (s * s)
     value = slope = 0.0
     for k in range(len(_BERNOULLI), 0, -1):
         value = (value + _BERNOULLI[k - 1] / (2 * k)) * t
         slope = (slope + _BERNOULLI[k - 1]) * t
+    return value + 0.5 / s, -(slope + 0.5 / s)
+
+
+def digamma(s: float) -> float:
+    """digamma(s), s > 0: ``digamma(s+1) - 1/s`` up to ``SERIES_SHAPE``, then the series.
+
+    The terms are summed exactly (``math.fsum``), so only their own
+    rounding is left.
+    """
+    terms = []
+    while s < SERIES_SHAPE:
+        terms.append(-1.0 / s)
+        s += 1.0
+    return math.fsum([math.log(s), -_series(s)[0], *terms])
+
+
+def trigamma(s: float) -> float:
+    """trigamma(s), s > 0: ``trigamma(s+1) + 1/s^2`` up to ``SERIES_SHAPE``, then the series."""
+    terms = []
+    while s < SERIES_SHAPE:
+        terms.append(1.0 / (s * s))
+        s += 1.0
+    return math.fsum([(1.0 - _series(s)[1]) / s, *terms])
+
+
+def _shape_score(u: float, stat: float) -> tuple[float, float]:
+    """The gamma shape's profile score ``log s + 1 - digamma(s) + stat`` at
+    ``s = exp(u)``, and its derivative in u.
+
+    Below ``SERIES_SHAPE`` as written.  From there up ``log s - digamma(s)``
+    is summed as its series (``_series``), as it cancels written out.
+    """
+    s = math.exp(u)
+    if s < SERIES_SHAPE:
+        return u + 1.0 - digamma(s) + stat, 1.0 - s * trigamma(s)
+    value, slope = _series(s)
     # stat is near -1, so 1 + stat is exact
-    return value + 0.5 / s + (1.0 + stat), -(slope + 0.5 / s)
+    return value + (1.0 + stat), slope
 
 
 def _gamma_shape(x, y, coef) -> float:

@@ -1,13 +1,15 @@
 """Logistic response mechanism: propensity, nonresponse odds, and score.
 
 The probability of observing the outcome is
-``expit(h(x; alpha) + beta*y)`` with ``h`` linear in ``alpha`` over a
-monomial basis.  For this link the score of the response-indicator
+``1 / (1 + exp(-(h(x; alpha) + beta*y)))`` with ``h`` linear in ``alpha``
+over a monomial basis.  For this link the score of the response-indicator
 likelihood reduces to ``(delta - propensity)`` times the design vector
 ``(basis values, y)``, which is all the estimation machinery needs.
-``propensity_from_log_odds`` is the package's one evaluation of that
-propensity, from the nonresponse log-odds ``-(h + beta*y)``.
-"""
+``propensity_from_log_odds`` evaluates that propensity from the
+nonresponse log-odds ``-(h + beta*y)``, and is the package's one logistic:
+the Bernoulli mean and the simulated response probability call it too.
+The package needs no scipy for it; only ``simulate``'s complete-case
+interval (``sim.cc_mu_y``) loads ``scipy.special``, for a t quantile."""
 
 from __future__ import annotations
 
@@ -22,8 +24,8 @@ __all__ = ["ResponseSpec", "LP_CLAMP", "propensity_from_log_odds"]
 
 # The GLM Newton fits (``respondent._canonical_system``) clip ``x @ coef``
 # here, so the Bernoulli and Poisson means stay finite when a step
-# overshoots; expit is saturated well before 35.  The propensity needs no
-# clamp: it is exactly 0 where exp overflows.
+# overshoots; there the logistic is within 1e-15 of 0 or 1.  The
+# propensity needs no clamp: it is exactly 0 where exp overflows.
 LP_CLAMP = 35.0
 
 

@@ -22,14 +22,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit, stdtrit
 
 from .basis import continuous, parse_formula
 from .dataio import Dataset
 from .expfam import Component, Family, OutcomeSpec, log_odds_normalizer, mean, sample, tilt
 from .fiem import FiControls, em_fit, estimate_mu_y
 from .respondent import Candidate, FitError, fit_glm, fit_normal_mixture
-from .response import ResponseSpec
+from .response import ResponseSpec, propensity_from_log_odds
 from .variance import mu_y_variance, variance_estimate, wald_interval
 
 __all__ = [
@@ -74,7 +73,8 @@ class Scenario:
 
     def response_probability(self, columns) -> np.ndarray:
         lognorm = log_odds_normalizer(self.respondent, self.response.beta, columns)
-        return expit(self.response.h(columns) - lognorm)
+        log_odds = lognorm - self.response.h(columns)
+        return propensity_from_log_odds(log_odds, out=log_odds)
 
 
 def scenario_s1(kappa2: float = 1.0, n: int = 500) -> Scenario:
@@ -207,7 +207,13 @@ def true_mu_y(scenario: Scenario) -> float:
 
 
 def cc_mu_y(data: Dataset) -> tuple[float, float, float]:
-    """Complete-case mean with its t-interval."""
+    """Complete-case mean with its t-interval.
+
+    The t quantile is the package's one use of scipy, imported here so
+    that only this interval loads ``scipy.special``.
+    """
+    from scipy.special import stdtrit
+
     y = data.y_observed
     n1 = y.size
     est = float(np.mean(y))

@@ -24,8 +24,6 @@ from fimnar.expfam import Component, Family, OutcomeSpec, _logsumexp0, log_densi
 from fimnar.fiem import (
     FitResult,
     FractionalWeights,
-    _donor_log_base,
-    _donor_log_c,
     _donor_blocks,
     _LogWeights,
     _logsumexp_blocks,
@@ -48,6 +46,8 @@ from fimnar.variance import (
     respondent_score_gamma,
     variance_estimate,
 )
+
+from oracles import _donor_log_base, _donor_log_c
 
 # ---------------------------------------------------------------------------
 # reference copies of the full-array code

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import gammaln
 
 from fimnar.basis import continuous, parse_formula
 from fimnar.expfam import (
@@ -11,6 +12,7 @@ from fimnar.expfam import (
     OutcomeSpec,
     SupportError,
     TiltDomainError,
+    _log_c,
     density,
     flatten_params,
     log_density,
@@ -335,6 +337,21 @@ def test_sample_gamma_and_poisson_support():
 # ---------------------------------------------------------------------------
 # parameter vector and serialization plumbing
 # ---------------------------------------------------------------------------
+
+
+def test_log_c_matches_scipy_gammaln():
+    # log y! and the gamma shape's log Gamma(s) come from math.lgamma; the
+    # Poisson term once per distinct count, in the shape of y
+    eps = np.finfo(float).eps
+    counts = np.random.default_rng(8).permutation(np.repeat(np.arange(3000.0), 2)).reshape(60, 100)
+    got, ref = _log_c(Family.POISSON, counts, 1.0), -gammaln(counts + 1.0)
+    assert got.shape == counts.shape
+    assert np.all(np.abs(got - ref) <= 4 * eps * np.abs(ref))
+    one = np.array([1.0])  # log y = 0, so only s log s - log Gamma(s) is left
+    for s in np.concatenate([np.arange(1.0, 200.0), np.geomspace(0.05, 1e6, 401)]):
+        ref = s * math.log(s) - gammaln(s)
+        scale = 1.0 + abs(s * math.log(s)) + abs(gammaln(s))
+        assert abs(_log_c(Family.GAMMA, one, -s)[0] - ref) <= 4 * eps * scale, s
 
 
 def test_flatten_unflatten_round_trip():

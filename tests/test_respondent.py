@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.special import digamma, logsumexp
+from scipy.special import digamma, logsumexp, polygamma
 
 from fimnar.basis import binary, continuous, parse_formula
 from fimnar.expfam import (
@@ -16,6 +16,7 @@ from fimnar.expfam import (
     log_density,
     unflatten_params,
 )
+from fimnar.respondent import digamma as psi  # scipy's digamma is the reference here
 from fimnar.respondent import (
     SIGMA_FLOOR_FACTOR,
     Candidate,
@@ -27,6 +28,7 @@ from fimnar.respondent import (
     fit_normal_mixture,
     search_basis_by_aic,
     select_aic,
+    trigamma,
 )
 
 KINDS = {"x": continuous(), "w": binary()}
@@ -138,6 +140,25 @@ def test_gamma_shape_is_accurate_at_large_shapes():
             score = lambda s: mpmath.log(s) + 1 - mpmath.digamma(s) + mpmath.mpf(stat)
             ref = float(mpmath.findroot(score, got))
         assert got == pytest.approx(ref, rel=1e-12), shape
+
+
+def test_digamma_and_trigamma_match_scipy():
+    for s in np.concatenate([np.geomspace(0.05, 1e4, 2001), np.linspace(0.05, 30.0, 2001)]):
+        ref = digamma(s)
+        assert abs(psi(s) - ref) <= 1e-13 * (1.0 + abs(ref)), s
+        ref = polygamma(1, s)
+        assert abs(trigamma(s) - ref) <= 1e-13 * (1.0 + abs(ref)), s
+
+
+@given(st.floats(0.05, 1e4))
+@settings(max_examples=500, deadline=None)
+def test_digamma_and_trigamma_recurrences(s):
+    # psi(s+1) - psi(s) = 1/s and psi'(s) - psi'(s+1) = 1/s^2, to rounding
+    # of the terms; the series starts at SERIES_SHAPE, so s and s+1 may be
+    # computed on either side of it
+    eps = np.finfo(float).eps
+    assert abs(psi(s + 1.0) - psi(s) - 1.0 / s) <= 8 * eps * (1.0 + abs(psi(s)))
+    assert abs(trigamma(s) - trigamma(s + 1.0) - 1.0 / s**2) <= 8 * eps * trigamma(s)
 
 
 def test_poisson_recovery():

@@ -59,6 +59,18 @@ def test_propensity_from_log_odds_is_expit_without_warnings(log_odds):
     np.testing.assert_array_equal(buf, got)
 
 
+def test_propensity_is_the_logistic_to_rounding():
+    # the package's one logistic, 1/(1 + exp(-eta)), against expit relative
+    # to its size wherever that is a normal float, and exactly 0 or 1 past
+    # the overflow of exp
+    eta = np.concatenate([np.linspace(-708.0, 745.0, 200_001), np.linspace(-40.0, 40.0, 80_001)])
+    got, ref = propensity_from_log_odds(-eta), expit(eta)
+    assert np.max(np.abs(got - ref) / ref) <= 3 * np.finfo(float).eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert propensity_from_log_odds(np.array([800.0, -800.0])).tolist() == [0.0, 1.0]
+
+
 def test_odds_even():
     s = ResponseSpec(H1X, (0.0, 0.0), 0.0)
     assert s.odds(cols(0.0), [0.0])[0] == pytest.approx(1.0, abs=1e-15)

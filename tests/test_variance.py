@@ -15,8 +15,6 @@ from fimnar.expfam import (
 )
 from fimnar.fiem import (
     FitResult,
-    _donor_log_base,
-    _weights_from_base,
     em_fit,
     estimate_mu_y,
     fractional_weights,
@@ -34,13 +32,14 @@ from fimnar.variance import (
     SingularInformationError,
     _mu_y_grad_beta,
     _mu_y_grad_gamma,
-    _score_gamma_fd,
     _score_sums,
     mu_y_variance,
     respondent_score_gamma,
     variance_estimate,
     wald_interval,
 )
+
+from oracles import _donor_log_base, _score_gamma_fd, _weights_from_base
 
 KINDS = {"x": continuous()}
 B1X = parse_formula("1 + x", KINDS)
@@ -165,8 +164,6 @@ def test_analytic_gamma_scores_match_finite_differences():
     x = rng.normal(size=40)
     cols = {"x": x}
     y = rng.normal(size=40)
-    from fimnar.variance import _score_gamma_fd
-
     normal = OutcomeSpec(Family.NORMAL, (Component(B1X, (0.2, 0.7), 0.8),))
     assert np.allclose(
         respondent_score_gamma(normal, y, cols),
