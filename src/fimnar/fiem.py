@@ -40,7 +40,18 @@ On it, ``_weight_blocks`` yields each block's weights, rebuilt from the
 factors by ``_LogWeights``, and the donor kernel ``_donor_blocks`` adds
 the propensities; the solver and the variance code reduce these, and
 ``log C`` is an online logsumexp over row blocks of respondents, kept
-once per unique value.  So a one-component fit stores only vectors over
+once per unique value.
+
+The cell: a block's weights are left unnormalized, ``u = exp(logw -
+rowmax)``, one ``exp`` per cell.  Every per-unit reduction is linear in
+the unit's row, so it runs on ``u``, and the row sum, the ones column of
+the same moment matmul that gives the weighted donor mean and spread, is
+divided out once per unit.  The propensity is ``1 / (1 + a_i b_j)`` from
+odds factors taken once per pass (``response.propensity_from_odds``), so
+it costs no ``exp`` per cell; a pass whose factors leave the floating
+range uses the log-odds form.  The solve's last evaluation is at the
+root, so ``em_fit`` keeps the unit moments it reduced there and needs no
+separate pass for them.  So a one-component fit stores only vectors over
 units and unique donor values, plus a few block buffers; only the EM
 fallback holds its iteration's (n_missing, unique values) weights.  A
 mixture's log density has no such factors, so its fit stores one
@@ -68,7 +79,7 @@ from .dataio import Dataset
 from .expfam import Family, OutcomeSpec, log_density_factors, log_density_outer, sample
 from .identify import IdentifyVerdict, Status
 from .respondent import FitError, RespondentFit, _newton, fit_glm
-from .response import ResponseSpec, propensity_from_log_odds
+from .response import ResponseSpec, odds_factor, propensity_from_log_odds, propensity_from_odds
 
 __all__ = [
     "FiControls",
@@ -121,7 +132,9 @@ class FractionalWeights:
     to one, built on each read (a value's weight split evenly among its
     donors) and never kept.  ``ybar`` and ``spread`` are each unit's
     weighted donor mean and centred second moment ``sum_j w_ij (y_j -
-    ybar_i)^2``, computed once here.  ``log_c`` is the donor engine's
+    ybar_i)^2``: ``moments`` when given (``em_fit`` passes the ones its
+    solver reduced at these weights), else computed once here by
+    ``_unit_moments``.  ``log_c`` is the donor engine's
     ``log C(y)`` at each of the values, under the respondents' model the
     weights were built with, kept for the variance of the outcome mean.
     """
@@ -133,6 +146,7 @@ class FractionalWeights:
         kernel: "_LogWeights",
         log_c: Optional[np.ndarray] = None,
         inverse: Optional[np.ndarray] = None,
+        moments: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         self.missing_rows = np.asarray(missing_rows)
         self.donor_y = donor_y
@@ -140,7 +154,9 @@ class FractionalWeights:
         self.kernel = kernel
         self.values = kernel.donor_y
         self.inverse = inverse
-        self.ybar, self.spread = _unit_moments(self.kernel, self.values, self.n_missing)
+        if moments is None:
+            moments = _unit_moments(self.kernel, self.values, self.n_missing)
+        self.ybar, self.spread = moments
 
     @property
     def n_missing(self) -> int:
@@ -211,8 +227,8 @@ def _check_covered(finite: np.ndarray, first: int = 0) -> None:
         )
 
 
-def _normalize_rows(logw: np.ndarray, first: int = 0) -> np.ndarray:
-    """In-place exponentiation after per-row max subtraction.
+def _exp_rows(logw: np.ndarray, first: int = 0) -> np.ndarray:
+    """In-place ``exp(logw - rowmax)``: each row's weights up to their sum.
 
     ``first`` is the missing-unit index of row 0, for the error message.
     """
@@ -221,20 +237,28 @@ def _normalize_rows(logw: np.ndarray, first: int = 0) -> np.ndarray:
     row_max = np.max(logw, axis=1)
     _check_covered(np.isfinite(row_max), first)
     logw -= row_max[:, None]
-    w = np.exp(logw, out=logw)
+    return np.exp(logw, out=logw)
+
+
+def _normalize_rows(logw: np.ndarray, first: int = 0) -> np.ndarray:
+    """``_exp_rows`` with each row divided by its sum, in place."""
+    w = _exp_rows(logw, first)
     w /= w.sum(axis=1, keepdims=True)
     return w
 
 
 @dataclass(frozen=True)
 class _LogWeights:
-    """Row-normalized ``exp(base - beta*y)``, built block by block on indexing.
+    """The weights ``exp(base - beta*y)`` of each missing unit, built block by block.
 
-    The columns are the values ``donor_y``.  ``base`` is an (n_missing, values) array; or, with ``slope`` given,
-    the column term ``e`` of a rank-one grid whose row i is
-    ``slope_i*y + e``, the one-component donor base up to a row constant
-    that the normalization cancels; or None, standing for zero, in the
-    parametric engine, whose weights come from ``-beta*y`` alone.
+    The columns are the values ``donor_y``.  ``base`` is an (n_missing,
+    values) array; or, with ``slope`` given, the column term ``e`` of a
+    rank-one grid whose row i is ``slope_i*y + e``, the one-component
+    donor base up to a row constant that the normalization cancels; or
+    None, standing for zero, in the parametric engine, whose weights come
+    from ``-beta*y`` alone.  ``block`` gives a block's rows unnormalized,
+    ``exp(logw - rowmax)``, for the passes that reduce them and divide
+    each unit's sums by its row sum; indexing gives them normalized.
     """
 
     base: Optional[np.ndarray]
@@ -249,49 +273,65 @@ class _LogWeights:
         return left, np.vstack([self.donor_y, self.base])
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        return self.block(rows)
+        """The normalized weights of ``rows``: each row sums to one."""
+        return _normalize_rows(self._log_block(rows), rows.start or 0)
 
     def block(self, rows: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The weights of ``rows``, written into ``out`` when it is given."""
+        """The unnormalized weights of ``rows``, written into ``out`` when it is given."""
+        return _exp_rows(self._log_block(rows, out), rows.start or 0)
+
+    def _log_block(self, rows: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
         y = self.donor_y if self.donor_y.ndim == 1 else self.donor_y[rows]
         if self.slope is not None:
             left, right = self._factors
-            logw = np.matmul(left[rows], right, out=out)
-        elif self.base is None:
-            logw = np.multiply(y, -self.beta, out=out)
-        else:
-            logw = np.subtract(self.base[rows], self.beta * y, out=out)
-        return _normalize_rows(logw, rows.start or 0)
+            return np.matmul(left[rows], right, out=out)
+        if self.base is None:
+            return np.multiply(y, -self.beta, out=out)
+        return np.subtract(self.base[rows], self.beta * y, out=out)
 
 
 def _weight_blocks(w, y: np.ndarray, n_rows: int, spare: int = 0):
-    """``(rows, y, w, *spares)`` for each row block of the ``n_rows`` missing units.
+    """``(rows, y, u, *spares)`` for each row block of the ``n_rows`` missing units.
 
     ``y`` is the block's donor values (the shared vector, or its rows of
-    per-unit pools) and ``w`` its normalized weights: a slice of a weight
-    array, or built by a ``_LogWeights`` into a buffer of the pass.
-    ``spares`` are ``spare`` more block buffers for the caller.  Buffers
-    are rewritten by the next block.
+    per-unit pools) and ``u`` its weights up to a positive factor per
+    row, in a buffer of the pass that the caller may overwrite: the
+    unnormalized rows that a ``_LogWeights`` builds, or a copy of the
+    rows of a weight array.  Each reduction divides a unit's sums by its
+    sum of ``u``.  ``spares`` are ``spare`` more block buffers for the
+    caller.  Buffers are rewritten by the next block.
     """
-    own = 1 if isinstance(w, _LogWeights) else 0  # a buffer to build the weights in
-    for rows, room in _blocks(n_rows, y.shape[-1], own + spare):
-        w_b = w.block(rows, room[0]) if own else w[rows]
-        yield (rows, y if y.ndim == 1 else y[rows], w_b, *room[own:])
+    for rows, (u, *spares) in _blocks(n_rows, y.shape[-1], 1 + spare):
+        if isinstance(w, _LogWeights):
+            u = w.block(rows, u)
+        else:
+            np.copyto(u, w[rows])
+        yield (rows, y if y.ndim == 1 else y[rows], u, *spares)
 
 
 def _donor_blocks(
     phi: ResponseSpec, b_miss: np.ndarray, donor_y: np.ndarray, w, spare: int = 0
 ):
-    """The donor kernel: ``(rows, y, w, pi, *spares)`` for each row block of missing units.
+    """The donor kernel: ``(rows, y, u, pi, *spares)`` for each row block of missing units.
 
     ``_weight_blocks`` plus ``pi``, the propensity ``P(delta=1 | x_i, y)``
     at every donor value, in a buffer of the pass that the caller may
-    overwrite.
+    overwrite.  It is ``1 / (1 + a_i b_j)`` from the odds factors ``a =
+    exp(-lin)`` and ``b = exp(-beta*y)``, taken once per pass (per block
+    for per-unit pools); where a factor is 0 or inf, the log-odds form.
     """
     lin = b_miss @ np.asarray(phi.alpha)
-    for rows, y, w_b, pi, *spares in _weight_blocks(w, donor_y, b_miss.shape[0], spare + 1):
-        np.subtract(-lin[rows, None], phi.beta * y, out=pi)  # log-odds
-        yield (rows, y, w_b, propensity_from_log_odds(pi, out=pi), *spares)
+    a = odds_factor(-lin)
+    shared = donor_y.ndim == 1
+    b = odds_factor(-phi.beta * donor_y) if shared else None
+    for rows, y, u, pi, *spares in _weight_blocks(w, donor_y, b_miss.shape[0], spare + 1):
+        b_rows = b if shared else odds_factor(-phi.beta * y)
+        if a is not None and b_rows is not None:
+            propensity_from_odds(a[rows, None], b_rows, out=pi)
+        else:
+            np.subtract(-lin[rows, None], phi.beta * y, out=pi)  # log-odds
+            propensity_from_log_odds(pi, out=pi)
+        yield (rows, y, u, pi, *spares)
 
 
 def _logsumexp_blocks(blocks, n_cols: int) -> np.ndarray:
@@ -395,23 +435,39 @@ def fractional_weights(
     )
 
 
+def _centred(y: np.ndarray):
+    """``(shift, powers)``: the values' mean, and the columns (1, y - shift, (y - shift)^2).
+
+    ``powers`` is None for per-unit pools.  Moments about the mean do not
+    cancel as raw ones do.
+    """
+    shift = float(np.mean(y)) if y.size else 0.0
+    if y.ndim != 1:
+        return shift, None
+    y_c = y - shift
+    return shift, np.column_stack([np.ones_like(y_c), y_c, y_c**2])
+
+
+def _mean_and_spread(m: np.ndarray, shift: float):
+    """Each unit's weighted donor mean and centred second moment.
+
+    ``m`` holds the unit's sums of ``u`` against ``_centred``'s powers; its
+    first column, the row sum, normalizes them.
+    """
+    mean_c = m[:, 1] / m[:, 0]
+    return shift + mean_c, m[:, 2] / m[:, 0] - mean_c**2
+
+
 def _unit_moments(w, y: np.ndarray, n_missing: int):
     """Per-unit weighted donor mean and centred second moment, by row blocks of ``w``.
 
-    The donor values are centred on their mean first, so that the two
-    moments do not cancel.
+    The reduction of ``_evaluate``, in a pass of its own.
     """
-    ybar, spread = np.empty(n_missing), np.empty(n_missing)
-    shift = float(np.mean(y)) if y.size else 0.0
-    y_c = y - shift
-    powers = None
-    if y.ndim == 1:
-        powers = np.column_stack([np.ones_like(y_c), y_c, y_c**2])
-    for rows, y_b, w_b in _weight_blocks(w, y_c, n_missing):
-        _, m1, m2 = _power_sums(w_b, y_b, powers).T
-        ybar[rows] = shift + m1
-        spread[rows] = m2 - m1**2
-    return ybar, spread
+    shift, powers = _centred(y)
+    m = np.empty((n_missing, 3))
+    for rows, y_b, u in _weight_blocks(w, y, n_missing):
+        m[rows] = _power_sums(u, y_b, powers, shift)
+    return _mean_and_spread(m, shift)
 
 
 def _parametric_pool(
@@ -453,14 +509,16 @@ def _row_dot(a: np.ndarray, donor_y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, donor_y)
 
 
-def _power_sums(v: np.ndarray, y: np.ndarray, powers) -> np.ndarray:
-    """Per-unit sums of ``v`` against (1, y, y^2), as (units, 3).
+def _power_sums(v: np.ndarray, y: np.ndarray, powers, shift: float = 0.0) -> np.ndarray:
+    """Per-unit sums of ``v`` against (1, y - shift, (y - shift)^2), as (units, 3).
 
-    One matmul with the shared donors' ``powers`` matrix; row dots with
-    a block's per-unit pools ``y`` when there is none.
+    One matmul with the shared donors' ``powers`` matrix, which holds
+    those columns; row dots with a block's per-unit pools ``y`` when
+    there is none.
     """
     if powers is not None:
         return v @ powers
+    y = y - shift
     return np.column_stack([v.sum(axis=1), _row_dot(v, y), _row_dot(v, y * y)])
 
 
@@ -473,25 +531,36 @@ def _score_and_jacobian(phi, arrays, w, donor_y, weights_move: bool):
     beta, ``dw_ij/dbeta = -w_ij (y_j - ybar_i)``; otherwise it holds the
     weights fixed.
     """
+    return _evaluate(phi, arrays, w, donor_y, weights_move)[:2]
+
+
+def _evaluate(phi, arrays, w, donor_y, weights_move: bool):
+    """``_score_and_jacobian`` and, reduced in the same pass, ``_unit_moments``."""
     z = arrays.z_resp
     p_resp = propensity_from_log_odds(z @ -phi.phi)
     score = z.T @ (1.0 - p_resp)  # delta = 1
     jac = -(z.T @ (z * (p_resp * (1.0 - p_resp))[:, None]))
     L, b = arrays.h_index, arrays.b_miss
-    if b.shape[0]:
-        # per unit: sums of w pi and of w pi (1 - pi) against (1, y, y^2),
-        # and the weighted donor mean ybar
-        n0 = b.shape[0]
-        m_wp, m_q, ybar = np.empty((n0, 3)), np.empty((n0, 3)), np.empty(n0)
+    n0 = b.shape[0]
+    moments = (np.empty(0), np.empty(0))
+    if n0:
+        # per unit: sums of u against (1, y_c, y_c^2), and of u pi and of
+        # u pi (1 - pi) against (1, y, y^2); u's row sum divides them all
+        m_u, m_wp, m_q = (np.empty((n0, 3)) for _ in range(3))
+        shift, centred = _centred(donor_y)
         powers = None
         if donor_y.ndim == 1:
             powers = np.column_stack([np.ones_like(donor_y), donor_y, donor_y**2])
-        for rows, y, w_b, pi, wp in _donor_blocks(phi, b, donor_y, w, 1):
-            np.multiply(w_b, pi, out=wp)  # delta = 0: residual -pi
+        for rows, y, u, pi in _donor_blocks(phi, b, donor_y, w):
+            m_u[rows] = _power_sums(u, y, centred, shift)
+            wp = np.multiply(u, pi, out=u)  # delta = 0: residual -pi
             q = np.multiply(wp, np.subtract(1.0, pi, out=pi), out=pi)
             m_wp[rows] = _power_sums(wp, y, powers)
             m_q[rows] = _power_sums(q, y, powers)
-            ybar[rows] = _row_dot(w_b, y)
+        moments = _mean_and_spread(m_u, shift)
+        ybar = moments[0]
+        m_wp /= m_u[:, :1]
+        m_q /= m_u[:, :1]
         row, wpy, wpy2 = m_wp.T
         score[:L] -= b.T @ row
         score[L] -= float(np.sum(wpy))
@@ -504,7 +573,7 @@ def _score_and_jacobian(phi, arrays, w, donor_y, weights_move: bool):
             # per unit: sum_j w_ij (y_j - ybar_i) pi_ij, and the same times y_j
             jac[:L, L] += b.T @ (wpy - ybar * row)
             jac[L, L] += float(np.sum(wpy2 - ybar * wpy))
-    return score, jac
+    return score, jac, moments
 
 
 def mean_score(
@@ -621,10 +690,14 @@ def em_fit(
         raise ValueError(f"unknown imputation engine {engine!r}")
 
     arrays = _score_arrays(phi, data)
+    last = {}  # the point of the latest evaluation, and the unit moments reduced there
 
     def system(x):
         p = phi.with_phi(x)
-        return _score_and_jacobian(p, arrays, replace(kernel, beta=p.beta), kernel.donor_y, True)
+        w = replace(kernel, beta=p.beta)
+        score, jac, last["moments"] = _evaluate(p, arrays, w, kernel.donor_y, True)
+        last["x"] = x
+        return score, jac
 
     def solve(x):
         steps = min(controls.max_newton_iter, controls.max_em_iter)
@@ -652,12 +725,15 @@ def em_fit(
                 trace=tuple(trace),
             )
     phi_hat = phi.with_phi(x)
+    # a converged _newton evaluates its root last; the point is checked, not assumed
+    at_root = np.array_equal(last.get("x"), x)
     weights = FractionalWeights(
         np.nonzero(data.delta == 0)[0],
         donor_y,
         log_c=log_c,
         kernel=replace(kernel, beta=phi_hat.beta),
         inverse=inverse,
+        moments=last["moments"] if at_root else None,
     )
     return FitResult(
         phi_hat=phi_hat,

@@ -8,19 +8,26 @@ likelihood reduces to ``(delta - propensity)`` times the design vector
 ``propensity_from_log_odds`` evaluates that propensity from the
 nonresponse log-odds ``-(h + beta*y)``, and is the package's one logistic:
 the Bernoulli mean and the simulated response probability call it too.
-The package needs no scipy for it; only ``simulate``'s complete-case
-interval (``sim.cc_mu_y``) loads ``scipy.special``, for a t quantile."""
+On a grid of units by outcome values the nonresponse odds factor as
+``a_i b_j`` with ``a_i = exp(-h_i)`` and ``b_j = exp(-beta*y_j)``, so
+``propensity_from_odds`` evaluates the grid's propensities as
+``1 / (1 + a_i b_j)``, with no ``exp`` per cell, from factors that
+``odds_factor`` takes once per pass; where a factor is 0 or inf, the pass
+uses the log-odds form instead.  The package needs no scipy for either;
+only ``simulate``'s complete-case interval (``sim.cc_mu_y``) loads
+``scipy.special``, for a t quantile."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .basis import BasisSet
 
-__all__ = ["ResponseSpec", "LP_CLAMP", "propensity_from_log_odds"]
+__all__ = ["ResponseSpec", "LP_CLAMP", "odds_factor", "propensity_from_log_odds",
+           "propensity_from_odds"]
 
 # The GLM Newton fits (``respondent._canonical_system``) clip ``x @ coef``
 # here, so the Bernoulli and Poisson means stay finite when a step
@@ -36,6 +43,33 @@ def propensity_from_log_odds(log_odds, out=None) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         out = np.exp(log_odds, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+def odds_factor(log_odds) -> Optional[np.ndarray]:
+    """``exp(log_odds)``, or None when some entry over- or underflows to inf or 0.
+
+    A factor of ``propensity_from_odds``; None sends the caller to the
+    log-odds form, because a product of 0 and inf has no value.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        factor = np.exp(log_odds)
+    if np.all(factor > 0.0) and np.all(np.isfinite(factor)):
+        return factor
+    return None
+
+
+def propensity_from_odds(a, b, out=None) -> np.ndarray:
+    """``1 / (1 + a*b)``, broadcast, in ``out`` if given.
+
+    With ``a = exp(r)`` and ``b = exp(c)`` from ``odds_factor`` this is
+    ``propensity_from_log_odds(r + c)`` to rounding, with no ``exp``;
+    where the product overflows the propensity is exactly 0, with no
+    warning.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.multiply(a, b, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)
 

@@ -30,12 +30,19 @@ complete-data score by the responsibilities (Louis, 1982).
 Memory: the variance holds only per-unit vectors and the temporaries of
 one row block.  The missing-unit pieces of both variances are reduced in
 one walk of ``fiem``'s donor kernel at the fitted parameters, which
-rebuilds each block's weights from the fit's factors, over the donors'
-unique values; the weighted donor mean and spread of each unit come with
-the fit's weights.  The ``d log C/d gamma`` term walks blocks of
-respondents with the per-value ``log C`` that the fit kept, from the
-same factors for one component, and from the one pass over its
-component densities that also gives the responsibilities for a mixture.
+rebuilds each block's unnormalized weights ``u`` from the fit's factors,
+over the donors' unique values, with the kernel's propensities; the
+weighted donor mean and spread of each unit come with the fit's weights.
+For one component, each block is reduced to per-unit moments of ``u``
+and of ``u pi`` against one centred power matrix (``_centred_powers``),
+from which the moments of every weight matrix V follow, divided by the
+row sum of ``u``; ``_one_component_sums`` then runs once over all units.
+A mixture block runs ``_mixture_sums`` on ``u`` and divides its rows by
+the row sum.  The ``d log C/d gamma`` term walks blocks of respondents
+with the per-value ``log C`` that the fit kept, reduced the same way to
+per-respondent moments for one component, and from the one pass over
+its component densities that also gives the responsibilities for a
+mixture.
 
 When the data contain no missing units the weighted terms vanish and
 the bread degenerates; the estimator then reduces to the ordinary
@@ -110,13 +117,34 @@ def _check_cond(matrix: np.ndarray, label: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _one_component_sums(gamma: OutcomeSpec, columns, shift, m0, m1, m2, m_log):
+def _centred_powers(gamma: OutcomeSpec, y: np.ndarray):
+    """``(shift, powers, lo, hi)`` for reducing weight matrices V over the values ``y``.
+
+    ``powers`` has the columns ``(1, y_c, y_c^2, y_c^3)`` of ``y_c = y -
+    shift``, with ``shift`` the values' mean, and for the gamma family
+    also ``(log y, y_c log y)``.  Of ``m = V @ powers``, ``m[:, lo]`` are
+    the moments that ``_one_component_sums`` reads, and ``m[:, hi] - t
+    m[:, lo]`` are those of ``V (y_c - t)`` for a per-unit ``t``.
+    """
+    shift = float(np.mean(y))
+    y_c = y - shift
+    columns = [np.ones_like(y_c), y_c, y_c**2, y_c**3]
+    lo, hi = [0, 1, 2], [1, 2, 3]
+    if gamma.family is Family.GAMMA:
+        log_y = np.log(y)
+        columns += [log_y, y_c * log_y]
+        lo, hi = lo + [4], hi + [5]
+    return shift, np.column_stack(columns), lo, hi
+
+
+def _one_component_sums(gamma: OutcomeSpec, columns, shift, m):
     """(units, q) sums ``sum_j V_rj s1(x_r, y_j)`` from the row moments of V.
 
-    ``m0, m1, m2`` are ``sum_j V_rj (y_j - shift)^p``, p = 0, 1, 2, with one
+    ``m[:, p]`` is ``sum_j V_rj (y_j - shift)^p``, p = 0, 1, 2, with one
     shift or one per unit; a shift near the y values avoids cancellation.
-    ``m_log`` is ``sum_j V_rj log y_j``, read by the gamma family only.
+    ``m[:, 3]``, read by the gamma family only, is ``sum_j V_rj log y_j``.
     """
+    m0, m1, m2 = m[:, 0], m[:, 1], m[:, 2]
     comp = gamma.components[0]
     design = comp.basis.design(columns)
     eta = design @ np.asarray(comp.coef)
@@ -130,7 +158,7 @@ def _one_component_sums(gamma: OutcomeSpec, columns, shift, m0, m1, m2, m_log):
         return np.column_stack(
             [
                 design * (shape * (ratio - m0))[:, None],
-                (math.log(shape) + 1.0 - digamma(shape) - eta) * m0 + m_log - ratio,
+                (math.log(shape) + 1.0 - digamma(shape) - eta) * m0 + m[:, 3] - ratio,
             ]
         )
     sigma2 = float(comp.dispersion)
@@ -204,9 +232,10 @@ def respondent_score_gamma(gamma: OutcomeSpec, y: np.ndarray, columns) -> np.nda
     if gamma.k > 1:
         pieces = _responsibilities(gamma, y[:, None], columns)[1]
         return _mixture_sums(gamma, pieces, (ones[:, None],))[0]
-    zero = np.zeros_like(y)
-    m_log = np.log(y) if gamma.family is Family.GAMMA else None
-    return _one_component_sums(gamma, columns, y, ones, zero, zero, m_log)
+    moments = [ones, np.zeros_like(y), np.zeros_like(y)]
+    if gamma.family is Family.GAMMA:
+        moments.append(np.log(y))
+    return _one_component_sums(gamma, columns, y, np.column_stack(moments))
 
 
 def _score_sums(gamma: OutcomeSpec, y_donors: np.ndarray, columns, weights):
@@ -220,16 +249,8 @@ def _score_sums(gamma: OutcomeSpec, y_donors: np.ndarray, columns, weights):
     if gamma.k > 1:
         pieces = _responsibilities(gamma, y_donors[None, :], columns)[1]
         return _mixture_sums(gamma, pieces, weights)
-    shift = float(np.mean(y_donors))
-    y_c = y_donors - shift
-    log_y = np.log(y_donors) if gamma.family is Family.GAMMA else None
-    return [
-        _one_component_sums(
-            gamma, columns, shift, v.sum(axis=1), v @ y_c, v @ y_c**2,
-            None if log_y is None else v @ log_y,
-        )
-        for v in weights
-    ]
+    shift, powers, lo, _ = _centred_powers(gamma, y_donors)
+    return [_one_component_sums(gamma, columns, shift, v @ powers[:, lo]) for v in weights]
 
 
 # ---------------------------------------------------------------------------
@@ -245,28 +266,54 @@ def _missing_pieces(
     One walk of the donor kernel reduces, block by block, ``s0bar``, the
     ``_score_sums`` of (w, w pi, w pi y), and for ``V_ij = w_ij (y_j -
     ybar_i)`` the per-value ``c_j = sum_i V_ij`` and ``sum_ij V_ij
-    s1(x_i, y_j)``; ``z0bar`` ends in ``ybar``.
+    s1(x_i, y_j)``; ``z0bar`` ends in ``ybar``.  The walk's weights are
+    unnormalized, ``w = u / s`` with ``s`` the row sum of ``u``: every
+    sum is linear in a unit's row, so it is reduced on ``u`` and divided
+    by ``s`` once per unit.  With ``y_c = y - shift`` and ``t = ybar -
+    shift``, the moments of ``w pi y`` are those of ``w pi (y_c + shift)``
+    and the moments of ``V`` those of ``w (y_c - t)``, both from
+    ``_centred_powers``.
     """
     miss_cols = data.missing_columns()
     b_miss = phi.h_basis.design(miss_cols)
     y_u = weights.values
-    n0, d, q = b_miss.shape[0], b_miss.shape[1] + 1, flatten_params(gamma).size
-    s0bar = np.empty((n0, d))
-    sums = [np.empty((n0, q)) for _ in range(3)]
-    c, v_score = np.zeros(y_u.size), 0.0
-    for rows, _, w, pi, wpy, v in _donor_blocks(phi, b_miss, y_u, weights.kernel, 2):
-        np.subtract(y_u[None, :], weights.ybar[rows, None], out=v)
-        v *= w
-        c += v.sum(axis=0)
-        wp = np.multiply(w, pi, out=pi)
-        s0bar[rows, :-1] = -wp.sum(axis=1)[:, None] * b_miss[rows]
-        s0bar[rows, -1] = -(wp @ y_u)
-        np.multiply(wp, y_u, out=wpy)
-        *block, r_v = _score_sums(gamma, y_u, _take(miss_cols, rows), (w, wp, wpy, v))
-        for out, r in zip(sums, block):
-            out[rows] = r
-        v_score += r_v.sum(axis=0)
-    return b_miss, s0bar, np.column_stack([b_miss, weights.ybar]), sums, c, v_score
+    n0, q = b_miss.shape[0], flatten_params(gamma).size
+    shift, powers, lo, hi = _centred_powers(gamma, y_u)
+    t = weights.ybar - shift
+    m_u, m_wp = np.empty((n0, powers.shape[1])), np.empty((n0, powers.shape[1]))
+    c = np.zeros(y_u.size)
+    mixture = gamma.k > 1
+    sums = [np.empty((n0, q)) for _ in range(4)]  # of (w, w pi, w pi y, V), for a mixture
+    for rows, _, u, wp, *spares in _donor_blocks(phi, b_miss, y_u, weights.kernel, 2 * mixture):
+        m_u[rows] = u @ powers
+        s = m_u[rows, 0]
+        # c_j = sum_i u_ij (y_c_j - t_i) / s_i
+        col = u.T @ np.column_stack([1.0 / s, t[rows] / s])
+        c += powers[:, 1] * col[:, 0] - col[:, 1]
+        np.multiply(u, wp, out=wp)  # u pi
+        m_wp[rows] = wp @ powers
+        if mixture:
+            wpy, v = spares
+            np.multiply(wp, y_u, out=wpy)
+            np.subtract(y_u[None, :], weights.ybar[rows, None], out=v)
+            v *= u
+            block = _score_sums(gamma, y_u, _take(miss_cols, rows), (u, wp, wpy, v))
+            for out, r in zip(sums, block):
+                out[rows] = r / s[:, None]
+    s = m_u[:, :1].copy()
+    m_u /= s  # the moments of w
+    m_wp /= s  # the moments of w pi
+    s0bar = -np.column_stack([m_wp[:, :1] * b_miss, m_wp[:, 1] + shift * m_wp[:, 0]])
+    if not mixture:
+        moments = (
+            m_u[:, lo],
+            m_wp[:, lo],
+            m_wp[:, hi] + shift * m_wp[:, lo],  # w pi (y_c + shift)
+            m_u[:, hi] - t[:, None] * m_u[:, lo],  # w (y_c - t)
+        )
+        sums = [_one_component_sums(gamma, miss_cols, shift, m) for m in moments]
+    *sums, r_v = sums
+    return b_miss, s0bar, np.column_stack([b_miss, weights.ybar]), sums, c, r_v.sum(axis=0)
 
 
 def variance_estimate(
@@ -331,7 +378,9 @@ def _assemble(bread: np.ndarray, middle: np.ndarray, n: int) -> np.ndarray:
     sigma = inv @ middle @ inv.T / n
     sigma = 0.5 * (sigma + sigma.T)
     eigvals, eigvecs = np.linalg.eigh(sigma)
-    if np.any(eigvals < -1e-8):
+    # rounding leaves eigenvalues near zero of either sign, in proportion
+    # to the matrix's scale
+    if np.any(eigvals < -1e-8 * max(1.0, float(eigvals.max()))):
         raise FitError(
             f"covariance estimate has a negative eigenvalue {eigvals.min():.3g}"
         )
@@ -380,12 +429,15 @@ def _mu_y_grad_gamma(
             via_c += _mixture_sums(gamma, pieces, (p,))[0].sum(axis=0)
             del log_f, pieces, p  # else they live on while the next block is built
     else:
+        # per respondent, the moments of c_j P(l | y_j): P(l | y_j) built in
+        # the buffer of the block's log densities, c folded into the powers
+        shift, powers, lo, _ = _centred_powers(gamma, y_u)
+        weighted = powers[:, lo] * c[:, None]
+        m = np.empty((data.n_respondents, len(lo)))
         for rows, p in _log_density_blocks(gamma, y_u, resp_cols, data.n_respondents):
-            # c_j P(l | y_j), built in the buffer of the block's log densities
             p -= log_c
-            np.exp(p, out=p)
-            p *= c
-            via_c += _score_sums(gamma, y_u, _take(resp_cols, rows), (p,))[0].sum(axis=0)
+            m[rows] = np.exp(p, out=p) @ weighted
+        via_c = _one_component_sums(gamma, resp_cols, shift, m).sum(axis=0)
     return (parts.v_score - via_c) / data.n
 
 

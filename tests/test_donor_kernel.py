@@ -227,8 +227,8 @@ def test_variances_match_full_array_code(case):
     assert rel_err(_mu_y_grad_gamma(gf.spec, fit.weights, data, parts), ref_grad) <= 1e-12
 
 
-def reference_block_propensity(phi, b_miss, y, rows):
-    """The donor kernel's in-block propensity as it was hand-rolled."""
+def reference_log_odds_propensity(phi, b_miss, y, rows):
+    """The donor kernel's in-block propensity in the log-odds form."""
     lin = b_miss @ np.asarray(phi.alpha)
     pi = np.subtract(-lin[rows, None], phi.beta * y)
     with np.errstate(over="ignore"):
@@ -237,22 +237,72 @@ def reference_block_propensity(phi, b_miss, y, rows):
     return np.reciprocal(pi, out=pi)
 
 
-@pytest.mark.parametrize("case", [("s1", 61), ("s3", 63)], ids=["s1", "s3"])
-@pytest.mark.parametrize("shift", [0.3, -300.0, 300.0])
-def test_block_propensity_is_bitwise_the_hand_rolled_one(monkeypatch, case, shift):
-    # shifts of +-300 in every coefficient put many cells where exp
-    # overflows (pi exactly 0) and many where pi rounds to 1
+def reference_block_propensity(phi, b_miss, y, rows):
+    """The donor kernel's in-block propensity, hand-rolled: ``1 / (1 + a_i b_j)``
+    from ``a = exp(-lin)`` and ``b = exp(-beta y)``, or the log-odds form
+    when a factor is 0 or inf."""
+    lin = b_miss @ np.asarray(phi.alpha)
+    with np.errstate(over="ignore", under="ignore"):
+        a, b = np.exp(-lin), np.exp(-phi.beta * y)
+        factors = np.concatenate([a, b])
+        if np.all(factors > 0) and np.all(np.isfinite(factors)):
+            return 1.0 / (1.0 + a[rows, None] * b)
+    return reference_log_odds_propensity(phi, b_miss, y, rows)
+
+
+def block_propensities(monkeypatch, case, shift):
+    """``(rows, y, pi, phi, b_miss)`` of each block of the kernel, at a shifted start."""
     monkeypatch.setattr(fiem, "CELLS", 4096)
     data, gf, h_basis = case_data(case)
     start = fiem._initial_phi(h_basis, data)
     phi = start.with_phi(start.phi + shift)
     b_miss = h_basis.design(data.missing_columns())
-    donor_y = data.y_observed
+    ones = np.ones((b_miss.shape[0], 1))
+    for rows, y, _, pi in _donor_blocks(phi, b_miss, data.y_observed, ones):
+        yield rows, y, pi, phi, b_miss
+
+
+@pytest.mark.parametrize("case", [("s1", 61), ("s3", 63)], ids=["s1", "s3"])
+@pytest.mark.parametrize("shift", [0.3, -300.0, 300.0])
+def test_block_propensity_is_bitwise_the_hand_rolled_one(monkeypatch, case, shift):
+    # shifts of +-300 in every coefficient put many cells where exp
+    # overflows (pi exactly 0) and many where pi rounds to 1; there some
+    # odds factor leaves the floating range, and the log-odds form serves
     blocks = 0
-    for rows, y, _, pi in _donor_blocks(phi, b_miss, donor_y, np.ones((b_miss.shape[0], 1))):
+    for rows, y, pi, phi, b_miss in block_propensities(monkeypatch, case, shift):
         np.testing.assert_array_equal(pi, reference_block_propensity(phi, b_miss, y, rows))
         blocks += 1
     assert blocks > 1
+
+
+@pytest.mark.parametrize("case", [("s1", 61), ("s3", 63)], ids=["s1", "s3"])
+def test_block_propensity_is_the_log_odds_one_to_rounding(monkeypatch, case):
+    for rows, y, pi, phi, b_miss in block_propensities(monkeypatch, case, 0.3):
+        ref = reference_log_odds_propensity(phi, b_miss, y, rows)
+        assert np.max(np.abs(pi - ref) / ref) <= 1e-15
+
+
+@pytest.mark.parametrize("beta", [-2000.0, 2000.0])
+def test_score_and_jacobian_match_full_array_code_at_extreme_beta(beta):
+    # an EM-fallback replicate reaches beta near 2190: there exp(-beta y)
+    # leaves the floating range and the kernel takes the log-odds form.
+    # The intercept puts the log-odds near 0 at the donor value that
+    # carries the weight, as on that replicate
+    data, gf, h_basis = case_data(("s1", 61))
+    donor_y = data.y_observed
+    base = _donor_log_base(gf.spec, data)
+    start = fiem._initial_phi(h_basis, data)
+    heavy = donor_y.min() if beta > 0 else donor_y.max()
+    phi = start.with_phi(np.append(start.phi[:-1], beta))
+    phi = phi.with_phi(phi.phi - np.eye(phi.phi.size)[0] * beta * heavy)
+    arrays = _score_arrays(phi, data)
+    w_full = reference_weights(beta, donor_y, base)
+    for moving in (True, False):
+        ref_s, ref_j = reference_score_and_jacobian(phi, arrays, w_full, donor_y, moving)
+        for w in (_LogWeights(base, beta, donor_y), w_full):
+            score, jac = _score_and_jacobian(phi, arrays, w, donor_y, moving)
+            assert rel_err(score, ref_s) <= 1e-12
+            assert rel_err(jac, ref_j) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +442,9 @@ def test_factored_kernel_matches_stored_grid(monkeypatch, case):
         ref_fit = em_fit(data, gf, h_basis)
     assert rel_err(fit.weights.log_c[fit.weights.inverse], ref_fit.weights.log_c) <= 1e-12
     assert rel_err(fit.phi, ref_fit.phi) <= 1e-12
-    assert rel_err(fit.weights.w, ref_fit.weights.w) <= 1e-12
+    # both kernels' weights at one phi: the stored-grid fit's
+    factored = fractional_weights(ref_fit.phi_hat, gf.spec, data)
+    assert rel_err(factored.w, ref_fit.weights.w) <= 1e-12
     # the per-donor weights are built on demand, never kept
     assert fit.weights.w is not fit.weights.w
 

@@ -481,6 +481,71 @@ def test_em_takes_over_where_newton_stalls():
     assert np.max(np.abs(fit.phi - ref.phi)) <= 1e-6
 
 
+def stalled_replicate():
+    """The weakly identified replicate on which Newton stalls and EM takes over."""
+    scn = built_in_scenario("s1", n=500, kappa2=0.1)
+    rng = np.random.default_rng(np.random.SeedSequence(20240800).spawn(47)[46])
+    data = generate(scn, rng)
+    return data, _fit_respondent(scn, data, rng, 10), scn.response.h_basis
+
+
+@pytest.mark.parametrize("case", ["s1", "s3", "election", "parametric", "em-fallback"])
+def test_em_fit_takes_the_unit_moments_from_its_last_evaluation(monkeypatch, case):
+    options = {}
+    if case == "election":
+        data, gf, h_basis = election_case()
+    elif case == "parametric":
+        data, gf, h_basis = scenario_case("s1", 800, 4)
+        options = dict(engine="parametric", m_draws=100)
+    elif case == "em-fallback":
+        data, gf, h_basis = stalled_replicate()
+        options = dict(controls=FiControls(max_em_iter=2000))
+    else:
+        data, gf, h_basis = scenario_case(case, 500, 6)
+
+    def separate_pass(*args):
+        raise AssertionError("em_fit ran a separate pass for the unit moments")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fiem, "_unit_moments", separate_pass)
+        fit = em_fit(data, gf, h_basis, **options)
+    if case == "em-fallback":
+        assert fit.em_iterations > FiControls().max_newton_iter
+    w = fit.weights
+    for got, ref in zip((w.ybar, w.spread), fiem._unit_moments(w.kernel, w.values, w.n_missing)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_em_fit_checks_where_its_last_evaluation_was(monkeypatch):
+    # a solver whose last evaluation is not at the point it returns: the
+    # fit must take the unit moments from a pass of their own
+    newton = fiem._newton
+
+    def one_more_evaluation(x, system, *args):
+        x, path, converged = newton(x, system, *args)
+        system(x + 0.1)
+        return x, path, converged
+
+    monkeypatch.setattr(fiem, "_newton", one_more_evaluation)
+    data, gf, h_basis = scenario_case("s1", 500, 6)
+    w = em_fit(data, gf, h_basis).weights
+    ybar, spread = fiem._unit_moments(w.kernel, w.values, w.n_missing)
+    assert np.array_equal(w.ybar, ybar) and np.array_equal(w.spread, spread)
+
+
+def test_evaluation_leaves_a_weight_array_as_it_was():
+    # the EM fallback passes its iteration's weights as one array, which
+    # the kernel's passes reduce but must not overwrite
+    data, gf, h_basis = scenario_case("s1", 500, 6)
+    phi = fiem._initial_phi(h_basis, data)
+    weights = fractional_weights(phi, gf.spec, data)
+    w = weights.kernel[:]
+    kept = w.copy()
+    for moving in (True, False):
+        _score_and_jacobian(phi, _score_arrays(phi, data), w, weights.values, moving)
+    assert np.array_equal(w, kept)
+
+
 @pytest.mark.parametrize("engine", ["donor", "parametric"])
 def test_full_jacobian_matches_finite_differences_of_moving_weights(engine):
     rng = np.random.default_rng(15)

@@ -19,7 +19,7 @@ from fimnar.fiem import (
     estimate_mu_y,
     fractional_weights,
 )
-from fimnar.respondent import RespondentFit, fit_glm
+from fimnar.respondent import FitError, RespondentFit, fit_glm
 from fimnar.response import ResponseSpec
 from fimnar.sim import (
     _fit_respondent,
@@ -30,6 +30,7 @@ from fimnar.sim import (
 )
 from fimnar.variance import (
     SingularInformationError,
+    _assemble,
     _mu_y_grad_beta,
     _mu_y_grad_gamma,
     _score_sums,
@@ -468,3 +469,22 @@ def test_s3_variances_match_the_finite_difference_path(monkeypatch):
     fd_sigma, fd_parts = variance_estimate(fit, gf, data)
     assert rel_err(sigma, fd_sigma) <= 1e-6
     assert rel_err(mu_var, mu_y_variance(fit, gf, data, fd_parts)) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the positive-semidefinite check
+# ---------------------------------------------------------------------------
+
+
+def test_psd_check_scales_with_the_covariance():
+    # as on a degenerate s1 fit at kappa2 = 0.1, whose covariance has a
+    # diagonal up to 4.6e13: rounding leaves a smallest eigenvalue of
+    # either sign, here -2.14e-5, which an absolute -1e-8 rejected
+    middle = np.diag([4.6e13, 1.0, -2.14e-5])
+    sigma = _assemble(np.eye(3), middle, 1)
+    assert np.array_equal(sigma, np.diag([4.6e13, 1.0, 0.0]))
+
+
+def test_psd_check_rejects_a_small_indefinite_covariance():
+    with pytest.raises(FitError, match="negative eigenvalue"):
+        _assemble(np.eye(2), np.diag([1.0, -1e-6]), 1)
