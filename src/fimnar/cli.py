@@ -225,8 +225,6 @@ def cmd_fit(args) -> int:
         gamma_fit,
         config.h_basis(),
         controls=controls,
-        verdict=post_verdict,
-        force=True,  # gating handled above with explicit exit codes
         engine=engine,
         m_draws=m_draws,
         rng=rng,

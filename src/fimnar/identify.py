@@ -13,9 +13,11 @@ counterexample patterns (a two-component mirror-image mixture, and the
 two-component linear mixture whose variance/weight relation
 ``sigma^2/2 + log pi`` coincides across components).
 
-The only value-dependent rules are the two-component linear-mixture
-conditions; everything else is decided from basis-set structure and
-declared covariate kinds alone.
+Each rule is written once: ``_check_bases`` holds the one-component
+rules and serves every gate level, ``check_model`` the mixture rules.
+The spec's coefficient values decide which terms are present, the
+negation-asymmetry condition and the linear-mixture conditions; with
+``values_known=False`` only what the declared structure forces counts.
 """
 
 from __future__ import annotations
@@ -96,6 +98,13 @@ class IdentifyVerdict:
 # helpers
 # ---------------------------------------------------------------------------
 
+_REEVALUATE = ("re-evaluate with fitted values",)
+
+
+def _not_provable(certificate: str, notes: tuple[str, ...] = ()) -> IdentifyVerdict:
+    """A failed condition that no rule of its own names."""
+    return IdentifyVerdict(Status.NOT_PROVABLE, Rule.NONE, certificate, notes)
+
 
 def _active_terms(comp, values_known: bool = True) -> tuple[BasisTerm, ...]:
     """Terms whose coefficient is meaningfully nonzero.
@@ -115,31 +124,8 @@ def _active_terms(comp, values_known: bool = True) -> tuple[BasisTerm, ...]:
     )
 
 
-def _active_basis(comp, values_known: bool = True) -> BasisSet:
-    return BasisSet(_active_terms(comp, values_known), comp.basis.kinds)
-
-
-def _outcome_union_basis(outcome: OutcomeSpec, values_known: bool = True) -> BasisSet:
-    seen: dict[BasisTerm, None] = {}
-    for comp in outcome.components:
-        for t in _active_terms(comp, values_known):
-            seen.setdefault(t)
-    return BasisSet(tuple(seen), outcome.components[0].basis.kinds)
-
-
 def _continuous_terms(basis: BasisSet, kinds) -> tuple[BasisTerm, ...]:
     return tuple(t for t in basis.terms if t.references_continuous(kinds))
-
-
-def _discrete_cells(names: Sequence[str], kinds: Mapping[str, CovariateKind]) -> Optional[int]:
-    """Attainable covariate cells; None if any covariate is continuous."""
-    cells = 1
-    for name in names:
-        n = kinds[name].n_values()
-        if n is None:
-            return None
-        cells *= n
-    return cells
 
 
 def _referenced_covariates(*bases: BasisSet) -> tuple[str, ...]:
@@ -150,25 +136,68 @@ def _referenced_covariates(*bases: BasisSet) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def _all_continuous(names: Sequence[str], kinds) -> bool:
-    return all(kinds[n].is_continuous for n in names)
+def _discrete_count(
+    h: BasisSet, names: Sequence[str], kinds: Mapping[str, CovariateKind]
+) -> Optional[IdentifyVerdict]:
+    """Unknowns (alpha, beta) against attainable covariate cells.
 
-
-def _discrete_count_verdict(
-    h: BasisSet, names: Sequence[str], kinds
-) -> IdentifyVerdict:
-    cells = _discrete_cells(names, kinds)
-    assert cells is not None
+    None when a covariate is continuous: the count then proves nothing.
+    """
+    cells = 1
+    for name in names:
+        n = kinds[name].n_values()
+        if n is None:
+            return None
+        cells *= n
     unknowns = len(h) + 1  # alpha coefficients plus beta
+    status = Status.PROVABLY_IDENTIFIABLE if unknowns <= cells else Status.NOT_PROVABLE
     cert = f"{unknowns} unknowns (alpha, beta) vs {cells} attainable covariate values"
-    if unknowns <= cells:
-        return IdentifyVerdict(Status.PROVABLY_IDENTIFIABLE, Rule.DISCRETE_COUNT, cert)
-    return IdentifyVerdict(Status.NOT_PROVABLE, Rule.DISCRETE_COUNT, cert)
+    return IdentifyVerdict(status, Rule.DISCRETE_COUNT, cert)
 
 
 # ---------------------------------------------------------------------------
 # single-component checker
 # ---------------------------------------------------------------------------
+
+
+def _check_bases(family: Family, mean_basis: BasisSet, h: BasisSet, kinds) -> IdentifyVerdict:
+    """The one-component rules on an ungated mean basis and response basis."""
+    names = _referenced_covariates(mean_basis, h)
+    if family is Family.NORMAL:
+        cont = _continuous_terms(set_difference(mean_basis, h), kinds)
+        if cont:
+            return IdentifyVerdict(
+                Status.PROVABLY_IDENTIFIABLE,
+                Rule.COR1,
+                f"mean term {cont[0].render()} is continuous and outside the response basis",
+            )
+        return _discrete_count(h, names, kinds) or IdentifyVerdict(
+            Status.NOT_PROVABLE,
+            Rule.EXAMPLE1,
+            "every continuous mean term is absorbed by the response basis",
+        )
+
+    # non-identity cumulant: continuous content on both sides suffices
+    cont_h = _continuous_terms(h, kinds)
+    cont_mean = _continuous_terms(mean_basis, kinds)
+    if cont_h and cont_mean:
+        return IdentifyVerdict(
+            Status.PROVABLY_IDENTIFIABLE,
+            Rule.THM1,
+            f"continuous terms {cont_h[0].render()} (response) and "
+            f"{cont_mean[0].render()} (mean) with a non-linear cumulant",
+        )
+    return _discrete_count(h, names, kinds) or _not_provable(
+        "no continuous terms on both the response and mean side"
+    )
+
+
+def _merge_level_basis(basis: BasisSet, gate) -> BasisSet:
+    """Terms active at one gate level: level-gated plus shared ungated."""
+    level = basis.for_gate(gate).terms
+    shared = basis.for_gate(None).terms
+    merged = tuple(dict.fromkeys(level + shared))
+    return BasisSet(merged, basis.kinds)
 
 
 def check_single(
@@ -186,90 +215,31 @@ def check_single(
     involve continuous covariates.  All-discrete covariates fall back
     to counting unknowns against attainable covariate cells.
 
-    Gated models are checked per gate level: one identifiable level
-    identifies the shared ``beta``.  With ``values_known=False`` the
-    check runs on the declared structure, treating every declared term
-    as carrying an unknown nonzero coefficient.
+    Gated models are checked per gate level, on the level's gated terms
+    plus the shared ungated ones: one identifiable level identifies the
+    shared ``beta``.  With ``values_known=False`` the check runs on the
+    declared structure, treating every declared term as carrying an
+    unknown nonzero coefficient.
     """
     if outcome.k != 1:
         raise ValueError("check_single requires a one-component outcome model")
     comp = outcome.components[0]
-    mean_basis = _active_basis(comp, values_known)
-
+    mean_basis = BasisSet(_active_terms(comp, values_known), comp.basis.kinds)
     gates = sorted(set(mean_basis.gate_levels()) | set(h.gate_levels()))
-    if gates:
-        return _check_single_gated(outcome, mean_basis, h, kinds, gates)
+    if not gates:
+        return _check_bases(outcome.family, mean_basis, h, kinds)
 
-    names = _referenced_covariates(mean_basis, h)
-    if outcome.family is Family.NORMAL:
-        extra = set_difference(mean_basis, h)
-        cont = _continuous_terms(extra, kinds)
-        if cont:
-            return IdentifyVerdict(
-                Status.PROVABLY_IDENTIFIABLE,
-                Rule.COR1,
-                f"mean term {cont[0].render()} is continuous and outside the response basis",
-            )
-        cells = _discrete_cells(names, kinds)
-        if cells is not None:
-            return _discrete_count_verdict(h, names, kinds)
-        return IdentifyVerdict(
-            Status.NOT_PROVABLE,
-            Rule.EXAMPLE1,
-            "every continuous mean term is absorbed by the response basis",
-        )
-
-    # non-identity cumulant: continuous content on both sides suffices
-    cont_h = _continuous_terms(h, kinds)
-    cont_mean = _continuous_terms(mean_basis, kinds)
-    if cont_h and cont_mean:
-        return IdentifyVerdict(
-            Status.PROVABLY_IDENTIFIABLE,
-            Rule.THM1,
-            f"continuous terms {cont_h[0].render()} (response) and "
-            f"{cont_mean[0].render()} (mean) with a non-linear cumulant",
-        )
-    cells = _discrete_cells(names, kinds)
-    if cells is not None:
-        return _discrete_count_verdict(h, names, kinds)
-    return IdentifyVerdict(
-        Status.NOT_PROVABLE,
-        Rule.NONE,
-        "no continuous terms on both the response and mean side",
-    )
-
-
-def _merge_level_basis(basis: BasisSet, gate) -> BasisSet:
-    """Terms active at one gate level: level-gated plus shared ungated."""
-    level = basis.for_gate(gate).terms
-    shared = basis.for_gate(None).terms
-    merged = tuple(dict.fromkeys(level + shared))
-    return BasisSet(merged, basis.kinds)
-
-
-def _check_single_gated(outcome, mean_basis, h, kinds, gates) -> IdentifyVerdict:
-    """Per-level check; any identifiable level pins the shared beta."""
-    sub_family = outcome.family
     fails: list[str] = []
     for gate in gates:
-        mean_d = _merge_level_basis(mean_basis, gate)
-        h_d = _merge_level_basis(h, gate)
-        comp_d = outcome.components[0]
-        sub = OutcomeSpec(
-            sub_family,
-            (type(comp_d)(mean_d, tuple(1.0 for _ in mean_d.terms), comp_d.dispersion),),
+        verdict = _check_bases(
+            outcome.family, _merge_level_basis(mean_basis, gate), _merge_level_basis(h, gate), kinds
         )
-        verdict = check_single(sub, h_d, kinds)
+        level = f"[{gate[0]}={gate[1]}]"
         if verdict.status is Status.PROVABLY_IDENTIFIABLE:
-            return IdentifyVerdict(
-                verdict.status,
-                verdict.rule,
-                f"level [{gate[0]}={gate[1]}]: {verdict.certificate}",
-            )
-        fails.append(f"[{gate[0]}={gate[1]}]: {verdict.certificate}")
-    return IdentifyVerdict(
-        Status.NOT_PROVABLE, Rule.NONE, "no gate level is provably identifiable; " + "; ".join(fails)
-    )
+            cert = f"level {level}: {verdict.certificate}"
+            return IdentifyVerdict(verdict.status, verdict.rule, cert)
+        fails.append(f"{level}: {verdict.certificate}")
+    return _not_provable("no gate level is provably identifiable; " + "; ".join(fails))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +282,7 @@ def permutation_certificate(
 
 
 def _mixture_m_coefficients(outcome: OutcomeSpec, m_terms) -> np.ndarray:
-    """Per-component coefficient vectors over the extra-term set."""
+    """Per-component coefficient vectors over the given terms (0 where absent)."""
     rows = np.zeros((outcome.k, len(m_terms)))
     for i, comp in enumerate(outcome.components):
         lookup = dict(zip(comp.basis.terms, comp.coef))
@@ -328,26 +298,23 @@ def _multisets_differ(rows: np.ndarray, other: np.ndarray) -> bool:
     return not np.allclose(np.asarray(a), np.asarray(b), atol=COEF_TOL)
 
 
-def _is_simple_linear(
-    outcome: OutcomeSpec, h: BasisSet, kinds, values_known: bool = True
-) -> Optional[str]:
-    """Name of the single continuous covariate when every component mean
-    and the response basis are of the intercept-plus-slope form, else None."""
-    h_names = [t.render() for t in h.terms]
-    cont = [n for n in kinds if kinds[n].is_continuous]
-    for name in cont:
-        want = {"1", name}
-        if set(h_names) != want:
-            continue
-        ok = True
-        for comp in outcome.components:
-            terms = {t.render() for t in _active_terms(comp, values_known)}
-            if not terms <= want:
-                ok = False
-                break
-        if ok:
-            return name
-    return None
+def _shared_relation(outcome: OutcomeSpec) -> Optional[float]:
+    """``sigma^2/2 + log pi`` of two components when it is equal across them.
+
+    The Example 5 and Example 6 counterexamples both hinge on it.
+    """
+    (c1, c2), (p1, p2) = outcome.components, outcome.weights
+    lhs = 0.5 * float(c1.dispersion) + math.log(p1)
+    rhs = 0.5 * float(c2.dispersion) + math.log(p2)
+    return lhs if abs(lhs - rhs) <= COEF_TOL else None
+
+
+def _slope_term(h: BasisSet) -> Optional[BasisTerm]:
+    """The term x when the response basis is exactly {1, x}, else None."""
+    if len(h) != 2 or not h.terms[0].is_constant:
+        return None
+    x = h.terms[1]
+    return x if x.gate is None and x.degree == 1 else None
 
 
 def _structural_c4(outcome: OutcomeSpec, m_terms) -> bool:
@@ -376,8 +343,11 @@ def check_model(
 ) -> IdentifyVerdict:
     """Identifiability check for any outcome model.
 
-    A one-component model goes to ``check_single``.  For a normal
-    mixture the decision order, assuming continuous covariates (C1), is:
+    A one-component model goes to ``check_single``.  A mixture is a
+    normal mixture (``OutcomeSpec`` admits no other).  When every
+    covariate is discrete the unknowns are counted against the
+    attainable cells; otherwise the decision order, assuming continuous
+    covariates (C1), is:
 
     1. The mean structures contain extra terms outside the response
        basis (C2).  Then a known sign of beta (C3) or an asymmetric
@@ -396,24 +366,17 @@ def check_model(
     """
     if outcome.k == 1:
         return check_single(outcome, h, kinds, values_known)
-    if outcome.family is not Family.NORMAL:
-        raise ValueError("mixture checking is supported for normal mixtures only")
 
-    union = _outcome_union_basis(outcome, values_known)
+    terms = (t for comp in outcome.components for t in _active_terms(comp, values_known))
+    union = BasisSet(tuple(dict.fromkeys(terms)), outcome.components[0].basis.kinds)
     names = _referenced_covariates(union, h)
-    if not _all_continuous(names, kinds):
-        cells = _discrete_cells(names, kinds)
-        if cells is not None:
-            return _discrete_count_verdict(h, names, kinds)
-        return IdentifyVerdict(
-            Status.NOT_PROVABLE,
-            Rule.NONE,
-            "C1 fails: covariates are not all continuous",
+    if not all(kinds[n].is_continuous for n in names):
+        return _discrete_count(h, names, kinds) or _not_provable(
+            "C1 fails: covariates are not all continuous"
         )
 
-    m_set = set_difference(union, h)
-    if len(m_set):
-        m_terms = m_set.terms
+    m_terms = set_difference(union, h).terms
+    if m_terms:
         m_list = ", ".join(t.render() for t in m_terms)
         if sign_beta_known:
             return IdentifyVerdict(
@@ -430,12 +393,10 @@ def check_model(
                     "supports rule out a mirror pairing",
                     ("assumes every declared extra term has a nonzero coefficient",),
                 )
-            return IdentifyVerdict(
-                Status.NOT_PROVABLE,
-                Rule.NONE,
+            return _not_provable(
                 f"extra mean terms {{{m_list}}} but the negation-asymmetry "
                 "condition depends on coefficient values",
-                ("re-evaluate with fitted values",),
+                _REEVALUATE,
             )
         rows = _mixture_m_coefficients(outcome, m_terms)
         if _multisets_differ(rows, -rows):
@@ -446,91 +407,70 @@ def check_model(
                 "symmetric under negation",
             )
         # mirror-image two-component pattern
-        if outcome.k == 2 and np.allclose(rows[1], -rows[0], atol=COEF_TOL):
-            s1 = float(outcome.components[0].dispersion)
-            s2 = float(outcome.components[1].dispersion)
-            p1, p2 = outcome.weights
-            lhs = 0.5 * s1 + math.log(p1)
-            rhs = 0.5 * s2 + math.log(p2)
-            if abs(lhs - rhs) <= COEF_TOL:
-                return IdentifyVerdict(
-                    Status.PROVABLY_UNIDENTIFIABLE,
-                    Rule.EXAMPLE5,
-                    f"mirror-image means over {{{m_list}}} with sigma^2/2 + log pi "
-                    f"equal across components ({lhs:.6g})",
-                )
-        return IdentifyVerdict(
-            Status.NOT_PROVABLE,
-            Rule.NONE,
+        if (
+            outcome.k == 2
+            and np.allclose(rows[1], -rows[0], atol=COEF_TOL)
+            and (relation := _shared_relation(outcome)) is not None
+        ):
+            return IdentifyVerdict(
+                Status.PROVABLY_UNIDENTIFIABLE,
+                Rule.EXAMPLE5,
+                f"mirror-image means over {{{m_list}}} with sigma^2/2 + log pi "
+                f"equal across components ({relation:.6g})",
+            )
+        return _not_provable(
             f"extra mean terms {{{m_list}}} but beta sign unknown and the "
-            "coefficient multiset is symmetric under negation",
+            "coefficient multiset is symmetric under negation"
         )
 
-    # no extra terms: the simple-linear theorems are the remaining route
-    covariate = _is_simple_linear(outcome, h, kinds, values_known)
-    if covariate is None:
-        return IdentifyVerdict(
-            Status.NOT_PROVABLE,
-            Rule.NONE,
+    # no extra terms: every mean lies in the response basis, so the means
+    # are intercept-plus-slope in one covariate exactly when it is {1, x}
+    slope = _slope_term(h)
+    if slope is None:
+        return _not_provable(
             "C2 fails (no extra mean terms) and the means are not all "
-            "intercept-plus-slope in a single covariate",
+            "intercept-plus-slope in a single covariate"
         )
-    if not values_known and not sign_beta_known:
-        return IdentifyVerdict(
-            Status.NOT_PROVABLE,
-            Rule.NONE,
-            "C2 fails (no extra mean terms); the remaining linear-mixture "
+    if not values_known:
+        if sign_beta_known and outcome.k >= 3:
+            return IdentifyVerdict(
+                Status.PROVABLY_IDENTIFIABLE,
+                Rule.THM4,
+                "linear mixture with the sign of beta known",
+                ("assumes pairwise-distinct component slopes",),
+            )
+        return _not_provable(
+            "two-component linear conditions depend on coefficient values"
+            if sign_beta_known
+            else "C2 fails (no extra mean terms); the remaining linear-mixture "
             "conditions depend on coefficient values",
-            ("re-evaluate with fitted values",),
+            _REEVALUATE,
         )
-    slope_term = BasisTerm(((covariate, 1),))
-    slopes = []
-    for comp in outcome.components:
-        lookup = dict(zip(comp.basis.terms, comp.coef))
-        slopes.append(float(lookup.get(slope_term, 0.0)))
-
-    if not values_known and sign_beta_known:
+    slopes = _mixture_m_coefficients(outcome, (slope,))[:, 0].tolist()
+    if outcome.k == 2:
+        return _check_two_component_linear(outcome, slopes)
+    if len({Fraction(s) for s in slopes}) != outcome.k:
+        return _not_provable("C2 fails and the first-order coefficients are not pairwise distinct")
+    if sign_beta_known:
         return IdentifyVerdict(
-            Status.PROVABLY_IDENTIFIABLE if outcome.k >= 3 else Status.NOT_PROVABLE,
-            Rule.THM4 if outcome.k >= 3 else Rule.NONE,
-            "linear mixture with the sign of beta known"
-            if outcome.k >= 3
-            else "two-component linear conditions depend on coefficient values",
-            ("assumes pairwise-distinct component slopes",)
-            if outcome.k >= 3
-            else ("re-evaluate with fitted values",),
-        )
-
-    if outcome.k >= 3:
-        if len({Fraction(s) for s in slopes}) != outcome.k:
-            return IdentifyVerdict(
-                Status.NOT_PROVABLE,
-                Rule.NONE,
-                "C2 fails and the first-order coefficients are not pairwise distinct",
-            )
-        if sign_beta_known:
-            return IdentifyVerdict(
-                Status.PROVABLY_IDENTIFIABLE,
-                Rule.THM4,
-                "linear mixture with distinct slopes and the sign of beta known",
-            )
-        cert = permutation_certificate(slopes)
-        if cert is None:
-            return IdentifyVerdict(
-                Status.PROVABLY_IDENTIFIABLE,
-                Rule.THM4,
-                "no permutation P and scalar r solve (P + I) slopes = r 1",
-            )
-        p, r = cert
-        perm = tuple(int(np.argmax(row)) for row in p)
-        return IdentifyVerdict(
-            Status.NOT_PROVABLE,
+            Status.PROVABLY_IDENTIFIABLE,
             Rule.THM4,
-            f"permutation {perm} with r = {r:.6g} solves (P + I) slopes = r 1",
+            "linear mixture with distinct slopes and the sign of beta known",
         )
-
-    # K == 2
-    return _check_two_component_linear(outcome, slopes)
+    cert = permutation_certificate(slopes)
+    if cert is None:
+        return IdentifyVerdict(
+            Status.PROVABLY_IDENTIFIABLE,
+            Rule.THM4,
+            "no permutation P and scalar r solve (P + I) slopes = r 1",
+        )
+    p, r = cert
+    perm = tuple(int(np.argmax(row)) for row in p)
+    return IdentifyVerdict(
+        Status.NOT_PROVABLE,
+        Rule.THM4,
+        f"permutation {perm} with r = {r:.6g} solves (P + I) slopes = r 1",
+    )
 
 
 def _check_two_component_linear(outcome: OutcomeSpec, slopes) -> IdentifyVerdict:
@@ -539,15 +479,9 @@ def _check_two_component_linear(outcome: OutcomeSpec, slopes) -> IdentifyVerdict
         "assumes both component slopes are nonzero (checked on entered values)",
     )
     k11, k12 = slopes
-    s1 = float(outcome.components[0].dispersion)
-    s2 = float(outcome.components[1].dispersion)
-    p1, p2 = outcome.weights
     if abs(k11) <= COEF_TOL or abs(k12) <= COEF_TOL:
-        return IdentifyVerdict(
-            Status.NOT_PROVABLE,
-            Rule.NONE,
-            "a component slope is zero; the two-component conditions do not apply",
-            notes,
+        return _not_provable(
+            "a component slope is zero; the two-component conditions do not apply", notes
         )
     if abs(k11 - k12) <= COEF_TOL:
         return IdentifyVerdict(
@@ -556,40 +490,32 @@ def _check_two_component_linear(outcome: OutcomeSpec, slopes) -> IdentifyVerdict
             "condition 1 fails: the component slopes coincide",
             notes,
         )
-    lhs = 0.5 * s1 + math.log(p1)
-    rhs = 0.5 * s2 + math.log(p2)
-    if abs(lhs - rhs) <= COEF_TOL:
+    relation = _shared_relation(outcome)
+    if relation is not None:
         return IdentifyVerdict(
             Status.PROVABLY_UNIDENTIFIABLE,
             Rule.EXAMPLE6,
             "C2 fails (no extra mean terms) and sigma^2/2 + log pi is equal "
-            f"across components ({lhs:.6g})",
+            f"across components ({relation:.6g})",
             notes,
         )
+    s1, s2 = (float(c.dispersion) for c in outcome.components)
+    p1, p2 = outcome.weights
     if abs(s1 - s2) <= COEF_TOL:
         # condition 2: equal variances require unequal weights, and the
         # Example-6 relation above already covers the violation
+        cert = "distinct slopes, equal variances, distinct weights"
+    elif (math.log(p2) - math.log(p1)) / (s1 - s2) <= COEF_TOL:
+        cert = "distinct slopes and (log pi_2 - log pi_1)/(sigma_1^2 - sigma_2^2) <= 0"
+    else:
         return IdentifyVerdict(
-            Status.PROVABLY_IDENTIFIABLE,
+            Status.NOT_PROVABLE,
             Rule.THM5,
-            "distinct slopes, equal variances, distinct weights",
+            "condition 3 fails: (log pi_2 - log pi_1)/(sigma_1^2 - sigma_2^2) > 0, "
+            "so some beta makes the mixture unidentifiable",
             notes,
         )
-    ratio = (math.log(p2) - math.log(p1)) / (s1 - s2)
-    if ratio <= COEF_TOL:
-        return IdentifyVerdict(
-            Status.PROVABLY_IDENTIFIABLE,
-            Rule.THM5,
-            "distinct slopes and (log pi_2 - log pi_1)/(sigma_1^2 - sigma_2^2) <= 0",
-            notes,
-        )
-    return IdentifyVerdict(
-        Status.NOT_PROVABLE,
-        Rule.THM5,
-        "condition 3 fails: (log pi_2 - log pi_1)/(sigma_1^2 - sigma_2^2) > 0, "
-        "so some beta makes the mixture unidentifiable",
-        notes,
-    )
+    return IdentifyVerdict(Status.PROVABLY_IDENTIFIABLE, Rule.THM5, cert, notes)
 
 
 # the mixture checker is the same dispatch under its own name

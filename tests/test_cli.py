@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -245,11 +246,15 @@ def test_fit_refuses_not_provable_without_force(tmp_path):
     out = tmp_path / "out"
     rc = main(["fit", "--data", str(data_path), "--config", str(cfg), "--out", str(out)])
     assert rc == 2
-    rc2 = main([
-        "fit", "--data", str(data_path), "--config", str(cfg),
-        "--out", str(out), "--force",
-    ])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc2 = main([
+            "fit", "--data", str(data_path), "--config", str(cfg),
+            "--out", str(out), "--force",
+        ])
     assert rc2 == 0
+    # the verdict was printed and gated on once; the forced fit is quiet
+    assert [w for w in caught if issubclass(w.category, UserWarning)] == []
 
 
 def test_fit_numerical_failure_exit_code(tmp_path):

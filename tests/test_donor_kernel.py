@@ -36,7 +36,7 @@ from fimnar.fiem import (
     fractional_weights,
 )
 from fimnar.respondent import Candidate, FitError, fit_glm
-from fimnar.response import LP_CLAMP, ResponseSpec
+from fimnar.response import ResponseSpec
 from fimnar.sim import Scenario, _fit_respondent, built_in_scenario, generate
 from fimnar.variance import (
     _assemble,
@@ -68,7 +68,7 @@ def reference_weights(beta, donor_y, base):
 
 def reference_score_and_jacobian(phi, arrays, w, donor_y, weights_move):
     z = arrays.z_resp
-    p_resp = expit(np.clip(z @ phi.phi, -LP_CLAMP, LP_CLAMP))
+    p_resp = expit(z @ phi.phi)
     score = z.T @ (1.0 - p_resp)
     jac = -(z.T @ (z * (p_resp * (1.0 - p_resp))[:, None]))
     L, b = arrays.h_index, arrays.b_miss
@@ -123,7 +123,7 @@ def reference_variances(fit, gf, data):
     phi, gamma, n, weights = fit.phi_hat, gf.spec, data.n, fit.weights
     resp_cols = data.respondent_columns()
     z_resp = phi.design(resp_cols, data.y_observed)
-    p_resp = expit(np.clip(z_resp @ phi.phi, -LP_CLAMP, LP_CLAMP))
+    p_resp = expit(z_resp @ phi.phi)
     s_resp = z_resp * (1.0 - p_resp)[:, None]
     s1_resp = respondent_score_gamma(gamma, data.y_observed, resp_cols)
     i11 = s1_resp.T @ s1_resp / n
@@ -282,19 +282,25 @@ def test_block_propensity_is_the_log_odds_one_to_rounding(monkeypatch, case):
         assert np.max(np.abs(pi - ref) / ref) <= 1e-15
 
 
-@pytest.mark.parametrize("beta", [-2000.0, 2000.0])
-def test_score_and_jacobian_match_full_array_code_at_extreme_beta(beta):
+@pytest.mark.parametrize(
+    "beta, move_intercept",
+    [(-2000.0, True), (2000.0, True), (-2000.0, False), (2000.0, False)],
+    ids=["-2000.0", "2000.0", "-2000.0-ignorable-intercept", "2000.0-ignorable-intercept"],
+)
+def test_score_and_jacobian_match_full_array_code_at_extreme_beta(beta, move_intercept):
     # an EM-fallback replicate reaches beta near 2190: there exp(-beta y)
     # leaves the floating range and the kernel takes the log-odds form.
-    # The intercept puts the log-odds near 0 at the donor value that
-    # carries the weight, as on that replicate
+    # The moved intercept puts the log-odds near 0 at the donor value that
+    # carries the weight, as on that replicate; at the ignorable start's
+    # intercept every weighted pi saturates, and so do the respondents'
     data, gf, h_basis = case_data(("s1", 61))
     donor_y = data.y_observed
     base = _donor_log_base(gf.spec, data)
     start = fiem._initial_phi(h_basis, data)
-    heavy = donor_y.min() if beta > 0 else donor_y.max()
     phi = start.with_phi(np.append(start.phi[:-1], beta))
-    phi = phi.with_phi(phi.phi - np.eye(phi.phi.size)[0] * beta * heavy)
+    if move_intercept:
+        heavy = donor_y.min() if beta > 0 else donor_y.max()
+        phi = phi.with_phi(phi.phi - np.eye(phi.phi.size)[0] * beta * heavy)
     arrays = _score_arrays(phi, data)
     w_full = reference_weights(beta, donor_y, base)
     for moving in (True, False):

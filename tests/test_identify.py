@@ -92,6 +92,24 @@ def test_nonlinear_cumulant_families_with_continuous_terms(family, dispersion):
     assert v.rule is Rule.THM1
 
 
+@pytest.mark.parametrize("family", [Family.BERNOULLI, Family.POISSON])
+@pytest.mark.parametrize(
+    "response, status, certificate",
+    [
+        ("1", Status.PROVABLY_IDENTIFIABLE,
+         "2 unknowns (alpha, beta) vs 2 attainable covariate values"),
+        ("1 + x", Status.NOT_PROVABLE,
+         "3 unknowns (alpha, beta) vs 2 attainable covariate values"),
+    ],
+)
+def test_discrete_count_for_a_non_linear_cumulant(family, response, status, certificate):
+    out = OutcomeSpec(family, (Component(parse_formula("1 + x", BIN), (0.0, 0.4)),))
+    v = check_single(out, h(response, BIN), BIN)
+    assert v.status is status
+    assert v.rule is Rule.DISCRETE_COUNT
+    assert v.certificate == certificate
+
+
 def test_nonlinear_cumulant_needs_continuous_terms_on_both_sides():
     basis = parse_formula("1 + x", CONT)
     out = OutcomeSpec(Family.BERNOULLI, (Component(basis, (0.1, 0.7)),))
@@ -239,6 +257,44 @@ def test_c2_with_known_sign_short_circuits():
     assert v.rule is Rule.THM3_C2_C3
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [("1 + x", (1.0, -1.4), 0.5), ("1 + x + x^2", (-1.5, -0.5, 1.0), 0.5)],
+        [("x^2", (1.0,), 1.0), ("x^2", (-1.0,), 1.0), ("x^2", (2.0,), 1.0)],
+        [("1 + x", (0.0, 1.0), 1.0), ("x^2", (1.0,), 1.0), ("x^3", (1.0,), 1.0)],
+    ],
+    ids=["s3", "three-alike", "two-singletons"],
+)
+def test_structure_only_c4_from_an_odd_support_group(entries):
+    # a group of components sharing an extra-term support has odd size,
+    # so no mirror pairing of nonzero coefficients exists
+    spec = normal_mixture(entries, [1.0 / len(entries)] * len(entries))
+    v = check_mixture(spec, h("1 + x"), CONT, values_known=False)
+    assert v.status is Status.PROVABLY_IDENTIFIABLE
+    assert v.rule is Rule.THM3_C2_C4
+    assert "supports rule out a mirror pairing" in v.certificate
+    assert v.notes == ("assumes every declared extra term has a nonzero coefficient",)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [("x^2", (1.0,), 1.0), ("x^2", (-1.0,), 1.0)],
+        [("x^2", (1.0,), 1.0), ("x^2", (-1.0,), 1.0), ("1 + x", (0.0, 1.0), 1.0)],
+        [("x^2", (1.0,), 1.0), ("x^2", (2.0,), 1.0), ("x^3", (1.0,), 1.0), ("x^3", (3.0,), 1.0)],
+    ],
+    ids=["mirror", "pair-and-empty", "two-pairs"],
+)
+def test_structure_only_c4_with_even_support_groups_not_provable(entries):
+    spec = normal_mixture(entries, [1.0 / len(entries)] * len(entries))
+    v = check_mixture(spec, h("1 + x"), CONT, values_known=False)
+    assert v.status is Status.NOT_PROVABLE
+    assert v.rule is Rule.NONE
+    assert "depends on coefficient values" in v.certificate
+    assert v.notes == ("re-evaluate with fitted values",)
+
+
 def mirror_mixture(p1, s1sq, p2, s2sq):
     return normal_mixture(
         [("x^2", (1.0,), s1sq), ("x^2", (-1.0,), s2sq)], (p1, p2)
@@ -319,6 +375,65 @@ def test_three_component_permutation_route():
     assert v3.status is Status.PROVABLY_IDENTIFIABLE
 
 
+@pytest.mark.parametrize(
+    "slopes, sign_beta_known, status, rule, certificate, note",
+    [
+        ([1.0, 2.0], False, Status.NOT_PROVABLE, Rule.NONE,
+         "C2 fails (no extra mean terms); the remaining linear-mixture "
+         "conditions depend on coefficient values", "re-evaluate with fitted values"),
+        ([1.0, 2.0, 5.0], False, Status.NOT_PROVABLE, Rule.NONE,
+         "C2 fails (no extra mean terms); the remaining linear-mixture "
+         "conditions depend on coefficient values", "re-evaluate with fitted values"),
+        ([1.0, 2.0], True, Status.NOT_PROVABLE, Rule.NONE,
+         "two-component linear conditions depend on coefficient values",
+         "re-evaluate with fitted values"),
+        ([1.0, 2.0, 5.0], True, Status.PROVABLY_IDENTIFIABLE, Rule.THM4,
+         "linear mixture with the sign of beta known",
+         "assumes pairwise-distinct component slopes"),
+    ],
+    ids=["k2", "k3", "k2-sign-known", "k3-sign-known"],
+)
+def test_structure_only_linear_mixture(slopes, sign_beta_known, status, rule, certificate, note):
+    k = len(slopes)
+    spec = linear_mixture(slopes, [1.0] * k, [1.0 / k] * k)
+    v = check_mixture(
+        spec, h("1 + x"), CONT, sign_beta_known=sign_beta_known, values_known=False
+    )
+    assert (v.status, v.rule, v.certificate, v.notes) == (status, rule, certificate, (note,))
+
+
+@pytest.mark.parametrize("sign_beta_known", [False, True])
+def test_three_component_equal_slopes_not_provable(sign_beta_known):
+    spec = linear_mixture([2.0, 2.0, 5.0], [1.0] * 3, [0.2, 0.3, 0.5])
+    v = check_mixture(spec, h("1 + x"), CONT, sign_beta_known=sign_beta_known)
+    assert v.status is Status.NOT_PROVABLE
+    assert v.rule is Rule.NONE
+    assert v.certificate == "C2 fails and the first-order coefficients are not pairwise distinct"
+
+
+@pytest.mark.parametrize("slopes", [[0.0, 2.0], [2.0, 0.0]])
+def test_two_component_zero_slope_not_provable(slopes):
+    v = check_mixture(linear_mixture(slopes, [1.0, 2.0], [0.3, 0.7]), h("1 + x"), CONT)
+    assert v.status is Status.NOT_PROVABLE
+    assert v.rule is Rule.NONE
+    assert v.certificate == "a component slope is zero; the two-component conditions do not apply"
+    assert len(v.notes) == 2
+
+
+def test_mixture_without_extra_terms_or_a_linear_form_not_provable():
+    spec = normal_mixture(
+        [("1 + x + x^2", (0.0, 1.0, 1.0), 1.0), ("1 + x + x^2", (0.0, 2.0, -1.0), 1.0)],
+        (0.4, 0.6),
+    )
+    v = check_mixture(spec, h("1 + x + x^2"), CONT, sign_beta_known=True)
+    assert v.status is Status.NOT_PROVABLE
+    assert v.rule is Rule.NONE
+    assert v.certificate == (
+        "C2 fails (no extra mean terms) and the means are not all "
+        "intercept-plus-slope in a single covariate"
+    )
+
+
 def test_mixture_with_k1_delegates_to_single():
     out = normal_single("1 + x + x^2", (0.0, 0.4, 1.0))
     assert check_mixture(out, h("1 + x"), CONT) == check_single(out, h("1 + x"), CONT)
@@ -334,6 +449,19 @@ def test_mixture_requires_continuous_covariates():
     )
     v = check_mixture(spec, h("1 + x", BIN), BIN)
     assert v.status is not Status.PROVABLY_IDENTIFIABLE or v.rule is Rule.DISCRETE_COUNT
+
+
+def test_mixture_over_mixed_covariates_fails_c1():
+    kinds = {"x": continuous(), "b": binary()}
+    spec = normal_mixture(
+        [("1 + x + b", (0.0, 1.0, 1.0), 1.0), ("1 + x", (0.0, 2.0), 1.0)],
+        (0.4, 0.6),
+        kinds=kinds,
+    )
+    v = check_mixture(spec, h("1 + x", kinds), kinds)
+    assert v.status is Status.NOT_PROVABLE
+    assert v.rule is Rule.NONE
+    assert v.certificate == "C1 fails: covariates are not all continuous"
 
 
 def test_exit_codes():
