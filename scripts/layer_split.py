@@ -20,13 +20,27 @@ checkouts can be compared in one file:
     python scripts/layer_split.py --label parent --src /path/to/parent/src
     python scripts/layer_split.py --label change
 
+With ``--scenario election`` it splits ``fimnar fit`` on the bundled
+six-group dataset instead, once per engine of ``ENGINES`` in turn each
+run (the engines the perfbench fit-election workload alternates): the
+CLI's own ``main`` runs, with its stages timed through the module names
+it calls: ingest (config and CSV), identify, respondent fit, pool (the
+parametric draws, or the donor engine's kernel: log C and the weight
+factors), solve (``em_fit`` without its pool), the sandwich and E[Y]
+variances (donor engine only) and the report files.  It reports the
+same medians, minor faults and peak RSS, the latter over every engine.
+
 Usage:
     python scripts/layer_split.py [--scenario s3] [--n 500]
         [--seeds 3000-3019] [--runs 3] [--label change] [--src SRC]
         [--out BENCH_mixture.json]
+    python scripts/layer_split.py --scenario election [--runs 5]
+        [--label change] [--src SRC] --out BENCH_parametric.json
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -34,6 +48,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -43,6 +58,18 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 REPO = Path(__file__).resolve().parents[1]
 LAYERS = ("respondent_fit", "em_fit", "variance_estimate", "mu_y_variance")
+ENGINES = ("donor", "parametric:200")
+# each stage of ``fimnar fit`` and the (module, name) pairs it is timed through
+FIT_STAGES = {
+    "ingest": (("fimnar.cli", "load_config"), ("fimnar.cli", "ingest")),
+    "identify": (("fimnar.cli", "check_model"),),
+    "respondent_fit": (("fimnar.cli", "select_aic"),),
+    "pool": (("fimnar.fiem", "_parametric_pool"), ("fimnar.fiem", "_donor_kernel")),
+    "solve": (("fimnar.cli", "em_fit"),),
+    "sandwich_variance": (("fimnar.cli", "variance_estimate"),),
+    "mu_y_variance": (("fimnar.cli", "mu_y_variance"),),
+    "reports": (("fimnar.cli", "_write_fit_reports"),),
+}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -62,6 +89,21 @@ def git_revision(src: Path) -> str:
         return out.stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+
+
+MACHINE = {
+    "python": platform.python_version(),
+    "platform": platform.platform(),
+    "cpus": os.cpu_count(),
+}
+
+
+def merge_result(out_path: Path, label: str, result: dict) -> Path:
+    """Store ``result`` under ``label`` in the json file ``out_path``."""
+    merged = json.loads(out_path.read_text()) if out_path.exists() else {}
+    merged[label] = result
+    out_path.write_text(json.dumps(merged, indent=2) + "\n")
+    return out_path
 
 
 def timed(call):
@@ -124,6 +166,90 @@ def replicate(scenario, seed, measure):
     return float(out["mu_y_variance"]), values
 
 
+def stage_timers(totals: dict):
+    """Wrap every ``FIT_STAGES`` name so that its calls add their
+    ``(seconds, minor faults)`` to ``totals[stage]``."""
+    import importlib
+
+    def wrap(stage, call):
+        def timed_call(*args, **kwargs):
+            out, (seconds, faults) = timed(lambda: call(*args, **kwargs))
+            totals[stage][0] += seconds
+            totals[stage][1] += faults
+            return out
+        return timed_call
+
+    for stage, names in FIT_STAGES.items():
+        for module, name in names:
+            mod = importlib.import_module(module)
+            setattr(mod, name, wrap(stage, getattr(mod, name)))
+
+
+def fit_stages(engine: str, out_dir: Path, totals: dict) -> dict:
+    """One ``fimnar fit`` with ``engine``: each stage's ``(ms, minor faults)``."""
+    from fimnar.cli import main as fimnar_main
+
+    for stage in totals:
+        totals[stage] = [0.0, 0]
+    argv = ["fit", "--data", str(REPO / "data" / "election_like.csv"),
+            "--config", str(REPO / "data" / "election_like.json"),
+            "--out", str(out_dir), "--engine", engine]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, (seconds, faults) = timed(lambda: fimnar_main(argv))
+    if code != 0:
+        raise SystemExit(f"fimnar fit --engine {engine} exited {code}")
+    # the pool is drawn inside em_fit
+    totals["solve"] = [a - b for a, b in zip(totals["solve"], totals["pool"])]
+    stages = {stage: (1e3 * t, f) for stage, (t, f) in totals.items()}
+    stages["other"] = (1e3 * seconds - sum(t for t, _ in stages.values()),
+                       faults - sum(f for _, f in stages.values()))
+    stages["total"] = (1e3 * seconds, faults)
+    return stages
+
+
+def election_main(args, src: Path) -> int:
+    totals = {stage: [0.0, 0] for stage in FIT_STAGES}
+    stage_timers(totals)
+    runs = {engine: [] for engine in ENGINES}
+    with tempfile.TemporaryDirectory() as tmp:
+        for engine in ENGINES:  # warm-up
+            fit_stages(engine, Path(tmp), totals)
+        for _ in range(args.runs):
+            for engine in ENGINES:
+                runs[engine].append(fit_stages(engine, Path(tmp), totals))
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    import_runs = [import_seconds(src) for _ in range(args.runs)]
+
+    def medians(engine, which):
+        return {stage: statistics.median(r[stage][which] for r in runs[engine])
+                for stage in runs[engine][0]}
+
+    result = {
+        "revision": git_revision(src),
+        "scenario": "election",
+        "runs": args.runs,
+        "ms_per_fit": {engine: medians(engine, 0) for engine in ENGINES},
+        "runs_ms_per_fit": {
+            engine: {stage: [r[stage][0] for r in runs[engine]] for stage in runs[engine][0]}
+            for engine in ENGINES
+        },
+        "minflt_per_fit": {engine: medians(engine, 1) for engine in ENGINES},
+        "import_s": statistics.median(import_runs),
+        "runs_import_s": import_runs,
+        "peak_rss_mb": round(peak_rss_mb, 1),
+        "machine": MACHINE,
+    }
+    out_path = merge_result(Path(args.out), args.label, result)
+    for engine in ENGINES:
+        print(engine)
+        for stage, ms in result["ms_per_fit"][engine].items():
+            print(f"{stage:>18}: {ms:8.2f} ms, "
+                  f"{result['minflt_per_fit'][engine][stage]:7.0f} minor faults")
+    print(f"peak RSS {result['peak_rss_mb']} MB, import {result['import_s']:.3f} s "
+          f"-> {out_path} [{args.label}]")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scenario", default="s3")
@@ -140,6 +266,8 @@ def main() -> int:
         parser.error("at least 3 runs are needed for a median")
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
+    if args.scenario == "election":
+        return election_main(args, src)
     from fimnar.sim import built_in_scenario
 
     scenario = built_in_scenario(args.scenario, n=args.n)
@@ -181,16 +309,9 @@ def main() -> int:
             layer: round(max(p[layer] for p in peaks), 2) for layer in LAYERS
         },
         "mu_y_variance": list(mu_var),
-        "machine": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "cpus": os.cpu_count(),
-        },
+        "machine": MACHINE,
     }
-    out_path = Path(args.out)
-    merged = json.loads(out_path.read_text()) if out_path.exists() else {}
-    merged[args.label] = result
-    out_path.write_text(json.dumps(merged, indent=2) + "\n")
+    out_path = merge_result(Path(args.out), args.label, result)
     for layer in LAYERS:
         print(f"{layer:>18}: {result['ms_per_replicate'][layer]:8.1f} ms, "
               f"{result['minflt_per_replicate'][layer]:9.0f} minor faults, "

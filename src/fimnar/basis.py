@@ -115,15 +115,25 @@ class BasisTerm:
     def ungated(self) -> "BasisTerm":
         return BasisTerm(self.exponents, None)
 
-    def evaluate(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Evaluate the term on column arrays; returns a float vector."""
+    def evaluate(
+        self, columns: Mapping[str, np.ndarray], kinds: Mapping[str, CovariateKind]
+    ) -> np.ndarray:
+        """Evaluate the term on column arrays; returns a float vector.
+
+        A gate compares a categorical column with its level as a string,
+        and a binary or continuous one, stored as floats, with the level's
+        number.
+        """
         n = len(next(iter(columns.values())))
         out = np.ones(n)
         for name, power in self.exponents:
             out *= np.asarray(columns[name], dtype=float) ** power
         if self.gate is not None:
             col, level = self.gate
-            out *= np.asarray(columns[col]).astype(str) == level
+            if kinds[col].kind == "categorical":
+                out *= np.asarray(columns[col]).astype(str) == level
+            else:
+                out *= np.asarray(columns[col], dtype=float) == float(level)
         return out
 
     def render(self) -> str:
@@ -195,7 +205,7 @@ class BasisSet:
         if not self.terms:
             n = len(next(iter(columns.values())))
             return np.empty((n, 0))
-        return np.column_stack([t.evaluate(columns) for t in self.terms])
+        return np.column_stack([t.evaluate(columns, self.kinds) for t in self.terms])
 
     def render(self) -> str:
         return " + ".join(t.render() for t in self.terms)

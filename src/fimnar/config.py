@@ -104,7 +104,7 @@ def _parse_kind(raw) -> CovariateKind:
     raise ConfigError(f"cannot interpret covariate kind {raw!r}")
 
 
-def _parse_candidate(raw, default_family: Family) -> OutcomeCandidate:
+def _parse_candidate(raw, default_family: Family, index: int) -> OutcomeCandidate:
     family = Family(raw.get("family", default_family.value))
     entries = raw.get("components")
     if not entries:
@@ -123,6 +123,13 @@ def _parse_candidate(raw, default_family: Family) -> OutcomeCandidate:
     weights = raw.get("weights")
     if weights is None:
         weights = tuple([1.0 / len(formulas)] * len(formulas))
+    for k, weight in enumerate(weights):
+        # a zero component is no mixture component; its log weight has no value
+        if not float(weight) > 0.0:
+            raise ConfigError(
+                f"outcome candidate {index}: mixing weight {k} is {weight!r}; "
+                "every weight must be positive"
+            )
     return OutcomeCandidate(
         family, tuple(formulas), tuple(coefs), tuple(disps), tuple(weights)
     )
@@ -142,8 +149,9 @@ def parse_config(payload: Mapping) -> RunConfig:
             _parse_candidate(
                 raw if isinstance(raw, Mapping) else {"components": raw},
                 default_family,
+                index,
             )
-            for raw in raw_candidates
+            for index, raw in enumerate(raw_candidates)
         )
         controls_raw = payload.get("controls", {})
         controls = FiControls(

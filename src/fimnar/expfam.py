@@ -375,37 +375,67 @@ def mean(spec: OutcomeSpec, columns: Mapping[str, np.ndarray]) -> np.ndarray:
     return np.sum(np.exp(_log_mix_weights(spec, columns)) * component_means(spec, columns), axis=0)
 
 
+def _draw_parameter(spec: OutcomeSpec, index: int, theta: np.ndarray) -> np.ndarray:
+    """Per-row parameter of a component-``index`` draw: the normal mean, the
+    Bernoulli probability, the Poisson rate or the gamma scale."""
+    if spec.family is Family.NORMAL:
+        return theta
+    if spec.family is Family.BERNOULLI:
+        return propensity_from_log_odds(-theta)
+    if spec.family is Family.POISSON:
+        return np.exp(theta)
+    _check_theta_domain(Family.GAMMA, theta)
+    return 1.0 / (float(spec.components[index].dispersion) * theta)  # type: ignore[arg-type]
+
+
 def sample(
-    spec: OutcomeSpec, columns: Mapping[str, np.ndarray], rng: np.random.Generator
+    spec: OutcomeSpec,
+    columns: Mapping[str, np.ndarray],
+    rng: np.random.Generator,
+    draws: int = 1,
 ) -> np.ndarray:
-    """Draw one outcome per row; mixture components chosen per row."""
+    """Draw ``draws`` outcomes per row, each from a component picked per draw.
+
+    Returns ``n * draws`` values in row-major order: row ``i``'s draws sit
+    at ``i*draws`` to ``(i+1)*draws - 1``, exactly the values and the
+    generator stream of one draw per row on the columns with every row
+    repeated ``draws`` times.  Each row's quantities (every component's
+    natural parameter, tilt and gamma domain check included, and the
+    mixture weights) are evaluated once per row and repeated over its
+    draws, so no design is built per draw.  A mixture takes one
+    ``rng.random(n*draws)`` for its picks; then each component draws once,
+    over the draws that picked it.
+    """
     n = len(next(iter(columns.values())))
-    if spec.k == 1:
-        pick = np.zeros(n, dtype=int)
-    else:
-        probs = np.exp(_log_mix_weights(spec, columns)).T  # (n, K)
-        cum = np.cumsum(probs, axis=1)
-        u = rng.random(n)
-        pick = np.sum(u[:, None] >= cum, axis=1)
-        pick = np.clip(pick, 0, spec.k - 1)
-    out = np.empty(n)
+    size = n * draws
+    pick = None
+    if spec.k > 1:
+        cum = np.cumsum(np.exp(_log_mix_weights(spec, columns)), axis=0)  # (K, n)
+        u = rng.random(size)
+        pick = np.zeros(size, dtype=int)
+        for k in range(spec.k):
+            pick += u >= np.repeat(cum[k], draws)
+        del u
+        np.minimum(pick, spec.k - 1, out=pick)
+    out = np.empty(size)
     for k in range(spec.k):
-        rows = pick == k
-        if not np.any(rows):
-            continue
-        sub = {name: np.asarray(col)[rows] for name, col in columns.items()}
-        theta = _effective_theta(spec, k, sub)
+        param = _draw_parameter(spec, k, _effective_theta(spec, k, columns))
+        if pick is None:
+            rows = slice(None)
+            param = np.repeat(param, draws)
+        else:
+            rows = np.flatnonzero(pick == k)
+            param = param[rows // draws]
         if spec.family is Family.NORMAL:
             sigma = math.sqrt(float(spec.components[k].dispersion))  # type: ignore[arg-type]
-            out[rows] = rng.normal(theta, sigma)
+            out[rows] = rng.normal(param, sigma)
         elif spec.family is Family.BERNOULLI:
-            out[rows] = (rng.random(theta.size) < propensity_from_log_odds(-theta)).astype(float)
+            out[rows] = rng.random(param.size) < param
         elif spec.family is Family.POISSON:
-            out[rows] = rng.poisson(np.exp(theta)).astype(float)
+            out[rows] = rng.poisson(param)
         else:
             s = float(spec.components[k].dispersion)  # type: ignore[arg-type]
-            _check_theta_domain(Family.GAMMA, theta)
-            out[rows] = rng.gamma(shape=s, scale=1.0 / (s * theta))
+            out[rows] = rng.gamma(shape=s, scale=param)
     return out
 
 

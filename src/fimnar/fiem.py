@@ -63,6 +63,10 @@ An alternative "parametric" engine draws a fixed per-unit pool of M
 imputed values from the respondents' density and weights it by the
 nonresponse odds alone (``-beta*y``, no base); it exists for
 cross-checking the donor scheme and is not used for variance estimation.
+The pool is ``expfam.sample`` with M draws per missing unit: each unit's
+parameters are evaluated once on its own covariates and repeated over its
+draws, so the pool costs O(n_missing*M) time and memory and no design is
+built per draw.
 """
 
 from __future__ import annotations
@@ -473,12 +477,10 @@ def _unit_moments(w, y: np.ndarray, n_missing: int):
 def _parametric_pool(
     gamma: OutcomeSpec, data: Dataset, m_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Per-missing-unit pools drawn from the respondents' density."""
-    miss_cols = data.missing_columns()
-    n0 = data.n_missing
-    tiled = {k: np.repeat(v, m_draws) for k, v in miss_cols.items()}
-    draws = sample(gamma, tiled, rng)
-    return draws.reshape(n0, m_draws)
+    """Each missing unit's pool of ``m_draws`` values drawn from the
+    respondents' density, shape (n_missing, m_draws)."""
+    draws = sample(gamma, data.missing_columns(), rng, m_draws)
+    return draws.reshape(data.n_missing, m_draws)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,16 @@ def test_design_evaluates_powers_and_gates():
     assert d.tolist() == [[1.0, 4.0], [0.0, 0.0]]
 
 
+def test_design_gates_binary_and_continuous_columns_numerically():
+    # ingest stores binary and continuous columns as floats, so "1.0" must
+    # switch on the gate [w=1]; a string comparison left the design all zero
+    cols = {"x": np.array([2.0, -1.0]), "w": np.array([1.0, 0.0])}
+    d = parse_formula("[w=1](1 + x) + [w=0](1 + x)", KINDS).design(cols)
+    assert d.tolist() == [[0.0, 0.0, 1.0, 2.0], [1.0, -1.0, 0.0, 0.0]]
+    d = parse_formula("[x=1]1 + [x=0]1", KINDS).design({"x": np.array([1.0, 0.0, 0.5])})
+    assert d.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]
+
+
 def test_design_empty_basis():
     b = BasisSet((), KINDS)
     assert b.design({"x": np.zeros(3)}).shape == (3, 0)

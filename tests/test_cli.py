@@ -121,6 +121,26 @@ def test_identify_exit_three_for_unidentifiable(tmp_path):
     assert main(["identify", "--config", str(path)]) == 3
 
 
+def test_identify_rejects_a_zero_mixing_weight(tmp_path, capsys):
+    # a usage error naming the candidate and the weight, not a traceback
+    # from the log of the weight in the identifiability rules
+    payload = base_config()
+    payload["outcome"]["candidates"].append(
+        {
+            "components": [
+                {"mean": "1 + x", "coef": [0.0, 0.4], "dispersion": 0.5},
+                {"mean": "1 + x", "coef": [1.0, -0.4], "dispersion": 0.5},
+            ],
+            "weights": [0.0, 1.0],
+        }
+    )
+    path = write_config(tmp_path, payload)
+    assert main(["identify", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "outcome candidate 1: mixing weight 0 is 0.0" in err
+    assert "Traceback" not in err
+
+
 def test_identify_structure_only_flag(tmp_path):
     # with values the quadratic coefficient is zero, so the declared x^2
     # term is inert; structure-only mode trusts the declared shape

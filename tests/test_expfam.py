@@ -23,6 +23,9 @@ from fimnar.expfam import (
     tilt,
     unflatten_params,
 )
+from fimnar.sim import built_in_scenario
+
+from oracles import sample_per_row
 
 KINDS = {"x": continuous()}
 B1 = parse_formula("1", KINDS)
@@ -332,6 +335,24 @@ def test_sample_gamma_and_poisson_support():
     assert np.all(g > 0)
     p = sample(poisson_spec((0.5, 0.0)), cols(*np.zeros(500)), rng)
     assert np.all(p >= 0) and np.all(p == np.floor(p))
+
+
+@pytest.mark.parametrize("tilted", [False, True], ids=["respondents", "tilted"])
+@pytest.mark.parametrize("name", ["s1", "s2", "s3", "gamma"])
+def test_one_draw_per_row_matches_per_row_code(name, tilted):
+    # sim.generate draws once per row, from the respondents' model and
+    # from its tilt; the draws and the generator stream stay the same
+    if name == "gamma":
+        spec, beta = gamma_spec((-0.2, 0.3), 2.5), -0.5
+    else:
+        scn = built_in_scenario(name, n=500)
+        spec, beta = scn.respondent, scn.response.beta
+    if tilted:
+        spec = tilt(spec, beta)
+    x = cols(*np.random.default_rng(81).normal(size=1001))
+    rng, ref_rng = np.random.default_rng(82), np.random.default_rng(82)
+    assert np.array_equal(sample(spec, x, rng), sample_per_row(spec, x, ref_rng))
+    assert rng.random() == ref_rng.random()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy import optimize
 import fimnar.fiem as fiem
 from fimnar.basis import continuous, parse_formula
 from fimnar.dataio import Dataset
-from fimnar.expfam import Component, Family, OutcomeSpec
+from fimnar.expfam import Component, Family, OutcomeSpec, tilt
 from fimnar.fiem import (
     FiControls,
     FractionalWeights,
@@ -29,6 +30,8 @@ from fimnar.identify import IdentifyVerdict, Rule, Status
 from fimnar.respondent import FitError, fit_glm
 from fimnar.response import ResponseSpec
 from fimnar.sim import _fit_respondent, built_in_scenario, generate, scenario_s1
+
+from oracles import tiled_parametric_pool
 
 KINDS = {"x": continuous()}
 B1X = parse_formula("1 + x", KINDS)
@@ -353,6 +356,68 @@ def test_unknown_engine_rejected():
     gf = fit_glm(data.y_observed, data.respondent_columns(), Family.NORMAL, B1XX)
     with pytest.raises(ValueError, match="unknown imputation engine"):
         em_fit(data, gf, scn.response.h_basis, engine="bootstrap")
+
+
+# ---------------------------------------------------------------------------
+# the parametric pool against the tiled per-row draws it replaced
+# ---------------------------------------------------------------------------
+
+
+def pool_case(name):
+    if name == "election":
+        data, gf, _ = election_case()
+        return data, gf.spec
+    s3 = built_in_scenario("s3").respondent
+    x = np.random.default_rng(71).normal(size=90)
+    data = make_dataset(x[:40], np.ones(40), 50, x_missing=x[40:])
+    specs = {
+        "normal": normal_gamma(),
+        "bernoulli": OutcomeSpec(Family.BERNOULLI, (Component(B1X, (0.3, -1.2)),)),
+        "poisson": OutcomeSpec(Family.POISSON, (Component(B1X, (0.5, 0.4)),)),
+        "gamma": OutcomeSpec(Family.GAMMA, (Component(B1X, (-0.2, 0.3), 2.5),)),
+        "s3": s3,
+        "s3-tilted": tilt(s3, 0.8),
+        # a component no draw picks draws nothing and takes nothing from rng
+        "unpicked": OutcomeSpec(
+            Family.NORMAL,
+            s3.components + (Component(B1X, (3.0, 1.0), 0.5),),
+            weights=(0.35, 0.65 - 1e-12, 1e-12),
+        ),
+    }
+    return data, specs[name]
+
+
+@pytest.mark.parametrize("m_draws", [1, 37, 200])
+@pytest.mark.parametrize(
+    "name",
+    ["normal", "bernoulli", "poisson", "gamma", "s3", "s3-tilted", "unpicked", "election"],
+)
+def test_parametric_pool_matches_tiled_draws(name, m_draws):
+    data, spec = pool_case(name)
+    rng, ref_rng = np.random.default_rng(m_draws), np.random.default_rng(m_draws)
+    got = _parametric_pool(spec, data, m_draws, rng)
+    ref = tiled_parametric_pool(spec, data, m_draws, ref_rng)
+    assert got.shape == (data.n_missing, m_draws)
+    assert np.array_equal(got, ref)
+    assert rng.random() == ref_rng.random()
+
+
+def test_parametric_pool_memory_grows_with_the_pool_not_the_design():
+    # sample holds at most about five pool-sized arrays at once: a
+    # mixture's picks, a row mask and the uniforms, a component's repeated
+    # parameter and the output (here a one-component Bernoulli holds three
+    # and a byte mask).  Repeating the covariates per draw would build the
+    # 17-column design per draw, over 17 pool sizes.
+    data, gf, _ = election_case()
+    m_draws = 500
+    pool_bytes = data.n_missing * m_draws * 8
+    tracemalloc.start()
+    try:
+        _parametric_pool(gf.spec, data, m_draws, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * pool_bytes
 
 
 # ---------------------------------------------------------------------------
