@@ -1,10 +1,14 @@
 """Per-layer wall time and memory of Monte Carlo replicates, written to a BENCH json.
 
 Each replicate is the one ``run_mc(scenario, b=1, seed=s)`` runs for a seed
-``s`` of the list: the respondent fit, ``em_fit``, ``variance_estimate`` and
-``mu_y_variance`` are timed one by one with ``time.perf_counter``, and
-their minor page faults counted as ``ru_minflt`` deltas of
-``resource.getrusage``.  A run walks every seed once; the script reports,
+``s`` of the list: after ``generate``, the complete-case interval
+(``cc_mu_y``, which draws nothing from the generator), the respondent
+fit, ``em_fit``, ``variance_estimate`` and ``mu_y_variance`` are timed one
+by one with ``time.perf_counter``, and their minor page faults counted as
+``ru_minflt`` deltas of ``resource.getrusage``; together they are every
+call a replicate makes on its generated data.  The memoised t quantiles
+are dropped before each run, so that every run pays for them as a
+``run_mc`` run does.  A run walks every seed once; the script reports,
 per layer, the median over runs of the mean milliseconds and minor faults
 per replicate, every run's value, and the process's peak RSS.  It also
 reports ``import_s``, the median over runs of the time ``import
@@ -57,7 +61,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 REPO = Path(__file__).resolve().parents[1]
-LAYERS = ("respondent_fit", "em_fit", "variance_estimate", "mu_y_variance")
+LAYERS = ("cc_interval", "respondent_fit", "em_fit", "variance_estimate", "mu_y_variance")
 ENGINES = ("donor", "parametric:200")
 # each stage of ``fimnar fit`` and the (module, name) pairs it is timed through
 FIT_STAGES = {
@@ -141,13 +145,14 @@ def replicate(scenario, seed, measure):
     import numpy as np
 
     from fimnar.fiem import FiControls
-    from fimnar.sim import _fit_respondent, em_fit, generate
+    from fimnar.sim import _fit_respondent, cc_mu_y, em_fit, generate
     from fimnar.variance import mu_y_variance, variance_estimate
 
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     data = generate(scenario, rng)
     out = {}
     calls = (
+        ("cc_interval", lambda: cc_mu_y(data)),
         ("respondent_fit", lambda: _fit_respondent(scenario, data, rng, 10)),
         ("em_fit", lambda: em_fit(
             data, out["respondent_fit"], scenario.response.h_basis,
@@ -164,6 +169,13 @@ def replicate(scenario, seed, measure):
     for layer, call in calls:
         out[layer], values[layer] = measure(call)
     return float(out["mu_y_variance"]), values
+
+
+def forget_t_quantiles() -> None:
+    """Clear ``sim._t975``'s memo, where the tree has one."""
+    from fimnar import sim
+
+    getattr(getattr(sim, "_t975", None), "cache_clear", lambda: None)()
 
 
 def stage_timers(totals: dict):
@@ -278,6 +290,7 @@ def main() -> int:
     faults_per_run = {layer: [] for layer in LAYERS}
     mu_var = []
     for _ in range(args.runs):
+        forget_t_quantiles()
         mu_var, runs = zip(*(replicate(scenario, seed, timed) for seed in seeds))
         for layer in LAYERS:
             per_run[layer].append(1e3 * sum(r[layer][0] for r in runs) / len(seeds))

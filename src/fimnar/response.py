@@ -13,9 +13,8 @@ On a grid of units by outcome values the nonresponse odds factor as
 ``propensity_from_odds`` evaluates the grid's propensities as
 ``1 / (1 + a_i b_j)``, with no ``exp`` per cell, from factors that
 ``odds_factor`` takes once per pass; where a factor is 0 or inf, the pass
-uses the log-odds form instead.  The package needs no scipy for either;
-only ``simulate``'s complete-case interval (``sim.cc_mu_y``) loads
-``scipy.special``, for a t quantile."""
+uses the log-odds form instead.  The package needs no scipy for either,
+nor anywhere else at run time."""
 
 from __future__ import annotations
 

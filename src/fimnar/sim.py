@@ -17,8 +17,10 @@ from these pieces directly, with no rejection step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from typing import Optional, Sequence
 
 import numpy as np
@@ -206,19 +208,100 @@ def true_mu_y(scenario: Scenario) -> float:
 # ---------------------------------------------------------------------------
 
 
-def cc_mu_y(data: Dataset) -> tuple[float, float, float]:
-    """Complete-case mean with its t-interval.
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 
-    The t quantile is the package's one use of scipy, imported here so
-    that only this interval loads ``scipy.special``.
+
+def _atan(x: Decimal) -> Decimal:
+    """arctan(x) for x > 0, in the current decimal context."""
+    for _ in range(3):  # halve the angle three times: x <= tan(pi/16)
+        x = x / (1 + (1 + x * x).sqrt())
+    total, power, k = x, x, 1
+    while True:
+        power *= -x * x
+        nxt = total + power / (2 * k + 1)
+        if nxt == total:
+            return 8 * total
+        total, k = nxt, k + 1
+
+
+def _t_tail(t: Decimal, df: int) -> tuple[Decimal, Decimal]:
+    """P(T > t) and the density at t, for integer ``df`` >= 1, in the current decimal context.
+
+    Abramowitz & Stegun 26.7.3-4: with theta = atan(t / sqrt(df)),
+    P(|T| <= t) is a finite sum in cos^2(theta), times sin(theta) for even
+    df and plus theta for odd df.  The density is the sum's last term times
+    (df - 1), a power of cos^2(theta) and a constant.
     """
-    from scipy.special import stdtrit
+    root = Decimal(df).sqrt()
+    r2 = df + t * t
+    cos2 = df / r2
+    odd = df % 2
+    term = total = Decimal(1)
+    for k in range(1, df // 2):
+        term = term * cos2 * (2 * k - 1 + odd) / (2 * k + odd)
+        total += term
+    if not odd:
+        inside = t / r2.sqrt() * total
+        density = (df - 1) * term * cos2 * cos2.sqrt() / (2 * root)
+    elif df == 1:
+        inside = 2 * _atan(t) / _PI
+        density = cos2 / _PI
+    else:
+        inside = 2 * (_atan(t / root) + t * root / r2 * total) / _PI
+        density = (df - 1) * term * cos2 * cos2 / (_PI * root)
+    return (1 - inside) / 2, density
 
+
+@functools.cache
+def _t975(df: int) -> float:
+    """The Student-t 0.975 quantile at integer ``df`` >= 1, correctly rounded; nan below.
+
+    The start is exact at df 1 and 2 and Cornish-Fisher in 1/df above
+    (Abramowitz & Stegun 26.7.5).  Newton steps on ``P(T > t) - 0.025``
+    refine it in 50-digit decimal (``_t_tail``).  They converge
+    quadratically, so once a step is below 1e-13 relative the error left
+    is far below double precision's.
+    """
+    if df < 1:
+        return math.nan
+    if df == 1:
+        start = math.tan(0.475 * math.pi)
+    elif df == 2:
+        start = 0.95 / math.sqrt(2 * 0.975 * 0.025)
+    else:
+        z = 1.959963984540054  # the normal 0.975 quantile
+        z2 = z * z
+        g = (
+            (z2 + 1) / 4,
+            ((5 * z2 + 16) * z2 + 3) / 96,
+            (((3 * z2 + 19) * z2 + 17) * z2 - 15) / 384,
+            ((((79 * z2 + 776) * z2 + 1482) * z2 - 1920) * z2 - 945) / 92160,
+        )
+        start = z * (1 + sum(gk / df ** (k + 1) for k, gk in enumerate(g)))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t = Decimal(start)
+        while True:
+            tail, density = _t_tail(t, df)
+            step = (tail - Decimal("0.025")) / density
+            t += step
+            if abs(step) < t * Decimal("1e-13"):
+                return float(t)
+
+
+def cc_mu_y(data: Dataset) -> tuple[float, float, float]:
+    """Complete-case mean with its t-interval; with one respondent the bounds are nan.
+
+    The t quantile is ``_t975``, memoised per degree of freedom, so the
+    interval needs no scipy.
+    """
     y = data.y_observed
     n1 = y.size
     est = float(np.mean(y))
+    if n1 < 2:
+        return est, math.nan, math.nan
     se = float(np.std(y, ddof=1)) / math.sqrt(n1)
-    t = float(stdtrit(n1 - 1, 0.975))
+    t = _t975(n1 - 1)
     return est, est - t * se, est + t * se
 
 

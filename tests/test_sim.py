@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -341,6 +342,22 @@ def test_cc_interval_matches_scipy_stats_t(n):
     half = stats.t.ppf(0.975, n - 1) * y.std(ddof=1) / math.sqrt(n)
     assert lo == pytest.approx(est - half, rel=1e-15, abs=0)
     assert hi == pytest.approx(est + half, rel=1e-15, abs=0)
+
+
+def test_cc_interval_with_one_respondent_is_nan_without_warnings():
+    from fimnar.dataio import Dataset
+
+    data = Dataset(
+        columns={"x": np.zeros(3)},
+        y=np.array([1.5, np.nan, np.nan]),
+        delta=np.array([1, 0, 0]),
+        kinds=dict(KINDS),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, lo, hi = cc_mu_y(data)
+    assert est == 1.5
+    assert math.isnan(lo) and math.isnan(hi)
 
 
 def test_summary_row_invariants():
