@@ -37,7 +37,6 @@ from .fiem import (
     FiControls,
     FitResult,
     FractionalWeights,
-    UnidentifiableModelError,
     em_fit,
     estimate_mu_y,
     fractional_weights,
@@ -97,7 +96,6 @@ __all__ = [
     "FiControls",
     "FitResult",
     "FractionalWeights",
-    "UnidentifiableModelError",
     "em_fit",
     "estimate_mu_y",
     "fractional_weights",

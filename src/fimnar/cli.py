@@ -18,11 +18,7 @@ import numpy as np
 from .config import ConfigError, OutcomeCandidate, RunConfig, load_config
 from .dataio import Dataset, IngestError, ingest
 from .expfam import SupportError, TiltDomainError, mean
-from .fiem import (
-    UnidentifiableModelError,
-    em_fit,
-    estimate_mu_y,
-)
+from .fiem import em_fit, estimate_mu_y
 from .identify import IdentifyVerdict, Status, check_model
 from .respondent import Candidate, FitError, RespondentFit, select_aic
 from .sim import McRunError, McSummary, built_in_scenario, run_mc
@@ -232,11 +228,10 @@ def cmd_fit(args) -> int:
     mu_hat = estimate_mu_y(fit, data)
     if engine == "donor":
         sigma, parts = variance_estimate(fit, gamma_fit, data)
-        fit.covariance = sigma
         ses = np.sqrt(np.diag(sigma))
         mu_var = mu_y_variance(fit, gamma_fit, data, parts)
     else:
-        sigma, ses, mu_var = None, None, None
+        ses, mu_var = None, None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -292,7 +287,7 @@ def _write_fit_reports(
         fh.write(f"selected outcome candidate: {chosen_idx} "
                  f"(family {gamma_fit.spec.family.value}, K={gamma_fit.spec.k}, "
                  f"AIC {_fmt(gamma_fit.aic)})\n")
-        fh.write(f"em iterations: {fit.em_iterations}, converged: {fit.converged}, "
+        fh.write(f"em iterations: {fit.em_iterations}, "
                  f"mean score norm: {_fmt(fit.mean_score_norm)}\n")
         if data.transforms:
             for name, (mean_, sd) in sorted(data.transforms.items()):
@@ -394,9 +389,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (_UsageError, ConfigError, IngestError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except UnidentifiableModelError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_UNIDENTIFIABLE
     except (FitError, SupportError, TiltDomainError, np.linalg.LinAlgError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -72,7 +72,6 @@ built per draw.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -81,7 +80,6 @@ import numpy as np
 
 from .dataio import Dataset
 from .expfam import Family, OutcomeSpec, log_density_factors, log_density_outer, sample
-from .identify import IdentifyVerdict, Status
 from .respondent import FitError, RespondentFit, _newton, fit_glm
 from .response import ResponseSpec, odds_factor, propensity_from_log_odds, propensity_from_odds
 
@@ -89,7 +87,6 @@ __all__ = [
     "FiControls",
     "FractionalWeights",
     "FitResult",
-    "UnidentifiableModelError",
     "fractional_weights",
     "mean_score",
     "score_jacobian",
@@ -97,10 +94,6 @@ __all__ = [
     "em_fit",
     "estimate_mu_y",
 ]
-
-
-class UnidentifiableModelError(RuntimeError):
-    """Refusal to fit a model flagged as provably unidentifiable."""
 
 
 @dataclass(frozen=True)
@@ -138,21 +131,22 @@ class FractionalWeights:
     weighted donor mean and centred second moment ``sum_j w_ij (y_j -
     ybar_i)^2``: ``moments`` when given (``em_fit`` passes the ones its
     solver reduced at these weights), else computed once here by
-    ``_unit_moments``.  ``log_c`` is the donor engine's
+    ``_unit_moments``.  ``n_missing`` counts the missing units, the
+    kernel's rows.  ``log_c`` is the donor engine's
     ``log C(y)`` at each of the values, under the respondents' model the
     weights were built with, kept for the variance of the outcome mean.
     """
 
     def __init__(
         self,
-        missing_rows: np.ndarray,
+        n_missing: int,
         donor_y: np.ndarray,
         kernel: "_LogWeights",
         log_c: Optional[np.ndarray] = None,
         inverse: Optional[np.ndarray] = None,
         moments: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
-        self.missing_rows = np.asarray(missing_rows)
+        self.n_missing = int(n_missing)
         self.donor_y = donor_y
         self.log_c = log_c
         self.kernel = kernel
@@ -161,10 +155,6 @@ class FractionalWeights:
         if moments is None:
             moments = _unit_moments(self.kernel, self.values, self.n_missing)
         self.ybar, self.spread = moments
-
-    @property
-    def n_missing(self) -> int:
-        return self.missing_rows.size
 
     @property
     def w(self) -> np.ndarray:
@@ -176,15 +166,18 @@ class FractionalWeights:
 
 @dataclass
 class FitResult:
-    """Fitted response model with the state needed for inference."""
+    """The root of the mean score equation, with the weights there.
+
+    ``em_fit`` returns one only for a converged solve.  ``weights`` are
+    the fractional weights at ``phi_hat``, which the point estimate of
+    the outcome mean and both variances reduce; ``em_iterations``,
+    ``mean_score_norm`` and ``trace`` describe the solve.
+    """
 
     phi_hat: ResponseSpec
-    gamma: RespondentFit
     weights: FractionalWeights
-    covariance: Optional[np.ndarray]
     em_iterations: int
     mean_score_norm: float
-    converged: bool
     trace: tuple[tuple[int, float, float], ...] = ()
 
     @property
@@ -431,7 +424,7 @@ def fractional_weights(
     """
     kernel, inverse, log_c = _donor_kernel(gamma, data)
     return FractionalWeights(
-        np.nonzero(data.delta == 0)[0],
+        data.n_missing,
         data.y_observed.copy(),
         log_c=log_c,
         kernel=replace(kernel, beta=phi.beta),
@@ -645,8 +638,6 @@ def em_fit(
     h_basis,
     init_phi: Optional[ResponseSpec] = None,
     controls: FiControls = FiControls(),
-    verdict: Optional[IdentifyVerdict] = None,
-    force: bool = False,
     engine: str = "donor",
     m_draws: int = 500,
     rng: Optional[np.random.Generator] = None,
@@ -660,22 +651,10 @@ def em_fit(
     start; FitError is raised when EM or that solve does not converge.
     ``mean_score_norm`` is the max-abs ``S(phi_hat; w(beta_hat))``;
     ``trace`` and ``em_iterations`` list and count the Newton steps, any
-    EM iterations and the second solve's steps.  When a verdict is
-    supplied, a provably unidentifiable model is refused unless ``force``
-    is set, and a not-provable one warns.
+    EM iterations and the second solve's steps.  No identifiability
+    check is made here: ``fimnar fit`` gates on the verdict before it
+    calls this.
     """
-    if verdict is not None:
-        if verdict.status is Status.PROVABLY_UNIDENTIFIABLE and not force:
-            raise UnidentifiableModelError(
-                f"model is provably unidentifiable ({verdict.certificate}); "
-                "pass force=True to fit anyway"
-            )
-        if verdict.status is Status.NOT_PROVABLE:
-            warnings.warn(
-                f"identifiability not provable: {verdict.certificate}",
-                stacklevel=2,
-            )
-
     gamma = gamma_fit.spec
     phi = init_phi if init_phi is not None else _initial_phi(h_basis, data)
 
@@ -730,7 +709,7 @@ def em_fit(
     # a converged _newton evaluates its root last; the point is checked, not assumed
     at_root = np.array_equal(last.get("x"), x)
     weights = FractionalWeights(
-        np.nonzero(data.delta == 0)[0],
+        data.n_missing,
         donor_y,
         log_c=log_c,
         kernel=replace(kernel, beta=phi_hat.beta),
@@ -739,12 +718,9 @@ def em_fit(
     )
     return FitResult(
         phi_hat=phi_hat,
-        gamma=gamma_fit,
         weights=weights,
-        covariance=None,
         em_iterations=len(trace),
         mean_score_norm=path[-1][2],
-        converged=True,
         trace=tuple(trace),
     )
 

@@ -346,7 +346,6 @@ def _run_replicate(
         gamma_fit = _fit_respondent(scenario, data, rng, restarts)
         fit = em_fit(data, gamma_fit, scenario.response.h_basis, controls=controls)
         sigma, parts = variance_estimate(fit, gamma_fit, data)
-        fit.covariance = sigma
         mu_hat = estimate_mu_y(fit, data)
         mu_var = mu_y_variance(fit, gamma_fit, data, parts)
         lo, hi = wald_interval(mu_hat, mu_var)

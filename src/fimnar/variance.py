@@ -58,7 +58,6 @@ import numpy as np
 
 from .dataio import Dataset
 from .expfam import Family, OutcomeSpec, _logsumexp0, flatten_params
-from .expfam import log_density_outer  # noqa: F401  a site perfbench/tracing.py wraps
 from .fiem import (
     FitResult,
     FractionalWeights,

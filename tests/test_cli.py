@@ -9,10 +9,19 @@ import pytest
 import fimnar.cli as cli
 from fimnar.cli import main
 from fimnar.config import ConfigError, load_config, parse_config
+from fimnar.respondent import RespondentFit
 
 REPO = Path(__file__).resolve().parents[1]
 GATED_DATA = REPO / "data" / "election_like.csv"
 GATED_CONFIG = REPO / "data" / "election_like.json"
+# two components with mirror-image means and equal sigma^2/2 + log pi (Example 5)
+MIRROR_MIXTURE = {
+    "components": [
+        {"mean": "x^2", "coef": [1.0], "dispersion": 1.0},
+        {"mean": "x^2", "coef": [-1.0], "dispersion": 1.0},
+    ],
+    "weights": [0.5, 0.5],
+}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -108,15 +117,7 @@ def test_identify_exit_two_for_not_provable(tmp_path):
 
 def test_identify_exit_three_for_unidentifiable(tmp_path):
     payload = base_config()
-    payload["outcome"]["candidates"] = [
-        {
-            "components": [
-                {"mean": "x^2", "coef": [1.0], "dispersion": 1.0},
-                {"mean": "x^2", "coef": [-1.0], "dispersion": 1.0},
-            ],
-            "weights": [0.5, 0.5],
-        }
-    ]
+    payload["outcome"]["candidates"] = [MIRROR_MIXTURE]
     path = write_config(tmp_path, payload)
     assert main(["identify", "--config", str(path)]) == 3
 
@@ -275,6 +276,37 @@ def test_fit_refuses_not_provable_without_force(tmp_path):
     assert rc2 == 0
     # the verdict was printed and gated on once; the forced fit is quiet
     assert [w for w in caught if issubclass(w.category, UserWarning)] == []
+
+
+def test_fit_exit_three_for_unidentifiable(tmp_path, monkeypatch, capsys):
+    # the mirror mixture's structure alone proves nothing, so the fit gates
+    # on the respondents' fitted values; here the respondent fit returns the
+    # declared mirror pattern, and the fit must stop there with exit 3 and
+    # fit no response model
+    payload = base_config()
+    payload["outcome"]["candidates"] = [MIRROR_MIXTURE]
+    cfg = write_config(tmp_path, payload)
+    rows = ["x,y"] + [f"{0.1 * i},{0.2 * i}" for i in range(8)] + ["0.9,NA", "1.0,NA"]
+    data_path = tmp_path / "d.csv"
+    data_path.write_text("\n".join(rows) + "\n")
+    config = load_config(cfg)
+    mirror = RespondentFit(config.candidates[0].spec(config.kinds), 0.0, 10.0, 5, 1, True)
+
+    def mirror_fit(y, columns, candidates, **kwargs):
+        return candidates[0], mirror
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("em_fit called on a provably unidentifiable model")
+
+    monkeypatch.setattr(cli, "select_aic", mirror_fit)
+    monkeypatch.setattr(cli, "em_fit", no_fit)
+    out = tmp_path / "out"
+    rc = main(["fit", "--data", str(data_path), "--config", str(cfg), "--out", str(out)])
+    assert rc == 3
+    printed = capsys.readouterr().out
+    assert "(fitted values): provably-unidentifiable [Example5]" in printed
+    assert "refusing to fit" in printed
+    assert not out.exists()
 
 
 def test_fit_numerical_failure_exit_code(tmp_path):

@@ -515,7 +515,7 @@ def tied_dataset(seed, family, n1, n0, n_values, n_copies):
 def kernel_results(phi, gf, data, weights):
     """Score and Jacobian (away from the root), per-donor w, the bread's
     condition number, sigma and Var(mu) of one set of weights at phi."""
-    fit = FitResult(phi, gf, weights, None, 1, 0.0, True)
+    fit = FitResult(phi, weights, 1, 0.0)
     sigma, parts = variance_estimate(fit, gf, data)
     off = phi.with_phi(phi.phi + 0.3)
     score, jac = _score_and_jacobian(
@@ -560,7 +560,7 @@ def test_collapsed_donors_match_every_donor_and_ignore_row_order(
     assume(got.pop("cond") <= 1e5)
     kernel, _, log_c = stored_grid_kernel(gf.spec, data)
     every_donor = FractionalWeights(
-        np.nonzero(data.delta == 0)[0],
+        data.n_missing,
         data.y_observed,
         log_c=log_c,
         kernel=replace(kernel, beta=phi.beta),

@@ -14,7 +14,6 @@ from fimnar.expfam import Component, Family, OutcomeSpec, tilt
 from fimnar.fiem import (
     FiControls,
     FractionalWeights,
-    UnidentifiableModelError,
     _LogWeights,
     _parametric_pool,
     _score_and_jacobian,
@@ -26,7 +25,6 @@ from fimnar.fiem import (
     score_jacobian,
     solve_mean_score,
 )
-from fimnar.identify import IdentifyVerdict, Rule, Status
 from fimnar.respondent import FitError, fit_glm
 from fimnar.response import ResponseSpec
 from fimnar.sim import _fit_respondent, built_in_scenario, generate, scenario_s1
@@ -272,7 +270,6 @@ def test_em_recovers_truth_on_large_sample():
     data = generate(scn, 2024)
     gf = fit_glm(data.y_observed, data.respondent_columns(), Family.NORMAL, B1XX)
     fit = em_fit(data, gf, scn.response.h_basis)
-    assert fit.converged
     assert np.all(np.abs(fit.phi - np.array([0.68, 0.19, 0.24])) < 0.2)
     assert fit.mean_score_norm <= 1e-8
 
@@ -310,28 +307,6 @@ def test_em_mar_null_beta_within_four_se_of_zero():
     betas = np.asarray(betas)
     se = betas.std(ddof=1) / math.sqrt(betas.size)
     assert abs(betas.mean()) < 4.0 * se
-
-
-def test_em_refuses_provably_unidentifiable_unless_forced():
-    scn = scenario_s1(1.0, n=300)
-    data = generate(scn, 11)
-    gf = fit_glm(data.y_observed, data.respondent_columns(), Family.NORMAL, B1XX)
-    verdict = IdentifyVerdict(
-        Status.PROVABLY_UNIDENTIFIABLE, Rule.EXAMPLE5, "mirror pattern"
-    )
-    with pytest.raises(UnidentifiableModelError):
-        em_fit(data, gf, scn.response.h_basis, verdict=verdict)
-    fit = em_fit(data, gf, scn.response.h_basis, verdict=verdict, force=True)
-    assert fit.converged
-
-
-def test_em_warns_on_not_provable():
-    scn = scenario_s1(1.0, n=300)
-    data = generate(scn, 12)
-    gf = fit_glm(data.y_observed, data.respondent_columns(), Family.NORMAL, B1XX)
-    verdict = IdentifyVerdict(Status.NOT_PROVABLE, Rule.NONE, "no rule applies")
-    with pytest.warns(UserWarning, match="not provable"):
-        em_fit(data, gf, scn.response.h_basis, verdict=verdict)
 
 
 def test_parametric_engine_cross_checks_donor_engine():
@@ -430,11 +405,10 @@ def test_mu_y_without_missing_is_sample_mean():
     y = rng.normal(size=70)
     data = make_dataset(rng.normal(size=70), y, 0)
     scnfit = fit_glm(data.y_observed, data.respondent_columns(), Family.NORMAL, B1X)
-    fit = em_fit  # not needed; build the pieces directly
     w = fractional_weights(phi_spec(), scnfit.spec, data)
     from fimnar.fiem import FitResult
 
-    res = FitResult(phi_spec(), scnfit, w, None, 0, 0.0, True)
+    res = FitResult(phi_spec(), w, 0, 0.0)
     assert estimate_mu_y(res, data) == pytest.approx(float(y.mean()), abs=1e-12)
 
 
@@ -445,10 +419,8 @@ def test_mu_y_single_donor_substitution():
     gamma = normal_gamma((0.0, 0.0), 1.0)
     w = fractional_weights(phi_spec(), gamma, data)
     from fimnar.fiem import FitResult
-    from fimnar.respondent import RespondentFit
 
-    gf = RespondentFit(gamma, 0.0, 6.0, 3, 1, True)
-    res = FitResult(phi_spec(), gf, w, None, 0, 0.0, True)
+    res = FitResult(phi_spec(), w, 0, 0.0)
     # every missing unit is imputed by the single donor value
     assert estimate_mu_y(res, data) == pytest.approx((y0 + 3 * y0) / 4.0, abs=1e-12)
 
@@ -473,9 +445,7 @@ def parametric_weights_at(pool, data):
 
     def weights_at(phi):
         logw = -(phi.h(data.missing_columns())[:, None] + phi.beta * pool)
-        return FractionalWeights(
-            np.nonzero(data.delta == 0)[0], pool, _LogWeights(logw, 0.0, pool)
-        )
+        return FractionalWeights(data.n_missing, pool, _LogWeights(logw, 0.0, pool))
 
     return weights_at
 
@@ -523,7 +493,7 @@ def test_em_fit_matches_reference_em(case):
         def weights_at(phi):
             return fractional_weights(phi, gf.spec, data)
     ref = reference_em(fit.phi_hat.with_phi(np.zeros(fit.phi.size)), weights_at, data)
-    assert fit.converged and fit.em_iterations <= 20
+    assert fit.em_iterations <= 20
     assert np.max(np.abs(fit.phi - ref.phi)) <= 1e-6
 
 
