@@ -93,13 +93,12 @@ def _build_parser() -> _Parser:
 def _candidate_verdict(
     cand: OutcomeCandidate, config: RunConfig, structure_only: bool
 ) -> IdentifyVerdict:
-    values_known = cand.has_values() and not structure_only
     return check_model(
-        cand.spec(config.kinds),
-        config.h_basis(),
+        cand.spec,
+        config.h_basis,
         config.kinds,
         sign_beta_known=config.sign_beta_known,
-        values_known=values_known,
+        values_known=cand.has_values and not structure_only,
     )
 
 
@@ -136,10 +135,7 @@ def _parse_engine(raw: Optional[str], config: RunConfig) -> tuple[str, int]:
 
 
 def _respondent_candidates(config: RunConfig) -> list[Candidate]:
-    return [
-        Candidate(cand.family, cand.bases(config.kinds))
-        for cand in config.candidates
-    ]
+    return [Candidate(cand.spec.family, cand.bases) for cand in config.candidates]
 
 
 def _residual_rows(gamma_fit: RespondentFit, data: Dataset):
@@ -175,8 +171,8 @@ def cmd_fit(args) -> int:
     if args.max_iter is not None:
         controls = replace(controls, max_em_iter=args.max_iter)
 
-    # structural verdicts first: the fit is refused outright when every
-    # candidate is provably unidentifiable
+    # structural verdicts are reported only: no structure-only verdict is
+    # provably unidentifiable, so the gate is the fitted-values verdict below
     pre_verdicts = [
         _candidate_verdict(cand, config, structure_only=True)
         for cand in config.candidates
@@ -184,10 +180,6 @@ def cmd_fit(args) -> int:
     for idx, verdict in enumerate(pre_verdicts):
         print(f"identifiability (structure, candidate {idx}): "
               f"{verdict.status.value} [{verdict.rule.value}] {verdict.certificate}")
-    if all(v.status is Status.PROVABLY_UNIDENTIFIABLE for v in pre_verdicts):
-        if not args.force:
-            print("refusing to fit: every candidate is provably unidentifiable")
-            return EXIT_UNIDENTIFIABLE
 
     rng = np.random.default_rng(config.seed)
     candidates = _respondent_candidates(config)
@@ -202,7 +194,7 @@ def cmd_fit(args) -> int:
 
     post_verdict = check_model(
         gamma_fit.spec,
-        config.h_basis(),
+        config.h_basis,
         config.kinds,
         sign_beta_known=config.sign_beta_known,
         values_known=True,
@@ -219,7 +211,7 @@ def cmd_fit(args) -> int:
     fit = em_fit(
         data,
         gamma_fit,
-        config.h_basis(),
+        config.h_basis,
         controls=controls,
         engine=engine,
         m_draws=m_draws,
@@ -236,7 +228,7 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_fit_reports(
-        out, config, data, chosen_idx, gamma_fit, fit, mu_hat, ses, mu_var,
+        out, data, chosen_idx, gamma_fit, fit, mu_hat, ses, mu_var,
         pre_verdicts, post_verdict, engine,
     )
     print(f"wrote report files to {out}")
@@ -250,7 +242,7 @@ def _parameter_names(fit) -> list[str]:
 
 
 def _write_fit_reports(
-    out, config, data, chosen_idx, gamma_fit, fit, mu_hat, ses, mu_var,
+    out, data, chosen_idx, gamma_fit, fit, mu_hat, ses, mu_var,
     pre_verdicts, post_verdict, engine,
 ):
     names = _parameter_names(fit)
@@ -310,6 +302,8 @@ def _write_fit_reports(
 
 
 def cmd_simulate(args) -> int:
+    if args.b < 1:
+        raise _UsageError(f"--b must be at least 1, got {args.b}")
     estimators = tuple(s.strip().upper() for s in args.estimators.split(",") if s.strip())
     scenario = built_in_scenario(args.scenario, n=args.n, kappa2=args.kappa2)
     out = Path(args.out)

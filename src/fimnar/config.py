@@ -1,4 +1,10 @@
-"""Run configuration: JSON schema for models, data layout, and controls."""
+"""Run configuration: JSON schema for models, data layout, and controls.
+
+A configuration is parsed and checked once, at load: the response basis
+and every candidate's component formulas become ``BasisSet``s, and each
+candidate becomes the ``OutcomeSpec`` its declared values give.  A
+malformed formula or candidate is a ``ConfigError``.
+"""
 
 from __future__ import annotations
 
@@ -21,39 +27,21 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class OutcomeCandidate:
-    """One candidate outcome model from the config grid."""
+    """One candidate outcome model from the config grid, built at load.
 
-    family: Family
+    ``formulas`` are the component mean formulas as written.  ``spec``
+    holds the declared coefficients and dispersions, or unit placeholders
+    where none are declared, and ``has_values`` says whether every one was
+    declared.
+    """
+
     formulas: tuple[str, ...]
-    coefs: tuple[Optional[tuple[float, ...]], ...]
-    dispersions: tuple[Optional[float], ...]
-    weights: tuple[float, ...]
+    spec: OutcomeSpec
+    has_values: bool
 
     @property
-    def k(self) -> int:
-        return len(self.formulas)
-
-    def bases(self, kinds) -> tuple[BasisSet, ...]:
-        return tuple(parse_formula(f, kinds) for f in self.formulas)
-
-    def has_values(self) -> bool:
-        if any(c is None for c in self.coefs):
-            return False
-        if self.family in (Family.NORMAL, Family.GAMMA):
-            return all(d is not None for d in self.dispersions)
-        return True
-
-    def spec(self, kinds) -> OutcomeSpec:
-        """Spec with declared values (or unit placeholders in their absence)."""
-        comps = []
-        for formula, coef, disp in zip(self.formulas, self.coefs, self.dispersions):
-            basis = parse_formula(formula, kinds)
-            if coef is None:
-                coef = tuple(1.0 for _ in basis.terms)
-            if disp is None and self.family in (Family.NORMAL, Family.GAMMA):
-                disp = 1.0
-            comps.append(Component(basis, tuple(coef), disp))
-        return OutcomeSpec(self.family, tuple(comps), self.weights)
+    def bases(self) -> tuple[BasisSet, ...]:
+        return tuple(comp.basis for comp in self.spec.components)
 
 
 @dataclass(frozen=True)
@@ -62,7 +50,7 @@ class RunConfig:
     y: str
     delta: Optional[str]
     standardize: tuple[str, ...]
-    response_h: str
+    h_basis: BasisSet
     candidates: tuple[OutcomeCandidate, ...]
     sign_beta_known: bool
     controls: FiControls
@@ -78,9 +66,6 @@ class RunConfig:
             delta=self.delta,
             standardize=self.standardize,
         )
-
-    def h_basis(self) -> BasisSet:
-        return parse_formula(self.response_h, self.kinds)
 
 
 def _parse_kind(raw) -> CovariateKind:
@@ -104,25 +89,22 @@ def _parse_kind(raw) -> CovariateKind:
     raise ConfigError(f"cannot interpret covariate kind {raw!r}")
 
 
-def _parse_candidate(raw, default_family: Family, index: int) -> OutcomeCandidate:
+def _parse_formula(text: str, kinds: Mapping[str, CovariateKind]) -> BasisSet:
+    try:
+        return parse_formula(text, kinds)
+    except FormulaError as err:
+        raise ConfigError(str(err)) from err
+
+
+def _parse_candidate(raw, default_family: Family, kinds: Mapping, index: int) -> OutcomeCandidate:
     family = Family(raw.get("family", default_family.value))
     entries = raw.get("components")
     if not entries:
         raise ConfigError("an outcome candidate needs a components list")
-    formulas, coefs, disps = [], [], []
-    for entry in entries:
-        if isinstance(entry, str):
-            formulas.append(entry)
-            coefs.append(None)
-            disps.append(None)
-        else:
-            formulas.append(entry["mean"])
-            coef = entry.get("coef")
-            coefs.append(tuple(coef) if coef is not None else None)
-            disps.append(entry.get("dispersion"))
+    entries = [{"mean": e} if isinstance(e, str) else e for e in entries]
     weights = raw.get("weights")
     if weights is None:
-        weights = tuple([1.0 / len(formulas)] * len(formulas))
+        weights = [1.0 / len(entries)] * len(entries)
     for k, weight in enumerate(weights):
         # a zero component is no mixture component; its log weight has no value
         if not float(weight) > 0.0:
@@ -130,9 +112,22 @@ def _parse_candidate(raw, default_family: Family, index: int) -> OutcomeCandidat
                 f"outcome candidate {index}: mixing weight {k} is {weight!r}; "
                 "every weight must be positive"
             )
-    return OutcomeCandidate(
-        family, tuple(formulas), tuple(coefs), tuple(disps), tuple(weights)
-    )
+    dispersed = family in (Family.NORMAL, Family.GAMMA)
+    comps, has_values = [], True
+    for entry in entries:
+        basis = _parse_formula(entry["mean"], kinds)
+        coef, disp = entry.get("coef"), entry.get("dispersion")
+        has_values &= coef is not None and (disp is not None or not dispersed)
+        if coef is None:
+            coef = [1.0] * len(basis.terms)
+        if disp is None and dispersed:
+            disp = 1.0
+        comps.append((basis, tuple(coef), disp))
+    try:
+        spec = OutcomeSpec(family, tuple(Component(*c) for c in comps), tuple(weights))
+    except ValueError as err:
+        raise ConfigError(f"malformed configuration: outcome candidate {index}: {err}") from err
+    return OutcomeCandidate(tuple(e["mean"] for e in entries), spec, has_values)
 
 
 def parse_config(payload: Mapping) -> RunConfig:
@@ -149,6 +144,7 @@ def parse_config(payload: Mapping) -> RunConfig:
             _parse_candidate(
                 raw if isinstance(raw, Mapping) else {"components": raw},
                 default_family,
+                kinds,
                 index,
             )
             for index, raw in enumerate(raw_candidates)
@@ -164,7 +160,7 @@ def parse_config(payload: Mapping) -> RunConfig:
             y=payload.get("y", "y"),
             delta=payload.get("delta"),
             standardize=tuple(payload.get("standardize", ())),
-            response_h=payload["response"]["h"],
+            h_basis=_parse_formula(payload["response"]["h"], kinds),
             candidates=candidates,
             sign_beta_known=bool(payload.get("sign_beta_known", False)),
             controls=controls,
@@ -177,13 +173,6 @@ def parse_config(payload: Mapping) -> RunConfig:
         if isinstance(err, ConfigError):
             raise
         raise ConfigError(f"malformed configuration: {err}") from err
-    # fail fast on unparseable formulas
-    try:
-        config.h_basis()
-        for cand in config.candidates:
-            cand.bases(config.kinds)
-    except FormulaError as err:
-        raise ConfigError(str(err)) from err
     if config.engine not in ("donor", "parametric"):
         raise ConfigError(f"unknown imputation engine {config.engine!r}")
     if config.m_draws < 1:

@@ -440,7 +440,8 @@ def sample(
 
 
 # ---------------------------------------------------------------------------
-# parameter vector view (used by finite-difference score code and EM)
+# parameter vector view: the order of the outcome-model scores in
+# ``variance``, and the free-parameter count in the AIC
 # ---------------------------------------------------------------------------
 
 

@@ -117,16 +117,17 @@ class RespondentFit:
 
     spec: OutcomeSpec
     loglik: float
-    aic: float
-    n_params: int
     iterations: int
     converged: bool
     trace: tuple[float, ...] = ()
 
-    def __post_init__(self) -> None:
-        expected = -2.0 * self.loglik + 2.0 * self.n_params
-        if math.isfinite(expected) and abs(self.aic - expected) > 1e-8:
-            raise ValueError("aic inconsistent with loglik and parameter count")
+    @property
+    def n_params(self) -> int:
+        return n_free_params(self.spec)
+
+    @property
+    def aic(self) -> float:
+        return -2.0 * self.loglik + 2.0 * self.n_params
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,7 @@ def _check_rank(x: np.ndarray) -> None:
 
 def _finish(spec: OutcomeSpec, y, columns, iterations, converged, trace=()):
     ll = float(np.sum(log_density(spec, y, columns)))
-    p = n_free_params(spec)
-    return RespondentFit(spec, ll, -2.0 * ll + 2.0 * p, p, iterations, converged, trace)
+    return RespondentFit(spec, ll, iterations, converged, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +190,7 @@ def fit_glm(
         spec = OutcomeSpec(family, (Component(mean_basis, tuple(coef), sigma2),))
         if sigma2 == 0.0:
             # exact interpolation; the density is degenerate, report directly
-            p = len(coef) + 1
-            return RespondentFit(spec, math.inf, -math.inf, p, 1, True)
+            return RespondentFit(spec, math.inf, 1, True)
         return _finish(spec, y, columns, 1, True)
 
     coef = np.zeros(x.shape[1])
@@ -376,8 +375,7 @@ def fit_normal_mixture(
         for b, c, s2 in zip(bases, coefs, sigma2s)
     )
     spec = OutcomeSpec(Family.NORMAL, comps, weights=tuple(weights))
-    p = n_free_params(spec)
-    return RespondentFit(spec, ll, -2.0 * ll + 2.0 * p, p, iters, converged, trace)
+    return RespondentFit(spec, ll, iters, converged, trace)
 
 
 def _initial_responsibilities(y, columns, bases, k, start, rng):

@@ -90,7 +90,6 @@ class SingularInformationError(FitError):
 @dataclass
 class SandwichParts:
     bread: np.ndarray  # mean-score Jacobian estimate, (d, d)
-    middle: np.ndarray  # mean outer product of influence terms, (d, d)
     i11: np.ndarray  # respondent information in gamma, (q, q)
     e_cross: np.ndarray  # weight-vs-gamma coupling, (d, q)
     j_resp: np.ndarray  # respondent influence vectors, (n1, d)
@@ -352,7 +351,7 @@ def variance_estimate(
         _check_cond(bread, "score Jacobian (I22)")
         middle = (s_resp.T @ s_resp) / n
         parts = SandwichParts(
-            bread, middle, i11, np.zeros((d, q)), s_resp, np.zeros((0, d)), s1_resp,
+            bread, i11, np.zeros((d, q)), s_resp, np.zeros((0, d)), s1_resp,
             np.zeros(weights.values.shape[-1]), np.zeros(q),
         )
         return _assemble(bread, middle, n), parts
@@ -368,7 +367,7 @@ def variance_estimate(
 
     j_resp = s_resp + s1_resp @ np.linalg.solve(i11, e_cross.T)
     middle = (j_resp.T @ j_resp + s0bar.T @ s0bar) / n
-    parts = SandwichParts(bread, middle, i11, e_cross, j_resp, s0bar, s1_resp, c, v_score)
+    parts = SandwichParts(bread, i11, e_cross, j_resp, s0bar, s1_resp, c, v_score)
     return _assemble(bread, middle, n), parts
 
 

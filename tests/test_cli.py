@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fimnar.cli as cli
+import fimnar.config
 from fimnar.cli import main
 from fimnar.config import ConfigError, load_config, parse_config
 from fimnar.respondent import RespondentFit
@@ -56,9 +57,9 @@ def test_config_round_trip(tmp_path):
     path = write_config(tmp_path, base_config())
     config = load_config(path)
     assert config.y == "y"
-    assert config.candidates[0].k == 1
-    assert config.candidates[0].has_values()
-    assert config.h_basis().render() == "1 + x"
+    assert config.candidates[0].spec.k == 1
+    assert config.candidates[0].has_values
+    assert config.h_basis.render() == "1 + x"
 
 
 @pytest.mark.parametrize(
@@ -140,6 +141,64 @@ def test_identify_rejects_a_zero_mixing_weight(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "outcome candidate 1: mixing weight 0 is 0.0" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "candidate, reason",
+    [
+        ({"components": [{"mean": "1 + x", "coef": [0.0, 0.4], "dispersion": 0.5},
+                         {"mean": "1 + x", "coef": [1.0, -0.4], "dispersion": 0.5}],
+          "weights": [0.3, 0.3]},
+         "mixing weights must sum to one"),
+        ({"components": [{"mean": "1 + x", "coef": [0.0, 0.4], "dispersion": 0.5},
+                         {"mean": "1 + x", "coef": [1.0, -0.4], "dispersion": 0.5}],
+          "weights": [0.5, 0.25, 0.25]},
+         "one mixing weight per component required"),
+        ({"family": "bernoulli", "components": ["1 + x", "1 + x^2"]},
+         "mixtures are supported for the normal family only"),
+        ({"components": [{"mean": "1 + x + x^2", "coef": [0.0, 0.4], "dispersion": 0.5}]},
+         "2 coefficients for 3 basis terms"),
+        ({"components": [{"mean": "1 + x", "coef": [0.0, 0.4], "dispersion": -0.5}]},
+         "normal components need nonnegative variance"),
+    ],
+    ids=["weight-sum", "weight-count", "bernoulli-mixture", "short-coef", "negative-variance"],
+)
+@pytest.mark.parametrize("command", ["identify", "fit"])
+def test_malformed_candidate_is_a_config_error(tmp_path, capsys, command, candidate, reason):
+    # the candidate's spec is built at load, so both subcommands stop with
+    # one error line naming the candidate instead of a traceback
+    payload = base_config()
+    payload["outcome"]["candidates"].append(candidate)
+    cfg = write_config(tmp_path, payload)
+    argv = [command, "--config", str(cfg)]
+    if command == "fit":
+        data_path = tmp_path / "d.csv"
+        data_path.write_text("x,y\n0.1,0.2\n0.2,NA\n")
+        argv += ["--data", str(data_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: malformed configuration: outcome candidate 1: {reason}"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_fit_parses_each_formula_once(tmp_path, monkeypatch):
+    # the election config declares one response basis and one candidate
+    # formula; the run reads the bases parsed at load
+    calls, real_parse = [], fimnar.config.parse_formula
+
+    def counting_parse(text, kinds):
+        calls.append(text)
+        return real_parse(text, kinds)
+
+    monkeypatch.setattr(fimnar.config, "parse_formula", counting_parse)
+    rc = main([
+        "fit", "--data", str(GATED_DATA), "--config", str(GATED_CONFIG),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 0
+    assert len(calls) == 2
 
 
 def test_identify_structure_only_flag(tmp_path):
@@ -290,7 +349,7 @@ def test_fit_exit_three_for_unidentifiable(tmp_path, monkeypatch, capsys):
     data_path = tmp_path / "d.csv"
     data_path.write_text("\n".join(rows) + "\n")
     config = load_config(cfg)
-    mirror = RespondentFit(config.candidates[0].spec(config.kinds), 0.0, 10.0, 5, 1, True)
+    mirror = RespondentFit(config.candidates[0].spec, 0.0, 1, True)
 
     def mirror_fit(y, columns, candidates, **kwargs):
         return candidates[0], mirror
@@ -343,6 +402,16 @@ def test_simulate_writes_deterministic_outputs(tmp_path):
     assert header.split("\t")[:7] == [
         "scenario", "kappa2", "parameter", "method", "bias", "rmse", "coverage_pct",
     ]
+
+
+@pytest.mark.parametrize("b", ["0", "-2"])
+def test_simulate_rejects_fewer_than_one_replicate(tmp_path, capsys, b):
+    out = tmp_path / "sim"
+    assert main([
+        "simulate", "--scenario", "s1", "--b", b, "--seed", "5", "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --b must be at least 1, got {b}"]
+    assert not out.exists()
 
 
 def test_simulate_replicate_log_has_one_row_per_replicate(tmp_path):

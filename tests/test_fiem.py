@@ -459,9 +459,9 @@ def election_case():
     repo = Path(__file__).resolve().parents[1]
     config = load_config(repo / "data" / "election_like.json")
     data = ingest(repo / "data" / "election_like.csv", config.schema())
-    (basis,) = config.candidates[0].bases(config.kinds)
+    (basis,) = config.candidates[0].bases
     gf = fit_glm(data.y_observed, data.respondent_columns(), Family.BERNOULLI, basis)
-    return data, gf, config.h_basis()
+    return data, gf, config.h_basis
 
 
 def scenario_case(name, n, seed):

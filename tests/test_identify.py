@@ -402,6 +402,32 @@ def test_structure_only_linear_mixture(slopes, sign_beta_known, status, rule, ce
     assert (v.status, v.rule, v.certificate, v.notes) == (status, rule, certificate, (note,))
 
 
+@pytest.mark.parametrize(
+    "spec, sign_beta_known, with_values",
+    [
+        (mirror_mixture(0.5, 1.0, 0.5, 1.0), False,
+         (Status.PROVABLY_UNIDENTIFIABLE, Rule.EXAMPLE5)),
+        (mirror_mixture(0.5, 1.0, 0.5, 1.0), True,
+         (Status.PROVABLY_IDENTIFIABLE, Rule.THM3_C2_C3)),
+        (linear_mixture([1.0, 2.0], [1.0, 1.0], [0.5, 0.5]), False,
+         (Status.PROVABLY_UNIDENTIFIABLE, Rule.EXAMPLE6)),
+        (linear_mixture([1.0, 2.0], [1.0, 1.0], [0.5, 0.5]), True,
+         (Status.PROVABLY_UNIDENTIFIABLE, Rule.EXAMPLE6)),
+    ],
+    ids=["example5", "example5-sign-known", "example6", "example6-sign-known"],
+)
+def test_structure_alone_never_proves_unidentifiability(spec, sign_beta_known, with_values):
+    # the unidentifiable examples rest on relations among coefficient
+    # values, so a structure-only verdict cannot prove them; `fimnar fit`
+    # gates on the fitted-values verdict alone
+    structure = check_model(
+        spec, h("1 + x"), CONT, sign_beta_known=sign_beta_known, values_known=False
+    )
+    assert structure.status is not Status.PROVABLY_UNIDENTIFIABLE
+    v = check_model(spec, h("1 + x"), CONT, sign_beta_known=sign_beta_known)
+    assert (v.status, v.rule) == with_values
+
+
 @pytest.mark.parametrize("sign_beta_known", [False, True])
 def test_three_component_equal_slopes_not_provable(sign_beta_known):
     spec = linear_mixture([2.0, 2.0, 5.0], [1.0] * 3, [0.2, 0.3, 0.5])

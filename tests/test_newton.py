@@ -163,7 +163,7 @@ def election_data():
     repo = Path(__file__).resolve().parents[1]
     config = load_config(repo / "data" / "election_like.json")
     data = ingest(repo / "data" / "election_like.csv", config.schema())
-    return data, config.h_basis()
+    return data, config.h_basis
 
 
 @pytest.mark.parametrize("case", ["s1", "election"])

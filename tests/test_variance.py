@@ -200,7 +200,7 @@ def test_singular_information_detected():
     delta = (~np.isnan(y)).astype(int)
     data = Dataset(columns={"x": x}, y=y, delta=delta, kinds=kinds)
     gamma = OutcomeSpec(Family.NORMAL, (Component(bq, (0.3, 0.5, 0.5), 1.0),))
-    gf = RespondentFit(gamma, -100.0, 208.0, 4, 1, True)
+    gf = RespondentFit(gamma, -100.0, 1, True)
     phi = ResponseSpec(parse_formula("1 + x", kinds), (0.5, 0.2), 0.1)
     weights = fractional_weights(phi, gamma, data)
     fit = FitResult(phi, weights, 1, 0.0)
@@ -341,9 +341,9 @@ def election_fit():
     repo = Path(__file__).resolve().parents[1]
     config = load_config(repo / "data" / "election_like.json")
     data = ingest(repo / "data" / "election_like.csv", config.schema())
-    (basis,) = config.candidates[0].bases(config.kinds)
+    (basis,) = config.candidates[0].bases
     gf = fit_glm(data.y_observed, data.respondent_columns(), Family.BERNOULLI, basis)
-    return data, gf, em_fit(data, gf, config.h_basis())
+    return data, gf, em_fit(data, gf, config.h_basis)
 
 
 def scenario_fit(name, seed, n=500):
