@@ -80,8 +80,8 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--estimators", default="CC,FI")
-    p_sim.add_argument("--workers", type=int,
-                       default=int(os.environ.get(WORKERS_ENV, "1")))
+    p_sim.add_argument("--workers", type=int, default=None,
+                       help=f"worker processes (default: ${WORKERS_ENV}, else 1)")
     return parser
 
 
@@ -96,7 +96,7 @@ def _candidate_verdict(
     return check_model(
         cand.spec,
         config.h_basis,
-        config.kinds,
+        config.schema.kinds,
         sign_beta_known=config.sign_beta_known,
         values_known=cand.has_values and not structure_only,
     )
@@ -158,11 +158,7 @@ def _residual_rows(gamma_fit: RespondentFit, data: Dataset):
 
 def cmd_fit(args) -> int:
     config = load_config(args.config)
-    schema = config.schema()
-    if not args.standardize:
-        from .dataio import DataSchema
-
-        schema = DataSchema(kinds=schema.kinds, y=schema.y, delta=schema.delta)
+    schema = config.schema if args.standardize else replace(config.schema, standardize=())
     data = ingest(args.data, schema)
     engine, m_draws = _parse_engine(args.engine, config)
     controls = config.controls
@@ -195,7 +191,7 @@ def cmd_fit(args) -> int:
     post_verdict = check_model(
         gamma_fit.spec,
         config.h_basis,
-        config.kinds,
+        config.schema.kinds,
         sign_beta_known=config.sign_beta_known,
         values_known=True,
     )
@@ -301,17 +297,30 @@ def _write_fit_reports(
 # ---------------------------------------------------------------------------
 
 
+def _workers(args) -> int:
+    """``--workers``, else ``FIMNAR_THREADS``, else 1; read by ``simulate`` only."""
+    raw = os.environ.get(WORKERS_ENV, "1") if args.workers is None else args.workers
+    try:
+        return int(raw)
+    except ValueError:
+        raise _UsageError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+
+
 def cmd_simulate(args) -> int:
     if args.b < 1:
         raise _UsageError(f"--b must be at least 1, got {args.b}")
+    if args.n < 1:
+        raise _UsageError(f"--n must be at least 1, got {args.n}")
     estimators = tuple(s.strip().upper() for s in args.estimators.split(",") if s.strip())
+    if not estimators or not set(estimators) <= {"CC", "FI"}:
+        raise _UsageError(f"--estimators takes CC and FI, got {args.estimators!r}")
+    workers = _workers(args)
     scenario = built_in_scenario(args.scenario, n=args.n, kappa2=args.kappa2)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
         summary = run_mc(
-            scenario, b=args.b, seed=args.seed, estimators=estimators,
-            workers=args.workers,
+            scenario, b=args.b, seed=args.seed, estimators=estimators, workers=workers,
         )
     except McRunError as err:
         if err.summary is not None:

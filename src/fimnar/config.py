@@ -1,9 +1,10 @@
 """Run configuration: JSON schema for models, data layout, and controls.
 
-A configuration is parsed and checked once, at load: the response basis
-and every candidate's component formulas become ``BasisSet``s, and each
-candidate becomes the ``OutcomeSpec`` its declared values give.  A
-malformed formula or candidate is a ``ConfigError``.
+A configuration is parsed and checked once, at load: the data layout
+becomes a ``DataSchema``, the response basis and every candidate's
+component formulas become ``BasisSet``s, and each candidate becomes the
+``OutcomeSpec`` its declared values give.  A malformed layout, formula or
+candidate is a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .basis import BasisSet, CovariateKind, FormulaError, binary, categorical, continuous, parse_formula
 from .dataio import DataSchema
@@ -46,10 +47,13 @@ class OutcomeCandidate:
 
 @dataclass(frozen=True)
 class RunConfig:
-    kinds: dict[str, CovariateKind]
-    y: str
-    delta: Optional[str]
-    standardize: tuple[str, ...]
+    """A parsed run configuration.
+
+    ``schema`` is the data layout: covariate kinds, outcome and indicator
+    columns, and the covariates that ``fimnar fit --standardize`` z-scores.
+    """
+
+    schema: DataSchema
     h_basis: BasisSet
     candidates: tuple[OutcomeCandidate, ...]
     sign_beta_known: bool
@@ -58,14 +62,6 @@ class RunConfig:
     m_draws: int
     restarts: int
     seed: int
-
-    def schema(self) -> DataSchema:
-        return DataSchema(
-            kinds=self.kinds,
-            y=self.y,
-            delta=self.delta,
-            standardize=self.standardize,
-        )
 
 
 def _parse_kind(raw) -> CovariateKind:
@@ -97,10 +93,18 @@ def _parse_formula(text: str, kinds: Mapping[str, CovariateKind]) -> BasisSet:
 
 
 def _parse_candidate(raw, default_family: Family, kinds: Mapping, index: int) -> OutcomeCandidate:
+    """The candidate ``raw``; any error in it is a ConfigError naming candidate ``index``."""
+    try:
+        return _build_candidate(raw, default_family, kinds)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"malformed configuration: outcome candidate {index}: {err}") from err
+
+
+def _build_candidate(raw, default_family: Family, kinds: Mapping) -> OutcomeCandidate:
     family = Family(raw.get("family", default_family.value))
     entries = raw.get("components")
     if not entries:
-        raise ConfigError("an outcome candidate needs a components list")
+        raise ConfigError("a components list is required")
     entries = [{"mean": e} if isinstance(e, str) else e for e in entries]
     weights = raw.get("weights")
     if weights is None:
@@ -108,10 +112,7 @@ def _parse_candidate(raw, default_family: Family, kinds: Mapping, index: int) ->
     for k, weight in enumerate(weights):
         # a zero component is no mixture component; its log weight has no value
         if not float(weight) > 0.0:
-            raise ConfigError(
-                f"outcome candidate {index}: mixing weight {k} is {weight!r}; "
-                "every weight must be positive"
-            )
+            raise ConfigError(f"mixing weight {k} is {weight!r}; every weight must be positive")
     dispersed = family in (Family.NORMAL, Family.GAMMA)
     comps, has_values = [], True
     for entry in entries:
@@ -123,10 +124,7 @@ def _parse_candidate(raw, default_family: Family, kinds: Mapping, index: int) ->
         if disp is None and dispersed:
             disp = 1.0
         comps.append((basis, tuple(coef), disp))
-    try:
-        spec = OutcomeSpec(family, tuple(Component(*c) for c in comps), tuple(weights))
-    except ValueError as err:
-        raise ConfigError(f"malformed configuration: outcome candidate {index}: {err}") from err
+    spec = OutcomeSpec(family, tuple(Component(*c) for c in comps), tuple(weights))
     return OutcomeCandidate(tuple(e["mean"] for e in entries), spec, has_values)
 
 
@@ -156,10 +154,12 @@ def parse_config(payload: Mapping) -> RunConfig:
             max_em_iter=int(controls_raw.get("max_iter", 500)),
         )
         config = RunConfig(
-            kinds=kinds,
-            y=payload.get("y", "y"),
-            delta=payload.get("delta"),
-            standardize=tuple(payload.get("standardize", ())),
+            schema=DataSchema(
+                kinds=kinds,
+                y=payload.get("y", "y"),
+                delta=payload.get("delta"),
+                standardize=tuple(payload.get("standardize", ())),
+            ),
             h_basis=_parse_formula(payload["response"]["h"], kinds),
             candidates=candidates,
             sign_beta_known=bool(payload.get("sign_beta_known", False)),

@@ -132,15 +132,22 @@ class Dataset:
 
 
 def _parse_cell(value: str, name: str, kind: CovariateKind, row: int):
+    """A covariate cell of file line ``row``; a missing one (``NA``, empty or nan) is an error."""
     value = value.strip()
-    if kind.kind == "categorical":
+    if value not in _MISSING_MARKERS and kind.kind == "categorical":
         return value
     try:
-        return float(value)
+        number = math.nan if value in _MISSING_MARKERS else float(value)
     except ValueError:
         raise IngestError(
             f"row {row}, column {name!r}: cannot parse {value!r} as a number"
         ) from None
+    if math.isnan(number):
+        raise IngestError(
+            f"row {row}: covariate {name!r} is missing; covariates "
+            "must be completely observed"
+        )
+    return number
 
 
 def ingest(path, schema: DataSchema) -> Dataset:
@@ -148,7 +155,8 @@ def ingest(path, schema: DataSchema) -> Dataset:
 
     The outcome column treats ``NA`` and empty fields as missing.  When
     the schema names an indicator column it is cross-checked against
-    outcome missingness; otherwise the indicator is inferred.  Declared
+    outcome missingness; otherwise the indicator is inferred.  Errors name
+    the file line of the offending cell, the header being line 1.  Declared
     covariates in ``schema.standardize`` are z-scored and the applied
     (mean, sd) transforms recorded on the dataset.
     """
@@ -176,13 +184,7 @@ def ingest(path, schema: DataSchema) -> Dataset:
         if len(row) != len(header):
             raise IngestError(f"row {row_number}: expected {len(header)} fields")
         for name, kind in schema.kinds.items():
-            cell = row[index[name]].strip()
-            if cell in _MISSING_MARKERS:
-                raise IngestError(
-                    f"row {row_number}: covariate {name!r} is missing; covariates "
-                    "must be completely observed"
-                )
-            raw_cols[name].append(_parse_cell(cell, name, kind, row_number))
+            raw_cols[name].append(_parse_cell(row[index[name]], name, kind, row_number))
         y_cell = row[index[schema.y]].strip()
         if y_cell in _MISSING_MARKERS:
             ys.append(math.nan)
@@ -198,6 +200,10 @@ def ingest(path, schema: DataSchema) -> Dataset:
             if cell not in ("0", "1"):
                 raise IngestError(
                     f"row {row_number}, column {schema.delta!r}: indicator must be 0 or 1"
+                )
+            if (cell == "1") == math.isnan(ys[-1]):
+                raise IngestError(
+                    f"row {row_number}: response indicator conflicts with outcome missingness"
                 )
             deltas.append(int(cell))
     y = np.asarray(ys, dtype=float)

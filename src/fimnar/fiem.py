@@ -96,6 +96,9 @@ __all__ = [
 ]
 
 
+MAX_NEWTON_STEPS = 50  # step cap of every Newton solve of the mean score equation
+
+
 @dataclass(frozen=True)
 class FiControls:
     """Stopping rules of the solves of the mean score equation.
@@ -103,30 +106,28 @@ class FiControls:
     Every solve is ``respondent._newton``.  ``em_fit`` converges when the
     max-abs score ``S(phi; w(beta))`` is at most ``tol_score`` and the next
     step at most ``tol_phi`` in every parameter, within
-    ``min(max_newton_iter, max_em_iter)`` steps.  Where it does not, EM
+    ``min(MAX_NEWTON_STEPS, max_em_iter)`` steps.  Where it does not, EM
     from the same start runs until an iteration moves phi by at most
     ``tol_phi`` (within ``max_em_iter`` iterations), and the same solve
     starts again from EM's phi.  Fixed-weight solves stop at
-    ``tol_score`` within ``max_newton_iter`` steps.
+    ``tol_score`` within ``MAX_NEWTON_STEPS`` steps.
     """
 
     tol_phi: float = 1e-8
     tol_score: float = 1e-8
     max_em_iter: int = 500
-    max_newton_iter: int = 50
 
 
 class FractionalWeights:
     """Normalized donor weights for every missing unit.
 
-    ``donor_y`` is the shared respondent outcome vector for the donor
-    engine, or an (n_missing, M) array of per-unit imputed pools for
-    the parametric engine.  The weights are ``kernel``, a ``_LogWeights``
-    over the values ``values = kernel.donor_y``: the donor engine's are
-    the donors' unique values, and ``inverse`` maps each donor to its
-    value.  ``kernel`` and ``values`` are what the solver and the variance
-    code reduce.  The property ``w`` is the per-donor array, rows summing
-    to one, built on each read (a value's weight split evenly among its
+    The weights are ``kernel``, a ``_LogWeights`` over the values
+    ``values = kernel.donor_y``: for the donor engine the donors' unique
+    values, with ``inverse`` mapping each donor to its value, and for the
+    parametric engine an (n_missing, M) array of per-unit imputed pools.
+    ``kernel`` and ``values`` are what the solver and the variance code
+    reduce.  The property ``w`` is the per-donor array, rows summing to
+    one, built on each read (a value's weight split evenly among its
     donors) and never kept.  ``ybar`` and ``spread`` are each unit's
     weighted donor mean and centred second moment ``sum_j w_ij (y_j -
     ybar_i)^2``: ``moments`` when given (``em_fit`` passes the ones its
@@ -140,14 +141,12 @@ class FractionalWeights:
     def __init__(
         self,
         n_missing: int,
-        donor_y: np.ndarray,
         kernel: "_LogWeights",
         log_c: Optional[np.ndarray] = None,
         inverse: Optional[np.ndarray] = None,
         moments: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         self.n_missing = int(n_missing)
-        self.donor_y = donor_y
         self.log_c = log_c
         self.kernel = kernel
         self.values = kernel.donor_y
@@ -170,19 +169,23 @@ class FitResult:
 
     ``em_fit`` returns one only for a converged solve.  ``weights`` are
     the fractional weights at ``phi_hat``, which the point estimate of
-    the outcome mean and both variances reduce; ``em_iterations``,
-    ``mean_score_norm`` and ``trace`` describe the solve.
+    the outcome mean and both variances reduce; ``mean_score_norm`` and
+    ``trace`` describe the solve, and ``em_iterations`` counts the trace's
+    steps.
     """
 
     phi_hat: ResponseSpec
     weights: FractionalWeights
-    em_iterations: int
     mean_score_norm: float
     trace: tuple[tuple[int, float, float], ...] = ()
 
     @property
     def phi(self) -> np.ndarray:
         return self.phi_hat.phi
+
+    @property
+    def em_iterations(self) -> int:
+        return len(self.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +428,6 @@ def fractional_weights(
     kernel, inverse, log_c = _donor_kernel(gamma, data)
     return FractionalWeights(
         data.n_missing,
-        data.y_observed.copy(),
         log_c=log_c,
         kernel=replace(kernel, beta=phi.beta),
         inverse=inverse,
@@ -487,14 +489,13 @@ class _ScoreArrays:
 
     z_resp: np.ndarray  # (n1, L+1) respondent design incl. outcome column
     b_miss: np.ndarray  # (n0, L) missing-unit covariate design
-    h_index: int  # = L, position of the outcome column
 
 
 def _score_arrays(phi: ResponseSpec, data: Dataset) -> _ScoreArrays:
     resp_cols = data.respondent_columns()
     z_resp = phi.design(resp_cols, data.y_observed)
     b_miss = phi.h_basis.design(data.missing_columns())
-    return _ScoreArrays(z_resp, b_miss, z_resp.shape[1] - 1)
+    return _ScoreArrays(z_resp, b_miss)
 
 
 def _row_dot(a: np.ndarray, donor_y: np.ndarray) -> np.ndarray:
@@ -535,8 +536,8 @@ def _evaluate(phi, arrays, w, donor_y, weights_move: bool):
     p_resp = propensity_from_log_odds(z @ -phi.phi)
     score = z.T @ (1.0 - p_resp)  # delta = 1
     jac = -(z.T @ (z * (p_resp * (1.0 - p_resp))[:, None]))
-    L, b = arrays.h_index, arrays.b_miss
-    n0 = b.shape[0]
+    b = arrays.b_miss
+    n0, L = b.shape  # L: position of the outcome column
     moments = (np.empty(0), np.empty(0))
     if n0:
         # per unit: sums of u against (1, y_c, y_c^2), and of u pi and of
@@ -601,7 +602,7 @@ def solve_mean_score(
     """Damped Newton solve of ``mean_score(phi) = 0`` with the weights fixed.
 
     Raises FitError when ``respondent._newton`` does not converge within
-    ``controls.max_newton_iter`` steps.
+    ``MAX_NEWTON_STEPS`` steps.
     """
     arrays = _score_arrays(phi, data)
     return _fixed_weight_solve(phi, arrays, weights.kernel, weights.values, controls)[0]
@@ -614,7 +615,7 @@ def _fixed_weight_solve(phi, arrays, w, donor_y, controls: FiControls):
         return _score_and_jacobian(phi.with_phi(x), arrays, w, donor_y, False)
 
     # as an M-step this needs no step test: EM's own test on phi follows
-    x, path, converged = _newton(phi.phi, system, controls.max_newton_iter, controls.tol_score)
+    x, path, converged = _newton(phi.phi, system, MAX_NEWTON_STEPS, controls.tol_score)
     norm = path[-1][2]
     if not converged:
         raise FitError(f"M-step Newton did not converge (score norm {norm:.3g})")
@@ -636,7 +637,6 @@ def em_fit(
     data: Dataset,
     gamma_fit: RespondentFit,
     h_basis,
-    init_phi: Optional[ResponseSpec] = None,
     controls: FiControls = FiControls(),
     engine: str = "donor",
     m_draws: int = 500,
@@ -645,8 +645,8 @@ def em_fit(
     """Solve the fractional-imputation mean score equation for (alpha, beta).
 
     Damped Newton on ``S(phi; w(beta)) = 0`` with the exact Jacobian and
-    the weights recomputed at every trial point, from ``init_phi`` or
-    else the ignorable logistic fit.  Where it does not converge (see
+    the weights recomputed at every trial point, from the ignorable
+    logistic fit.  Where it does not converge (see
     FiControls), EM from the same start gives the same solve a second
     start; FitError is raised when EM or that solve does not converge.
     ``mean_score_norm`` is the max-abs ``S(phi_hat; w(beta_hat))``;
@@ -656,17 +656,16 @@ def em_fit(
     calls this.
     """
     gamma = gamma_fit.spec
-    phi = init_phi if init_phi is not None else _initial_phi(h_basis, data)
+    phi = _initial_phi(h_basis, data)
 
     if engine == "donor":
-        donor_y = data.y_observed.copy()
         kernel, inverse, log_c = _donor_kernel(gamma, data)
     elif engine == "parametric":
         rng = rng or np.random.default_rng(0)
-        donor_y = _parametric_pool(gamma, data, m_draws, rng)
+        pool = _parametric_pool(gamma, data, m_draws, rng)
         # proposal equals the respondents' density, so only the odds factor
         # survives in the self-normalized weights
-        kernel, inverse, log_c = _LogWeights(None, 0.0, donor_y), None, None
+        kernel, inverse, log_c = _LogWeights(None, 0.0, pool), None, None
     else:
         raise ValueError(f"unknown imputation engine {engine!r}")
 
@@ -681,7 +680,7 @@ def em_fit(
         return score, jac
 
     def solve(x):
-        steps = min(controls.max_newton_iter, controls.max_em_iter)
+        steps = min(MAX_NEWTON_STEPS, controls.max_em_iter)
         return _newton(x, system, steps, controls.tol_score, controls.tol_phi)
 
     x, path, converged = solve(phi.phi)
@@ -710,7 +709,6 @@ def em_fit(
     at_root = np.array_equal(last.get("x"), x)
     weights = FractionalWeights(
         data.n_missing,
-        donor_y,
         log_c=log_c,
         kernel=replace(kernel, beta=phi_hat.beta),
         inverse=inverse,
@@ -719,7 +717,6 @@ def em_fit(
     return FitResult(
         phi_hat=phi_hat,
         weights=weights,
-        em_iterations=len(trace),
         mean_score_norm=path[-1][2],
         trace=tuple(trace),
     )

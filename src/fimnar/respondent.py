@@ -43,7 +43,10 @@ __all__ = [
     "search_basis_by_aic",
 ]
 
-GRAD_TOL = 1e-8
+GRAD_TOL = 1e-8  # fit_glm stops once its max-abs log-likelihood gradient is this small
+GLM_MAX_STEPS = 100  # Newton step cap of fit_glm
+MIXTURE_MAX_ITER = 500  # EM iteration cap of each fit_normal_mixture start
+MIXTURE_TOL = 1e-10  # relative log-likelihood gain at which a mixture start converges
 MAX_HALVINGS = 30  # step halvings per damped Newton step
 RIDGE = 1e-10  # regularizes a numerically singular Newton Jacobian
 SIGMA_FLOOR_FACTOR = 1e-6  # times the sample SD of y; EM collapse guard
@@ -166,15 +169,13 @@ def fit_glm(
     columns: Mapping[str, np.ndarray],
     family: Family,
     mean_basis: BasisSet,
-    max_iter: int = 100,
-    tol: float = GRAD_TOL,
 ) -> RespondentFit:
     """Fit a one-component exponential-family model on complete cases.
 
     Raises FitError on a rank-deficient design or if damped Newton
     (``_newton``) fails to push the max-abs log-likelihood gradient below
-    `tol` within `max_iter` steps (the gradient trace rides on the
-    exception).  ``iterations`` counts the gradient evaluations at
+    ``GRAD_TOL`` within ``GLM_MAX_STEPS`` steps (the gradient trace rides
+    on the exception).  ``iterations`` counts the gradient evaluations at
     accepted points, the start included.
     """
     y = np.asarray(y, dtype=float)
@@ -213,7 +214,7 @@ def fit_glm(
     else:  # pragma: no cover - exhaustive over Family
         raise ValueError(f"unsupported family {family}")
 
-    coef, path, converged = _newton(coef, system, max_iter, tol)
+    coef, path, converged = _newton(coef, system, GLM_MAX_STEPS, GRAD_TOL)
     trace = tuple(norm for _, _, norm in path)
     if not converged:
         raise FitError(
@@ -329,8 +330,6 @@ def fit_normal_mixture(
     columns: Mapping[str, np.ndarray],
     bases: Sequence[BasisSet],
     restarts: int = 10,
-    max_iter: int = 500,
-    tol: float = 1e-10,
     rng: Optional[np.random.Generator] = None,
 ) -> RespondentFit:
     """EM fit of a K-component normal mixture with restarts.
@@ -339,10 +338,12 @@ def fit_normal_mixture(
     log-likelihood, over one deterministic start (quantile-sliced
     residuals of a pooled least-squares fit) plus `restarts - 1` random
     starts.  All starts run as one batched EM (``_em_batch``), each with
-    its own trace, iteration count and abort rule: a component that loses
-    nearly all its mass, or whose standard deviation collapses below 1e-6
-    times the sample SD of y, aborts that start.  If every start aborts a
-    FitError is raised.
+    its own trace, iteration count and abort rule.  A start converges once
+    an iteration gains at most ``MIXTURE_TOL * (1 + |ll|)`` in
+    log-likelihood, within ``MIXTURE_MAX_ITER`` iterations.  A component
+    that loses nearly all its mass, or whose standard deviation collapses
+    below 1e-6 times the sample SD of y, aborts that start.  If every
+    start aborts a FitError is raised.
     """
     y = np.asarray(y, dtype=float)
     k = len(bases)
@@ -363,7 +364,7 @@ def fit_normal_mixture(
         ],
         axis=1,
     )
-    runs = _em_batch(y, designs, resp, sd_floor, max_iter, tol)
+    runs = _em_batch(y, designs, resp, sd_floor, MIXTURE_MAX_ITER, MIXTURE_TOL)
     fits = [run for run in runs if not isinstance(run, FitError)]
     if not fits:
         raise FitError(

@@ -29,7 +29,7 @@ from .basis import continuous, parse_formula
 from .dataio import Dataset
 from .expfam import Component, Family, OutcomeSpec, log_odds_normalizer, mean, sample, tilt
 from .fiem import FiControls, em_fit, estimate_mu_y
-from .respondent import Candidate, FitError, fit_glm, fit_normal_mixture
+from .respondent import FitError, fit_glm, fit_normal_mixture
 from .response import ResponseSpec, propensity_from_log_odds
 from .variance import mu_y_variance, variance_estimate, wald_interval
 
@@ -57,13 +57,16 @@ TRUTH_LIMIT = 40.0  # true_mu_y integrates x over [-TRUTH_LIMIT, TRUTH_LIMIT]
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete population law plus the model structure used to fit it."""
+    """A complete population law.
+
+    The respondents' model fitted to its data has the family and the
+    component bases of ``respondent``.
+    """
 
     name: str
     n: int
     respondent: OutcomeSpec
     response: ResponseSpec
-    fit_plan: Candidate
     knob: Optional[float] = None  # quadratic coefficient for the first scenario
 
     def validate(self) -> None:
@@ -89,7 +92,6 @@ def scenario_s1(kappa2: float = 1.0, n: int = 500) -> Scenario:
         n=n,
         respondent=respondent,
         response=response,
-        fit_plan=Candidate(Family.NORMAL, (_B1XX,)),
         knob=kappa2,
     )
 
@@ -97,13 +99,7 @@ def scenario_s1(kappa2: float = 1.0, n: int = 500) -> Scenario:
 def scenario_s2(n: int = 500) -> Scenario:
     respondent = OutcomeSpec(Family.BERNOULLI, (Component(_B1X, (-0.21, 5.9)),))
     response = ResponseSpec(_B1X, (0.7, 0.39), 0.39)
-    return Scenario(
-        name="s2",
-        n=n,
-        respondent=respondent,
-        response=response,
-        fit_plan=Candidate(Family.BERNOULLI, (_B1X,)),
-    )
+    return Scenario(name="s2", n=n, respondent=respondent, response=response)
 
 
 def scenario_s3(n: int = 500) -> Scenario:
@@ -116,13 +112,7 @@ def scenario_s3(n: int = 500) -> Scenario:
         weights=(0.35, 0.65),
     )
     response = ResponseSpec(_B1X, (0.9, -0.26), 0.2)
-    return Scenario(
-        name="s3",
-        n=n,
-        respondent=respondent,
-        response=response,
-        fit_plan=Candidate(Family.NORMAL, (_B1X, _B1XX)),
-    )
+    return Scenario(name="s3", n=n, respondent=respondent, response=response)
 
 
 def built_in_scenario(name: str, n: int = 500, kappa2: float = 1.0) -> Scenario:
@@ -306,12 +296,14 @@ def cc_mu_y(data: Dataset) -> tuple[float, float, float]:
 
 
 def _fit_respondent(scenario: Scenario, data: Dataset, rng, restarts: int):
-    plan = scenario.fit_plan
+    """Fit the scenario's respondents' family and bases; only normal specs are mixtures."""
+    spec = scenario.respondent
     y = data.y_observed
     columns = data.respondent_columns()
-    if plan.family is Family.NORMAL and plan.k > 1:
-        return fit_normal_mixture(y, columns, plan.bases, restarts=restarts, rng=rng)
-    return fit_glm(y, columns, plan.family, plan.bases[0])
+    bases = [comp.basis for comp in spec.components]
+    if spec.k > 1:
+        return fit_normal_mixture(y, columns, bases, restarts=restarts, rng=rng)
+    return fit_glm(y, columns, spec.family, bases[0])
 
 
 @dataclass

@@ -326,7 +326,7 @@ def variance_estimate(
     """
     phi = fit.phi_hat
     weights = fit.weights
-    if weights.donor_y.ndim != 1:
+    if weights.values.ndim != 1:
         raise FitError(
             "variance estimation is defined for the donor weighting scheme; "
             "refit with engine='donor'"

@@ -449,7 +449,7 @@ def test_criterion_3_variance_estimator(mc_variance_experiment):
     gf = fit_glm(data.y_observed, data.respondent_columns(), Family.NORMAL, B1X)
     phi = ResponseSpec(B1X, (0.4, -0.2), 0.3)
     w = fractional_weights(phi, gf.spec, data)
-    fit = FitResult(phi, w, 1, 0.0)
+    fit = FitResult(phi, w, 0.0)
     sigma, _ = variance_estimate(fit, gf, data)
     z = np.column_stack([np.ones(n), x, yv])
     p = 1.0 / (1.0 + np.exp(-(z @ phi.phi)))

@@ -1,6 +1,6 @@
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +10,7 @@ import fimnar.cli as cli
 import fimnar.config
 from fimnar.cli import main
 from fimnar.config import ConfigError, load_config, parse_config
+from fimnar.fiem import FiControls
 from fimnar.respondent import RespondentFit
 
 REPO = Path(__file__).resolve().parents[1]
@@ -56,7 +57,7 @@ def base_config(**overrides):
 def test_config_round_trip(tmp_path):
     path = write_config(tmp_path, base_config())
     config = load_config(path)
-    assert config.y == "y"
+    assert config.schema.y == "y"
     assert config.candidates[0].spec.k == 1
     assert config.candidates[0].has_values
     assert config.h_basis.render() == "1 + x"
@@ -86,6 +87,27 @@ def test_config_rejects_m_draws_below_one(m_draws):
     payload = base_config(controls={"engine": "parametric", "m_draws": m_draws})
     with pytest.raises(ConfigError, match="m_draws"):
         parse_config(payload)
+
+
+def test_each_fi_control_is_set_by_its_config_key():
+    # a stopping rule no config key sets would be an option with no caller
+    keys = {"tol_phi": ("tol", 1e-5), "tol_score": ("score_tol", 1e-6), "max_em_iter": ("max_iter", 77)}
+    assert set(keys) == {f.name for f in fields(FiControls)}
+    for name, (key, value) in keys.items():
+        controls = parse_config(base_config(controls={key: value})).controls
+        assert getattr(controls, name) == value != getattr(FiControls(), name)
+
+
+def test_identify_rejects_standardizing_a_categorical_covariate(tmp_path, capsys):
+    # the data layout is checked at load, so identify rejects it as fit does
+    payload = base_config(standardize=["z"])
+    payload["covariates"]["z"] = {"kind": "categorical", "levels": ["a", "b"]}
+    path = write_config(tmp_path, payload)
+    assert main(["identify", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: malformed configuration: only declared-continuous covariates "
+        "can be standardized, not 'z'"
+    ]
 
 
 def test_config_invalid_json(tmp_path):
@@ -160,8 +182,12 @@ def test_identify_rejects_a_zero_mixing_weight(tmp_path, capsys):
          "2 coefficients for 3 basis terms"),
         ({"components": [{"mean": "1 + x", "coef": [0.0, 0.4], "dispersion": -0.5}]},
          "normal components need nonnegative variance"),
+        ({"components": [{"mean": "1 + x", "coef": 5, "dispersion": 0.5}]},
+         "'int' object is not iterable"),
+        ({"components": [{"coef": [0.0, 0.4], "dispersion": 0.5}]}, "'mean'"),
     ],
-    ids=["weight-sum", "weight-count", "bernoulli-mixture", "short-coef", "negative-variance"],
+    ids=["weight-sum", "weight-count", "bernoulli-mixture", "short-coef", "negative-variance",
+         "scalar-coef", "no-mean"],
 )
 @pytest.mark.parametrize("command", ["identify", "fit"])
 def test_malformed_candidate_is_a_config_error(tmp_path, capsys, command, candidate, reason):
@@ -411,6 +437,39 @@ def test_simulate_rejects_fewer_than_one_replicate(tmp_path, capsys, b):
         "simulate", "--scenario", "s1", "--b", b, "--seed", "5", "--out", str(out),
     ]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: --b must be at least 1, got {b}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--n", "0", "--n must be at least 1, got 0"),
+        ("--n", "-5", "--n must be at least 1, got -5"),
+        ("--estimators", "XX", "--estimators takes CC and FI, got 'XX'"),
+        ("--estimators", "CC,FJ", "--estimators takes CC and FI, got 'CC,FJ'"),
+    ],
+)
+def test_simulate_checks_its_arguments_first(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "sim"
+    assert main([
+        "simulate", "--scenario", "s1", "--b", "1", "--seed", "5", "--out", str(out),
+        flag, value,
+    ]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_bad_thread_count_is_a_usage_error_of_simulate_only(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FIMNAR_THREADS", "two")
+    assert main(["identify", "--config", str(GATED_CONFIG)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "sim"
+    assert main([
+        "simulate", "--scenario", "s1", "--b", "1", "--seed", "5", "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: FIMNAR_THREADS must be an integer, got 'two'"
+    ]
     assert not out.exists()
 
 

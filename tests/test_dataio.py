@@ -36,13 +36,23 @@ def test_ingest_tab_delimited(tmp_path):
 
 
 def test_delta_column_conflict_names_the_row(tmp_path):
+    # the conflict is on file line 3, the header being line 1
     schema = DataSchema(kinds=KINDS, y="y", delta="delta")
     path = write(
         tmp_path,
         "x,z,y,delta\n0.1,1,2.0,1\n0.2,2,NA,1\n0.3,1,1.0,1\n",
     )
-    with pytest.raises(IngestError, match="row 2"):
+    with pytest.raises(IngestError, match="row 3"):
         ingest(path, schema)
+
+
+@pytest.mark.parametrize("cell", ["NA", "nan", ""])
+def test_missing_covariate_names_the_file_line(tmp_path, cell):
+    # every spelling of a missing covariate counts file lines, as the
+    # indicator conflict does
+    path = write(tmp_path, f"x,z,y\n0.1,1,2.0\n{cell},2,1.0\n")
+    with pytest.raises(IngestError, match="^row 3: covariate 'x' is missing"):
+        ingest(path, SCHEMA)
 
 
 def test_explicit_delta_column_accepted_when_consistent(tmp_path):

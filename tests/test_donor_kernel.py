@@ -35,7 +35,7 @@ from fimnar.fiem import (
     estimate_mu_y,
     fractional_weights,
 )
-from fimnar.respondent import Candidate, FitError, fit_glm
+from fimnar.respondent import FitError, fit_glm
 from fimnar.response import ResponseSpec
 from fimnar.sim import Scenario, _fit_respondent, built_in_scenario, generate
 from fimnar.variance import (
@@ -71,7 +71,8 @@ def reference_score_and_jacobian(phi, arrays, w, donor_y, weights_move):
     p_resp = expit(z @ phi.phi)
     score = z.T @ (1.0 - p_resp)
     jac = -(z.T @ (z * (p_resp * (1.0 - p_resp))[:, None]))
-    L, b = arrays.h_index, arrays.b_miss
+    b = arrays.b_miss
+    L = b.shape[1]
     pi = expit((b @ np.asarray(phi.alpha))[:, None] + phi.beta * donor_y)
     wp = w * pi
     q = wp * (1.0 - pi)
@@ -94,7 +95,7 @@ def reference_score_and_jacobian(phi, arrays, w, donor_y, weights_move):
 def reference_missing_pieces(phi, gamma, weights, data, n):
     """s0bar, z0bar and e_cross from the full w * pi array."""
     b_miss = phi.h_basis.design(data.missing_columns())
-    y_d = weights.donor_y
+    y_d = data.y_observed
     wp = weights.w * expit((b_miss @ np.asarray(phi.alpha))[:, None] + phi.beta * y_d)
     s0bar = -np.column_stack([wp.sum(axis=1)[:, None] * b_miss, wp @ y_d])
     z0bar = np.column_stack([b_miss, weights.w @ y_d])
@@ -106,7 +107,7 @@ def reference_missing_pieces(phi, gamma, weights, data, n):
 
 
 def reference_mu_y_grad_gamma(gamma, weights, data):
-    y_d = weights.donor_y
+    y_d = data.y_observed
     v = (y_d[None, :] - (weights.w @ y_d)[:, None]) * weights.w
     c = v.sum(axis=0)
     (local,) = _score_sums(gamma, y_d, data.missing_columns(), (v,))
@@ -133,7 +134,7 @@ def reference_variances(fit, gf, data):
     sigma = _assemble(bread, (j_resp.T @ j_resp + s0bar.T @ s0bar) / n, n)
 
     grad_gamma = reference_mu_y_grad_gamma(gamma, weights, data)
-    y_c = weights.donor_y - np.mean(weights.donor_y)
+    y_c = data.y_observed - np.mean(data.y_observed)
     grad_phi = np.zeros(phi.phi.size)
     grad_phi[-1] = -np.sum(weights.w @ y_c**2 - (weights.w @ y_c) ** 2) / n
     mu_hat = estimate_mu_y(fit, data)
@@ -142,7 +143,7 @@ def reference_variances(fit, gf, data):
     psi = np.empty(n)
     psi[mask] = data.y_observed - mu_hat - j_resp @ a_g
     psi[mask] += s1_resp @ np.linalg.solve(i11, grad_gamma)
-    psi[~mask] = weights.w @ weights.donor_y - mu_hat - s0bar @ a_g
+    psi[~mask] = weights.w @ data.y_observed - mu_hat - s0bar @ a_g
     return sigma, np.sum(psi**2) / n**2, e_cross, grad_gamma
 
 
@@ -154,7 +155,7 @@ def reference_variances(fit, gf, data):
 def election_case():
     repo = Path(__file__).resolve().parents[1]
     config = load_config(repo / "data" / "election_like.json")
-    data = ingest(repo / "data" / "election_like.csv", config.schema())
+    data = ingest(repo / "data" / "election_like.csv", config.schema)
     (basis,) = config.candidates[0].bases
     gf = fit_glm(data.y_observed, data.respondent_columns(), Family.BERNOULLI, basis)
     return data, gf, config.h_basis
@@ -416,14 +417,13 @@ def stored_grid_kernel(gamma, data):
 
 def glm_scenario_case(family, seed, n=500):
     """A Poisson or gamma (shape 3, log link) outcome on 1 + x, fitted by ``fit_glm``."""
-    basis = built_in_scenario("s2").fit_plan.bases[0]  # 1 + x
+    basis = built_in_scenario("s2").response.h_basis  # 1 + x
     dispersion = 3.0 if family is Family.GAMMA else None
     scn = Scenario(
         name=family.value,
         n=n,
         respondent=OutcomeSpec(family, (Component(basis, (0.5, 0.4), dispersion),)),
         response=ResponseSpec(basis, (0.6, 0.3), 0.3),
-        fit_plan=Candidate(family, (basis,)),
     )
     data = generate(scn, np.random.default_rng(seed))
     return data, _fit_respondent(scn, data, None, 1), scn.response.h_basis
@@ -515,7 +515,7 @@ def tied_dataset(seed, family, n1, n0, n_values, n_copies):
 def kernel_results(phi, gf, data, weights):
     """Score and Jacobian (away from the root), per-donor w, the bread's
     condition number, sigma and Var(mu) of one set of weights at phi."""
-    fit = FitResult(phi, weights, 1, 0.0)
+    fit = FitResult(phi, weights, 0.0)
     sigma, parts = variance_estimate(fit, gf, data)
     off = phi.with_phi(phi.phi + 0.3)
     score, jac = _score_and_jacobian(
@@ -561,7 +561,6 @@ def test_collapsed_donors_match_every_donor_and_ignore_row_order(
     kernel, _, log_c = stored_grid_kernel(gf.spec, data)
     every_donor = FractionalWeights(
         data.n_missing,
-        data.y_observed,
         log_c=log_c,
         kernel=replace(kernel, beta=phi.beta),
     )

@@ -18,7 +18,6 @@ from fimnar.expfam import (
 )
 import fimnar.sim as sim
 from fimnar.fiem import FiControls
-from fimnar.respondent import Candidate
 from fimnar.response import ResponseSpec
 from fimnar.sim import (
     McRunError,
@@ -39,7 +38,7 @@ KINDS = {"x": continuous()}
 def test_builtin_scenario_lookup():
     assert built_in_scenario("s1", n=100, kappa2=0.5).knob == 0.5
     assert built_in_scenario("S2").name == "s2"
-    assert built_in_scenario("s3").fit_plan.k == 2
+    assert built_in_scenario("s3").respondent.k == 2
     with pytest.raises(ValueError):
         built_in_scenario("s9")
 
@@ -175,7 +174,6 @@ def test_true_mu_y_odd_symmetry():
         n=100,
         respondent=respondent,
         response=response,
-        fit_plan=Candidate(Family.NORMAL, (parse_formula("x", kinds),)),
     )
     assert true_mu_y(scn) == pytest.approx(0.0, abs=1e-9)
 
@@ -245,7 +243,6 @@ def test_scenario_validation_rejects_divergent_normalizer():
         n=50,
         respondent=gamma_out,
         response=response,
-        fit_plan=Candidate(Family.GAMMA, (parse_formula("1", kinds),)),
     )
     with pytest.raises(Exception):
         generate(scn, 1)

@@ -75,7 +75,7 @@ def test_complete_data_reduction_matches_textbook_logistic_sandwich():
     gf = fit_glm(data.y_observed, data.respondent_columns(), Family.NORMAL, B1X)
     phi = ResponseSpec(B1X, (0.4, -0.2), 0.3)
     weights = fractional_weights(phi, gf.spec, data)
-    fit = FitResult(phi, weights, 1, 0.0)
+    fit = FitResult(phi, weights, 0.0)
     sigma, parts = variance_estimate(fit, gf, data)
 
     # independent textbook computation at the same parameters
@@ -95,7 +95,7 @@ def test_complete_data_mu_variance_is_sample_variance_over_n():
     gf = fit_glm(data.y_observed, data.respondent_columns(), Family.NORMAL, B1X)
     phi = ResponseSpec(B1X, (0.4, -0.2), 0.3)
     weights = fractional_weights(phi, gf.spec, data)
-    fit = FitResult(phi, weights, 1, 0.0)
+    fit = FitResult(phi, weights, 0.0)
     _, parts = variance_estimate(fit, gf, data)
     got = mu_y_variance(fit, gf, data, parts)
     assert got == pytest.approx(float(np.var(data.y)) / data.n, rel=1e-12)
@@ -132,7 +132,7 @@ def test_invariance_to_respondent_reordering():
         kinds=dict(KINDS),
     )
     weights2 = fractional_weights(fit.phi_hat, gf.spec, shuffled)
-    fit2 = FitResult(fit.phi_hat, weights2, 1, 0.0)
+    fit2 = FitResult(fit.phi_hat, weights2, 0.0)
     sigma2, parts2 = variance_estimate(fit2, gf, shuffled)
     assert np.max(np.abs(sigma2 - sigma)) <= 1e-12
     mu_var2 = mu_y_variance(fit2, gf, shuffled, parts2)
@@ -150,7 +150,7 @@ def test_closed_form_mu_gradient_in_beta_matches_finite_differences(beta):
     def mu_at(b):
         p = phi.with_phi(np.append(phi.phi[:-1], b))
         w = fractional_weights(p, _GRAD_GF.spec, _GRAD_DATA)
-        return estimate_mu_y(FitResult(p, w, 1, 0.0), _GRAD_DATA)
+        return estimate_mu_y(FitResult(p, w, 0.0), _GRAD_DATA)
 
     step = 1e-5
     fd = (mu_at(beta + step) - mu_at(beta - step)) / (2 * step)
@@ -203,7 +203,7 @@ def test_singular_information_detected():
     gf = RespondentFit(gamma, -100.0, 1, True)
     phi = ResponseSpec(parse_formula("1 + x", kinds), (0.5, 0.2), 0.1)
     weights = fractional_weights(phi, gamma, data)
-    fit = FitResult(phi, weights, 1, 0.0)
+    fit = FitResult(phi, weights, 0.0)
     with pytest.raises(SingularInformationError):
         variance_estimate(fit, gf, data)
 
@@ -230,7 +230,7 @@ def test_mixture_variance_runs_with_fd_scores():
     gf = fit_normal_mixture(
         data.y_observed,
         data.respondent_columns(),
-        scn.fit_plan.bases,
+        [comp.basis for comp in scn.respondent.components],
         rng=np.random.default_rng(2),
     )
     fit = em_fit(data, gf, scn.response.h_basis)
@@ -340,7 +340,7 @@ def election_fit():
 
     repo = Path(__file__).resolve().parents[1]
     config = load_config(repo / "data" / "election_like.json")
-    data = ingest(repo / "data" / "election_like.csv", config.schema())
+    data = ingest(repo / "data" / "election_like.csv", config.schema)
     (basis,) = config.candidates[0].bases
     gf = fit_glm(data.y_observed, data.respondent_columns(), Family.BERNOULLI, basis)
     return data, gf, em_fit(data, gf, config.h_basis)
