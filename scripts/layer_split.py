@@ -15,8 +15,12 @@ reports ``import_s``, the median over runs of the time ``import
 fimnar.cli`` takes in a fresh interpreter on the same tree.  After the
 timed runs, one untimed pass over the seeds runs each layer under
 ``tracemalloc`` and reports its largest peak of traced allocations (NumPy
-reports its buffers), since tracing slows code that allocates.  BLAS runs
-on one thread.
+reports its buffers), since tracing slows code that allocates.  It also
+reports the mean number of mean-score evaluations per replicate in
+``em_fit``: those on the full donor grid (the Newton solves and EM's
+M-steps) and those on the coarse grid that starts a large one-component
+fit, told apart by their number of donor values.  BLAS runs on one
+thread.
 
 The results are merged into the output file under ``--label``, so two
 checkouts can be compared in one file:
@@ -139,8 +143,31 @@ def traced(call):
         tracemalloc.stop()
 
 
-def replicate(scenario, seed, measure):
-    """One ``run_mc`` replicate: its Var(mu) and ``measure``'s value for each layer."""
+def count_grid_evaluations() -> list:
+    """Wrap ``fiem._evaluate`` so that each call appends its grid's number
+    of donor values to the list returned."""
+    from fimnar import fiem
+
+    evaluate, sizes = fiem._evaluate, []
+
+    def counted(phi, arrays, w, donor_y, weights_move):
+        sizes.append(donor_y.shape[-1])
+        return evaluate(phi, arrays, w, donor_y, weights_move)
+
+    fiem._evaluate = counted
+    return sizes
+
+
+def grid_evaluations(sizes: list) -> dict:
+    """``sizes`` as full-grid and coarse-grid counts: the full grid has the most values."""
+    full = sizes.count(max(sizes, default=0))
+    return {"full_grid": full, "coarse_grid": len(sizes) - full}
+
+
+def replicate(scenario, seed, measure, sizes: list):
+    """One ``run_mc`` replicate: its Var(mu), ``measure``'s value for each
+    layer, and ``em_fit``'s ``grid_evaluations`` from the ``sizes`` that
+    ``count_grid_evaluations`` returned."""
     # imported here, after main has put the --src tree on the path
     import numpy as np
 
@@ -167,8 +194,12 @@ def replicate(scenario, seed, measure):
     )
     values = {}
     for layer, call in calls:
+        if layer == "em_fit":
+            sizes.clear()
         out[layer], values[layer] = measure(call)
-    return float(out["mu_y_variance"]), values
+        if layer == "em_fit":
+            evaluations = grid_evaluations(sizes)
+    return float(out["mu_y_variance"]), values, evaluations
 
 
 def forget_t_quantiles() -> None:
@@ -284,21 +315,22 @@ def main() -> int:
 
     scenario = built_in_scenario(args.scenario, n=args.n)
     seeds = parse_seeds(args.seeds)
-    replicate(scenario, seeds[0], timed)  # warm-up
+    sizes = count_grid_evaluations()
+    replicate(scenario, seeds[0], timed, sizes)  # warm-up
 
     per_run = {layer: [] for layer in LAYERS}
     faults_per_run = {layer: [] for layer in LAYERS}
     mu_var = []
     for _ in range(args.runs):
         forget_t_quantiles()
-        mu_var, runs = zip(*(replicate(scenario, seed, timed) for seed in seeds))
+        mu_var, runs, evaluations = zip(*(replicate(scenario, seed, timed, sizes) for seed in seeds))
         for layer in LAYERS:
             per_run[layer].append(1e3 * sum(r[layer][0] for r in runs) / len(seeds))
             faults_per_run[layer].append(sum(r[layer][1] for r in runs) / len(seeds))
     import_runs = [import_seconds(src) for _ in range(args.runs)]
     totals = [sum(run) for run in zip(*per_run.values())]
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    peaks = [replicate(scenario, seed, traced)[1] for seed in seeds]
+    peaks = [replicate(scenario, seed, traced, sizes)[1] for seed in seeds]
 
     result = {
         "revision": git_revision(src),
@@ -315,6 +347,9 @@ def main() -> int:
             layer: statistics.median(values) for layer, values in faults_per_run.items()
         },
         "runs_minflt_per_replicate": faults_per_run,
+        "em_fit_evaluations_per_replicate": {
+            grid: sum(e[grid] for e in evaluations) / len(seeds) for grid in evaluations[0]
+        },
         "import_s": statistics.median(import_runs),
         "runs_import_s": import_runs,
         "peak_rss_mb": round(peak_rss_mb, 1),
@@ -329,6 +364,9 @@ def main() -> int:
         print(f"{layer:>18}: {result['ms_per_replicate'][layer]:8.1f} ms, "
               f"{result['minflt_per_replicate'][layer]:9.0f} minor faults, "
               f"peak alloc {result['peak_alloc_mb'][layer]:8.2f} MB")
+    counts = result["em_fit_evaluations_per_replicate"]
+    print(f"{'em_fit evaluations':>18}: {counts['full_grid']:g} full grid, "
+          f"{counts['coarse_grid']:g} coarse grid per replicate")
     print(f"{'total':>18}: {result['total_ms_per_replicate']:8.1f} ms, "
           f"peak RSS {result['peak_rss_mb']} MB, import {result['import_s']:.3f} s "
           f"-> {out_path} [{args.label}]")

@@ -13,9 +13,11 @@ The probes:
 - ``fimnar fit`` on ``data/election_like.csv`` with the ``donor`` and the
   ``parametric:200`` engines: the fitted (alpha, beta), their covariance,
   the outcome mean and its variance, and the solver's iteration count;
-- one-replicate ``run_mc`` on a few seeds each for s1 (n=2000), s2 (n=500)
-  and s3 (n=500): the replicate's complete-case and FI estimates and
-  intervals, and its iteration count and failure;
+- one-replicate ``run_mc`` on a few seeds each for s1 (n=2000 and
+  n=6000), s2 (n=500) and s3 (n=500): the replicate's complete-case and FI
+  estimates and intervals, and its iteration count and failure.  At
+  n=6000 the donor fit starts from its coarse level; the others take the
+  one-level solve;
 - ``run_mc(scenario_s1(0.1, n=500), b=47, seed=20240800)``, on which some
   replicates need the EM fallback: every replicate and the summary rows.
 
@@ -35,7 +37,12 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 ENGINES = ("donor", "parametric:200")
-MC_SEEDS = {"s1": (2000, (7, 8, 9)), "s2": (500, (21, 22, 23, 24)), "s3": (500, (31, 32, 33, 34))}
+MC_SEEDS = (  # scenario, n, seeds
+    ("s1", 2000, (7, 8, 9)),
+    ("s1", 6000, (10, 11)),
+    ("s2", 500, (21, 22, 23, 24)),
+    ("s3", 500, (31, 32, 33, 34)),
+)
 EM_FALLBACK_RUN = (0.1, 500, 47, 20240800)  # kappa2, n, b, seed
 
 
@@ -115,7 +122,7 @@ def run_probes(tree: Path) -> dict:
     probes = {}
     for engine in ENGINES:
         probes[f"fit election {engine}"] = _fit_probe(tree, engine)
-    for name, (n, seeds) in MC_SEEDS.items():
+    for name, n, seeds in MC_SEEDS:
         scenario = built_in_scenario(name, n=n)
         for seed in seeds:
             probes[f"run_mc {name} n={n} seed={seed}"] = _mc_probe(scenario, 1, seed)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import ConfigError, OutcomeCandidate, RunConfig, load_config
+from .config import ConfigError, OutcomeCandidate, RunConfig, check_control, load_config
 from .dataio import Dataset, IngestError, ingest
 from .expfam import SupportError, TiltDomainError, mean
 from .fiem import em_fit, estimate_mu_y
@@ -163,8 +163,10 @@ def cmd_fit(args) -> int:
     engine, m_draws = _parse_engine(args.engine, config)
     controls = config.controls
     if args.tol is not None:
+        check_control("--tol", args.tol)
         controls = replace(controls, tol_phi=args.tol)
     if args.max_iter is not None:
+        check_control("--max-iter", args.max_iter)
         controls = replace(controls, max_em_iter=args.max_iter)
 
     # structural verdicts are reported only: no structure-only verdict is
@@ -299,11 +301,15 @@ def _write_fit_reports(
 
 def _workers(args) -> int:
     """``--workers``, else ``FIMNAR_THREADS``, else 1; read by ``simulate`` only."""
+    source = WORKERS_ENV if args.workers is None else "--workers"
     raw = os.environ.get(WORKERS_ENV, "1") if args.workers is None else args.workers
     try:
-        return int(raw)
+        workers = int(raw)
     except ValueError:
-        raise _UsageError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+        raise _UsageError(f"{source} must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise _UsageError(f"{source} must be at least 1, got {workers}")
+    return workers
 
 
 def cmd_simulate(args) -> int:

@@ -10,6 +10,7 @@ candidate is a ``ConfigError``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -19,11 +20,27 @@ from .dataio import DataSchema
 from .expfam import Component, Family, OutcomeSpec
 from .fiem import FiControls
 
-__all__ = ["ConfigError", "RunConfig", "OutcomeCandidate", "load_config", "parse_config"]
+__all__ = [
+    "ConfigError", "RunConfig", "OutcomeCandidate", "check_control", "load_config", "parse_config",
+]
 
 
 class ConfigError(ValueError):
     """Malformed run configuration."""
+
+
+def check_control(name: str, value) -> None:
+    """ConfigError unless the solver control ``name`` can be met.
+
+    A tolerance (a float) must be positive and finite, and an iteration
+    cap (an int) at least 1; a solve under any other value can never
+    converge.
+    """
+    if isinstance(value, int):
+        if value < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")
+    elif not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -153,6 +170,9 @@ def parse_config(payload: Mapping) -> RunConfig:
             tol_score=float(controls_raw.get("score_tol", 1e-8)),
             max_em_iter=int(controls_raw.get("max_iter", 500)),
         )
+        check_control("controls.tol", controls.tol_phi)
+        check_control("controls.score_tol", controls.tol_score)
+        check_control("controls.max_iter", controls.max_em_iter)
         config = RunConfig(
             schema=DataSchema(
                 kinds=kinds,

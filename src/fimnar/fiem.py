@@ -21,6 +21,24 @@ Every solve here is ``respondent._newton``, the package's one
 damped-Newton loop; where it stalls on weakly identified data, EM gives
 it a second start, so every fit passes the same convergence test.
 
+The coarse level: every Newton evaluation walks the whole missing-unit
+x value grid, so a large one-component donor fit first solves the same
+equation on a coarse grid with the same unit slopes.  The sorted values
+are cut at ``COARSE_BINS`` equal-count and as many equal-width edges,
+and each bin becomes the two-node Gauss rule of its value weights
+``exp(e_j)``, which matches the bin's moments 0-3; the log weights of a
+unit are smooth in y, so the coarse root lands within about 1e-7 of the
+full one (s1, n=6000), and its solve stops once the next step is below
+``COARSE_STEP``.  That root is only a start: the full grid's solve
+runs from it with the same tolerances, convergence test and EM fallback
+(EM still from the ignorable start), so the root is the full grid's, and
+its Newton steps, about one instead of five, are what the trace counts.
+Where the coarse solve does not converge the full one starts from the
+ignorable start.  The coarse level exists only where it has at most a
+quarter as many nodes as there are values; mixtures, the parametric
+engine, binary outcomes and pools of up to about 4000 values take the
+one-level solve.
+
 The respondents' model ``gamma`` is fitted once from complete cases and
 held fixed throughout; only ``log f(y_j | x_i) - log C(y_j)`` depends on
 it.  For a one-component model ``log f(y | x_i) = slope_i*y + offset_i +
@@ -34,7 +52,10 @@ collapsed to their unique values, each carrying its multiplicity in
 its value.
 
 Memory: every walk of a grid goes through ``_blocks``, which cuts the
-rows into blocks of about ``CELLS`` grid cells and allocates the pass's
+rows into blocks of about ``CELLS`` grid cells, and at least
+``MIN_BLOCK_ROWS`` rows so that per-block work over the value axis (the
+running column max of ``log C``, the variance's per-value sums) is
+shared by several rows on the largest grids, and allocates the pass's
 block buffers once, so that each block is written into the same memory.
 On it, ``_weight_blocks`` yields each block's weights, rebuilt from the
 factors by ``_LogWeights``, and the donor kernel ``_donor_blocks`` adds
@@ -170,8 +191,9 @@ class FitResult:
     ``em_fit`` returns one only for a converged solve.  ``weights`` are
     the fractional weights at ``phi_hat``, which the point estimate of
     the outcome mean and both variances reduce; ``mean_score_norm`` and
-    ``trace`` describe the solve, and ``em_iterations`` counts the trace's
-    steps.
+    ``trace`` describe the solve on the full donor grid, and
+    ``em_iterations`` counts the trace's steps (a coarse start's steps are
+    not among them).
     """
 
     phi_hat: ResponseSpec
@@ -193,17 +215,18 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 CELLS = 1 << 16  # grid cells per row block; a block of 64k doubles fits in cache
+MIN_BLOCK_ROWS = 4  # walks that do per-block work over every column amortize it over these
 
 
 def _blocks(n_rows: int, n_cols: int, buffers: int = 0):
-    """``(rows, views)`` for each slice of ``max(1, CELLS // n_cols)`` rows of ``range(n_rows)``.
+    """``(rows, views)`` for each slice of ``max(MIN_BLOCK_ROWS, CELLS // n_cols)`` rows of ``range(n_rows)``.
 
     ``views`` holds the block's leading rows of ``buffers`` arrays of
     (rows, ``n_cols``) that the pass allocates once, so that each block is
     written into the same memory; this is the one place that allocates
     block buffers.
     """
-    step = max(1, CELLS // max(n_cols, 1))
+    step = max(MIN_BLOCK_ROWS, CELLS // max(n_cols, 1))
     room = [np.empty((min(step, n_rows), n_cols)) for _ in range(buffers)]
     for start in range(0, n_rows, step):
         rows = slice(start, min(start + step, n_rows))
@@ -434,6 +457,94 @@ def fractional_weights(
     )
 
 
+# ---------------------------------------------------------------------------
+# the coarse level: a warm start for the one-component solve
+# ---------------------------------------------------------------------------
+
+COARSE_BINS = 256  # equal-count bins, and as many equal-width ones, cut the coarse grid
+# the coarse solve stops at this next step: its root is only a start, about
+# 1e-7 from the full grid's (s1, n=6000), so solving it finer is wasted
+COARSE_STEP = 1e-6
+
+
+def _coarse_starts(y: np.ndarray) -> np.ndarray:
+    """First index of each coarse bin of the sorted values ``y``.
+
+    The bins are cut at the union of ``COARSE_BINS`` equal-count edges,
+    which resolve where the values are dense, and as many equal-width
+    edges, which keep bins in the sparse tails narrow.
+    """
+    width_edges = np.linspace(y[0], y[-1], COARSE_BINS + 1)[1:-1]
+    return np.unique(np.concatenate([
+        np.arange(COARSE_BINS) * y.size // COARSE_BINS,
+        np.searchsorted(y, width_edges),
+    ]))
+
+
+def _gauss_pairs(y: np.ndarray, e: np.ndarray, starts: np.ndarray):
+    """The two-node Gauss rule of each bin of the values ``y`` under weights ``exp(e)``.
+
+    Returns ``(nodes, log_weights)``, each (bins, 2).  Centred on the
+    bin's weighted mean and in units of its width, with variance ``v``
+    and third central moment ``s``, the nodes are the roots ``t`` of the
+    degree-2 orthogonal polynomial ``t^2 - (s/v) t - v`` (Golub & Welsch
+    1969), and the weights split the bin's mass so that the mean is
+    kept.  The rule
+    matches the bin's moments 0-3, its nodes lie within the bin, and its
+    weights are positive.  A bin of one value keeps it as its first node
+    and gives the second weight zero (log weight ``-inf``).
+    """
+    sizes = np.diff(np.append(starts, y.size))
+    which = np.repeat(np.arange(starts.size), sizes)
+    first, last = y[starts], y[starts + sizes - 1]
+    width = np.where(last > first, last - first, 1.0)  # the rule is solved in units of it
+    top = np.maximum.reduceat(e, starts)
+    v = np.exp(e - top[which])
+    mass = np.add.reduceat(v, starts)
+    mean = np.add.reduceat(v * y, starts) / mass
+    d = (y - mean[which]) / width[which]
+    vd2 = v * d * d
+    var = np.add.reduceat(vd2, starts) / mass
+    half = 0.5 * np.divide(np.add.reduceat(vd2 * d, starts) / mass, var,
+                           out=np.zeros_like(var), where=var > 0)
+    root = np.sqrt(half * half + var)
+    # the root of larger magnitude first, the other from their product -v
+    big = half + np.copysign(root, half)
+    small = np.divide(-var, big, out=np.zeros_like(var), where=big != 0)
+    lo, hi = np.minimum(big, small), np.maximum(big, small)
+    gap = np.where(hi > lo, hi - lo, 1.0)
+    shares = np.column_stack([hi / gap, -lo / gap])
+    shares[hi == lo] = 0.5
+    nodes = mean[:, None] + width[:, None] * np.column_stack([lo, hi])
+    nodes = np.clip(nodes, first[:, None], last[:, None])
+    log_w = (top + np.log(mass))[:, None] + np.log(shares)
+    one = sizes == 1
+    nodes[one, 0], log_w[one, 0], log_w[one, 1] = first[one], e[starts[one]], -np.inf
+    return nodes, log_w
+
+
+def _coarse_kernel(kernel: "_LogWeights") -> Optional["_LogWeights"]:
+    """The coarse level of a one-component donor kernel, or None where it has none.
+
+    Each coarse bin of the kernel's values is replaced by its two-node
+    Gauss rule under the value weights ``exp(e)``, with the units' slopes
+    kept.  Only a one-component kernel (with ``slope``) whose rule has at
+    most a quarter as many nodes as there are values has one.  Each
+    equal-count bin holds a node, so fewer than ``4 * COARSE_BINS`` values
+    never have one.
+    """
+    y = kernel.donor_y
+    if kernel.slope is None or y.size < 4 * COARSE_BINS or not np.all(np.isfinite(kernel.base)):
+        return None
+    starts = _coarse_starts(y)
+    singles = np.count_nonzero(np.diff(np.append(starts, y.size)) == 1)
+    if 4 * (2 * starts.size - singles) > y.size:
+        return None
+    nodes, log_w = _gauss_pairs(y, kernel.base, starts)
+    keep = np.isfinite(log_w)
+    return _LogWeights(log_w[keep], kernel.beta, nodes[keep], kernel.slope)
+
+
 def _centred(y: np.ndarray):
     """``(shift, powers)``: the values' mean, and the columns (1, y - shift, (y - shift)^2).
 
@@ -646,12 +757,16 @@ def em_fit(
 
     Damped Newton on ``S(phi; w(beta)) = 0`` with the exact Jacobian and
     the weights recomputed at every trial point, from the ignorable
-    logistic fit.  Where it does not converge (see
-    FiControls), EM from the same start gives the same solve a second
-    start; FitError is raised when EM or that solve does not converge.
+    logistic fit, or from the root of the same solve on the coarse grid
+    where the donor kernel has one (``_coarse_kernel``) and that solve
+    reaches a next step below ``COARSE_STEP``.  Where it does not
+    converge (see FiControls), EM from the ignorable start gives the same
+    solve a second start; FitError is raised when EM or that solve does
+    not converge.
     ``mean_score_norm`` is the max-abs ``S(phi_hat; w(beta_hat))``;
-    ``trace`` and ``em_iterations`` list and count the Newton steps, any
-    EM iterations and the second solve's steps.  No identifiability
+    ``trace`` and ``em_iterations`` list and count the full grid's Newton
+    steps, any EM iterations and the second solve's steps; the coarse
+    solve's steps are not among them.  No identifiability
     check is made here: ``fimnar fit`` gates on the verdict before it
     calls this.
     """
@@ -672,18 +787,25 @@ def em_fit(
     arrays = _score_arrays(phi, data)
     last = {}  # the point of the latest evaluation, and the unit moments reduced there
 
-    def system(x):
-        p = phi.with_phi(x)
-        w = replace(kernel, beta=p.beta)
-        score, jac, last["moments"] = _evaluate(p, arrays, w, kernel.donor_y, True)
-        last["x"] = x
-        return score, jac
+    def solve(x, grid=kernel, tols=(controls.tol_score, controls.tol_phi)):
+        def system(x):
+            p = phi.with_phi(x)
+            w = replace(grid, beta=p.beta)
+            score, jac, last["moments"] = _evaluate(p, arrays, w, grid.donor_y, True)
+            last["x"] = x
+            return score, jac
 
-    def solve(x):
         steps = min(MAX_NEWTON_STEPS, controls.max_em_iter)
-        return _newton(x, system, steps, controls.tol_score, controls.tol_phi)
+        return _newton(x, system, steps, *tols)
 
-    x, path, converged = solve(phi.phi)
+    start = phi.phi
+    coarse = _coarse_kernel(kernel)
+    if coarse is not None:
+        # only a start: the full grid's solve decides the root
+        coarse_x, _, coarse_converged = solve(start, coarse, (math.inf, COARSE_STEP))
+        if coarse_converged:
+            start = coarse_x
+    x, path, converged = solve(start)
     trace = path[1:]
     if not converged:
         # on weakly identified data the damped Newton path can stall at a

@@ -1,13 +1,15 @@
 """Reference paths that only tests call: the stored donor grid, finite-difference
-scores and per-row sampling.
+scores, per-row sampling and the one-level solve.
 
 The package computes the donor weights block by block from the factors
-of ``fiem._donor_kernel``, every outcome-model score in closed form, and
-a parametric pool from each unit's own parameters; these are the
-independent versions the tests compare them with.
+of ``fiem._donor_kernel``, every outcome-model score in closed form, a
+parametric pool from each unit's own parameters, and a large donor fit's
+root from a coarse grid's; these are the independent versions the tests
+compare them with.
 """
 
 import math
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -24,7 +26,19 @@ from fimnar.expfam import (
     log_density_outer,
     unflatten_params,
 )
-from fimnar.fiem import _blocks, _log_c_at, _normalize_rows, _take
+from fimnar.fiem import (
+    MAX_NEWTON_STEPS,
+    FiControls,
+    _blocks,
+    _donor_kernel,
+    _evaluate,
+    _initial_phi,
+    _log_c_at,
+    _normalize_rows,
+    _score_arrays,
+    _take,
+)
+from fimnar.respondent import FitError, _newton
 from fimnar.response import propensity_from_log_odds
 
 FD_STEP_GAMMA = 1e-4  # relative step of the finite-difference score check
@@ -132,3 +146,27 @@ def tiled_parametric_pool(
     ``m_draws`` times and drawing once per repeated row."""
     tiled = {k: np.repeat(v, m_draws) for k, v in data.missing_columns().items()}
     return sample_per_row(gamma, tiled, rng).reshape(data.n_missing, m_draws)
+
+
+def one_level_root(data: Dataset, gamma: OutcomeSpec, h_basis):
+    """The donor fit's root by Newton on the full grid alone, from the ignorable start.
+
+    ``em_fit``'s solve with no coarse level and no EM fallback: the same
+    equation, start, step cap and convergence test at the default
+    ``FiControls``.  Returns
+    ``(phi, steps)``; raises FitError when it does not converge.
+    """
+    phi = _initial_phi(h_basis, data)
+    kernel = _donor_kernel(gamma, data)[0]
+    arrays = _score_arrays(phi, data)
+
+    def system(x):
+        p = phi.with_phi(x)
+        return _evaluate(p, arrays, replace(kernel, beta=p.beta), kernel.donor_y, True)[:2]
+
+    controls = FiControls()
+    steps = min(MAX_NEWTON_STEPS, controls.max_em_iter)
+    x, path, converged = _newton(phi.phi, system, steps, controls.tol_score, controls.tol_phi)
+    if not converged:
+        raise FitError("the one-level solve did not converge")
+    return x, len(path) - 1

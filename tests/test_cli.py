@@ -98,6 +98,47 @@ def test_each_fi_control_is_set_by_its_config_key():
         assert getattr(controls, name) == value != getattr(FiControls(), name)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("tol", -1.0, "controls.tol must be positive and finite, got -1.0"),
+        ("tol", 0, "controls.tol must be positive and finite, got 0.0"),
+        ("score_tol", "nan", "controls.score_tol must be positive and finite, got nan"),
+        ("score_tol", "inf", "controls.score_tol must be positive and finite, got inf"),
+        ("max_iter", 0, "controls.max_iter must be at least 1, got 0"),
+        ("max_iter", -3, "controls.max_iter must be at least 1, got -3"),
+    ],
+)
+def test_controls_that_can_never_converge_are_config_errors(tmp_path, capsys, key, value, message):
+    # a negative tolerance or no iteration at all ran every EM iteration
+    # and then reported a numerical failure (exit 4)
+    path = write_config(tmp_path, base_config(controls={key: value}))
+    out = tmp_path / "fit"
+    assert main(["fit", "--data", str(GATED_DATA), "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tol", "-1", "--tol must be positive and finite, got -1.0"),
+        ("--tol", "0", "--tol must be positive and finite, got 0.0"),
+        ("--tol", "nan", "--tol must be positive and finite, got nan"),
+        ("--max-iter", "0", "--max-iter must be at least 1, got 0"),
+        ("--max-iter", "-2", "--max-iter must be at least 1, got -2"),
+    ],
+)
+def test_fit_flags_that_can_never_converge_are_usage_errors(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "fit"
+    assert main([
+        "fit", "--data", str(GATED_DATA), "--config", str(GATED_CONFIG), "--out", str(out),
+        flag, value,
+    ]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_identify_rejects_standardizing_a_categorical_covariate(tmp_path, capsys):
     # the data layout is checked at load, so identify rejects it as fit does
     payload = base_config(standardize=["z"])
@@ -470,6 +511,29 @@ def test_bad_thread_count_is_a_usage_error_of_simulate_only(tmp_path, capsys, mo
     assert capsys.readouterr().err.splitlines() == [
         "error: FIMNAR_THREADS must be an integer, got 'two'"
     ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, env, message",
+    [
+        (["--workers", "0"], None, "--workers must be at least 1, got 0"),
+        (["--workers", "-4"], "3", "--workers must be at least 1, got -4"),
+        ([], "0", "FIMNAR_THREADS must be at least 1, got 0"),
+        ([], "-2", "FIMNAR_THREADS must be at least 1, got -2"),
+    ],
+)
+def test_fewer_than_one_worker_is_a_usage_error(tmp_path, capsys, monkeypatch, flag, env, message):
+    # it used to run silently in one process
+    if env is None:
+        monkeypatch.delenv("FIMNAR_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("FIMNAR_THREADS", env)
+    out = tmp_path / "sim"
+    assert main([
+        "simulate", "--scenario", "s1", "--b", "1", "--seed", "5", "--out", str(out), *flag,
+    ]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
 
 

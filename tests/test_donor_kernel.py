@@ -319,6 +319,7 @@ def test_score_and_jacobian_match_full_array_code_at_extreme_beta(beta, move_int
 
 def results_at_block_size(monkeypatch, cells, case):
     monkeypatch.setattr(fiem, "CELLS", cells)
+    monkeypatch.setattr(fiem, "MIN_BLOCK_ROWS", 1)
     data, gf, h_basis = case_data(case)
     fit = em_fit(data, gf, h_basis)
     sigma, parts = variance_estimate(fit, gf, data)
@@ -344,6 +345,14 @@ def test_results_do_not_depend_on_block_size(monkeypatch, case):
     whole = results_at_block_size(monkeypatch, 10**12, case)
     for key, value in rows.items():
         assert rel_err(value, whole[key]) <= 1e-12, key
+
+
+def test_wide_grids_keep_a_row_floor_per_block():
+    # above CELLS / MIN_BLOCK_ROWS columns a block would hold fewer rows
+    widths = [rows.stop - rows.start for rows, _ in fiem._blocks(10, fiem.CELLS)]
+    assert widths == [4, 4, 2]
+    widths = [rows.stop - rows.start for rows, _ in fiem._blocks(10, fiem.CELLS // 5)]
+    assert widths == [5, 5]
 
 
 # ---------------------------------------------------------------------------
