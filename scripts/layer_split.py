@@ -3,10 +3,14 @@
 Each replicate is the one ``run_mc(scenario, b=1, seed=s)`` runs for a seed
 ``s`` of the list: after ``generate``, the complete-case interval
 (``cc_mu_y``, which draws nothing from the generator), the respondent
-fit, ``em_fit``, ``variance_estimate`` and ``mu_y_variance`` are timed one
-by one with ``time.perf_counter``, and their minor page faults counted as
+fit, ``log C`` (``fiem._log_c_at`` at the donors' unique values, the
+donor kernel's walk of the respondents), ``em_fit`` without it,
+``variance_estimate`` and ``mu_y_variance`` are timed one by one with
+``time.perf_counter``, and their minor page faults counted as
 ``ru_minflt`` deltas of ``resource.getrusage``; together they are every
-call a replicate makes on its generated data.  The memoised t quantiles
+call a replicate makes on its generated data.  ``log C`` is split out of
+``em_fit`` by computing it first and handing it to ``em_fit``'s own call
+of ``fiem._log_c_at``, so the fit is unchanged.  The memoised t quantiles
 are dropped before each run, so that every run pays for them as a
 ``run_mc`` run does.  A run walks every seed once; the script reports,
 per layer, the median over runs of the mean milliseconds and minor faults
@@ -65,7 +69,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 REPO = Path(__file__).resolve().parents[1]
-LAYERS = ("cc_interval", "respondent_fit", "em_fit", "variance_estimate", "mu_y_variance")
+LAYERS = (
+    "cc_interval", "respondent_fit", "log_c", "em_fit", "variance_estimate", "mu_y_variance",
+)
 ENGINES = ("donor", "parametric:200")
 # each stage of ``fimnar fit`` and the (module, name) pairs it is timed through
 FIT_STAGES = {
@@ -164,10 +170,21 @@ def grid_evaluations(sizes: list) -> dict:
     return {"full_grid": full, "coarse_grid": len(sizes) - full}
 
 
-def replicate(scenario, seed, measure, sizes: list):
+def split_log_c():
+    """Replace ``fiem._log_c_at`` by a lookup of the ``log C`` stored in the
+    dict returned, and return that dict with the original function."""
+    from fimnar import fiem
+
+    log_c_at, stored = fiem._log_c_at, {}
+    fiem._log_c_at = lambda gamma, y, data: stored.pop("log_c")
+    return log_c_at, stored
+
+
+def replicate(scenario, seed, measure, sizes: list, log_c_at, stored: dict):
     """One ``run_mc`` replicate: its Var(mu), ``measure``'s value for each
     layer, and ``em_fit``'s ``grid_evaluations`` from the ``sizes`` that
-    ``count_grid_evaluations`` returned."""
+    ``count_grid_evaluations`` returned.  ``log_c_at`` and ``stored`` are
+    what ``split_log_c`` returned."""
     # imported here, after main has put the --src tree on the path
     import numpy as np
 
@@ -181,6 +198,9 @@ def replicate(scenario, seed, measure, sizes: list):
     calls = (
         ("cc_interval", lambda: cc_mu_y(data)),
         ("respondent_fit", lambda: _fit_respondent(scenario, data, rng, 10)),
+        ("log_c", lambda: log_c_at(
+            out["respondent_fit"].spec, np.unique(data.y_observed), data
+        )),
         ("em_fit", lambda: em_fit(
             data, out["respondent_fit"], scenario.response.h_basis,
             controls=FiControls(max_em_iter=2000),
@@ -197,6 +217,8 @@ def replicate(scenario, seed, measure, sizes: list):
         if layer == "em_fit":
             sizes.clear()
         out[layer], values[layer] = measure(call)
+        if layer == "log_c":
+            stored["log_c"] = out["log_c"]
         if layer == "em_fit":
             evaluations = grid_evaluations(sizes)
     return float(out["mu_y_variance"]), values, evaluations
@@ -316,21 +338,24 @@ def main() -> int:
     scenario = built_in_scenario(args.scenario, n=args.n)
     seeds = parse_seeds(args.seeds)
     sizes = count_grid_evaluations()
-    replicate(scenario, seeds[0], timed, sizes)  # warm-up
+    log_c_at, stored = split_log_c()
+    replicate(scenario, seeds[0], timed, sizes, log_c_at, stored)  # warm-up
 
     per_run = {layer: [] for layer in LAYERS}
     faults_per_run = {layer: [] for layer in LAYERS}
     mu_var = []
     for _ in range(args.runs):
         forget_t_quantiles()
-        mu_var, runs, evaluations = zip(*(replicate(scenario, seed, timed, sizes) for seed in seeds))
+        mu_var, runs, evaluations = zip(*(
+            replicate(scenario, seed, timed, sizes, log_c_at, stored) for seed in seeds
+        ))
         for layer in LAYERS:
             per_run[layer].append(1e3 * sum(r[layer][0] for r in runs) / len(seeds))
             faults_per_run[layer].append(sum(r[layer][1] for r in runs) / len(seeds))
     import_runs = [import_seconds(src) for _ in range(args.runs)]
     totals = [sum(run) for run in zip(*per_run.values())]
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    peaks = [replicate(scenario, seed, traced, sizes)[1] for seed in seeds]
+    peaks = [replicate(scenario, seed, traced, sizes, log_c_at, stored)[1] for seed in seeds]
 
     result = {
         "revision": git_revision(src),

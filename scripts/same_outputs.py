@@ -14,10 +14,11 @@ The probes:
   ``parametric:200`` engines: the fitted (alpha, beta), their covariance,
   the outcome mean and its variance, and the solver's iteration count;
 - one-replicate ``run_mc`` on a few seeds each for s1 (n=2000 and
-  n=6000), s2 (n=500) and s3 (n=500): the replicate's complete-case and FI
-  estimates and intervals, and its iteration count and failure.  At
-  n=6000 the donor fit starts from its coarse level; the others take the
-  one-level solve;
+  n=6000), s2 (n=500) and s3 (n=500 and n=6000): the replicate's
+  complete-case and FI estimates and intervals, and its iteration count
+  and failure.  At n=6000 ``log C`` is interpolated in y (and for s1 the
+  gradient of ``log C`` too) and the s1 donor fit starts from its coarse
+  level; the others take the exact walks and the one-level solve;
 - ``run_mc(scenario_s1(0.1, n=500), b=47, seed=20240800)``, on which some
   replicates need the EM fallback: every replicate and the summary rows.
 
@@ -42,6 +43,7 @@ MC_SEEDS = (  # scenario, n, seeds
     ("s1", 6000, (10, 11)),
     ("s2", 500, (21, 22, 23, 24)),
     ("s3", 500, (31, 32, 33, 34)),
+    ("s3", 6000, (35,)),
 )
 EM_FALLBACK_RUN = (0.1, 500, 47, 20240800)  # kappa2, n, b, seed
 

@@ -322,6 +322,10 @@ def cmd_simulate(args) -> int:
         raise _UsageError(f"--estimators takes CC and FI, got {args.estimators!r}")
     workers = _workers(args)
     scenario = built_in_scenario(args.scenario, n=args.n, kappa2=args.kappa2)
+    try:
+        scenario.validate()
+    except ValueError as err:
+        raise _UsageError(f"--kappa2 {args.kappa2:g}: {err}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:

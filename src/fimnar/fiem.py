@@ -63,6 +63,20 @@ the propensities; the solver and the variance code reduce these, and
 ``log C`` is an online logsumexp over row blocks of respondents, kept
 once per unique value.
 
+``log C``: it is a smooth function of the one scalar y, so on at least
+``4 * CHEB_POINTS`` values it is walked exactly only at the
+``CHEB_TAIL`` smallest and largest values and at nested
+Chebyshev-Lobatto points in y between them, doubled from ``CHEB_FIRST``
+up to ``CHEB_POINTS`` until the interpolant on the earlier points
+predicts the new ones within ``LOG_C_TOL``, and interpolated to the
+other values (``_chebyshev``): O((n1 + values) * points) instead of
+O(n1 * values).
+Below that size, and where ``CHEB_POINTS`` points miss the tolerance,
+the exact walk runs at the values, so a failed interpolant wastes at
+most a quarter of it.  The variance's ``d log C/d gamma`` is taken the
+same way (``_smooth_in_y``).  The missing-unit walks are not: their
+propensity ``1 / (1 + a_i b_j)`` makes each cell depend on two scalars.
+
 The cell: a block's weights are left unnormalized, ``u = exp(logw -
 rowmax)``, one ``exp`` per cell.  Every per-unit reduction is linear in
 the unit's row, so it runs on ``u``, and the row sum, the ones column of
@@ -381,12 +395,20 @@ def _logsumexp_blocks(blocks, n_cols: int) -> np.ndarray:
         return np.where(np.isfinite(top), shift + np.log(total), top)
 
 
+def _matmul_blocks(left: np.ndarray, right: np.ndarray, n_rows: int):
+    """``(rows, left[rows] @ right)`` for each row block, in one buffer of the pass.
+
+    The caller may overwrite the buffer; the next block rewrites it.
+    """
+    for rows, (buffer,) in _blocks(n_rows, right.shape[1], 1):
+        yield rows, np.matmul(left[rows], right, out=buffer)
+
+
 def _log_density_blocks(gamma: OutcomeSpec, y: np.ndarray, columns, n_rows: int):
     """``(rows, log f(y | x_r))`` for each row block of the ``n_rows`` rows of ``columns``.
 
     A one-component block is rebuilt from ``log_density_factors``, taken
-    once for all rows, into one buffer of the pass that the caller may
-    overwrite and the next block rewrites; a mixture block is its
+    once for all rows, by ``_matmul_blocks``; a mixture block is its
     ``log_density_outer``.
     """
     if gamma.k > 1:
@@ -395,15 +417,148 @@ def _log_density_blocks(gamma: OutcomeSpec, y: np.ndarray, columns, n_rows: int)
         return
     slope, offset, log_c_y = log_density_factors(gamma, y, columns)
     left = np.column_stack([slope, offset, np.ones_like(slope)])
-    right = np.vstack([y, np.ones_like(y), log_c_y])
-    for rows, (buffer,) in _blocks(n_rows, y.size, 1):
-        yield rows, np.matmul(left[rows], right, out=buffer)
+    yield from _matmul_blocks(left, np.vstack([y, np.ones_like(y), log_c_y]), n_rows)
+
+
+# ---------------------------------------------------------------------------
+# smooth functions of the one scalar y: Chebyshev interpolation
+# ---------------------------------------------------------------------------
+
+CHEB_POINTS = 513  # most Chebyshev points a function of y is walked at, 2**9 + 1
+CHEB_FIRST = 17  # the first level's points; each level doubles the intervals
+# the smallest and largest values that are walked exactly: the respondents
+# are sparse there, so log C can turn sharply between two lone tail values
+# (s1 at n=6000: 7 of 16 fits missed LOG_C_TOL at 513 points over the whole
+# range, none with these tails walked exactly)
+CHEB_TAIL = 16
+LOG_C_TOL = 1e-10  # absolute, on the log C that a level's points predict at the next level's
+
+
+def _chebyshev_points(lo: float, hi: float) -> np.ndarray:
+    """The ``CHEB_POINTS`` Chebyshev-Lobatto points of [lo, hi], ascending.
+
+    A level of ``k + 1`` points is every ``(CHEB_POINTS - 1) // k``-th of
+    them, so the levels nest exactly.
+    """
+    m = CHEB_POINTS - 1
+    x = np.sin(0.5 * np.pi * np.arange(-m, m + 1, 2) / m)  # symmetric about 0
+    nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+    nodes[0], nodes[-1] = lo, hi
+    return nodes
+
+
+def _barycentric(nodes: np.ndarray, f: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The polynomial through ``(nodes, f)`` at ``y``, by row blocks of (y, nodes).
+
+    ``nodes`` are ascending Chebyshev-Lobatto points and ``f`` is (nodes,
+    columns).  The second-kind barycentric formula (Berrut & Trefethen
+    2004) with weights ``(-1)^k``, halved at the ends: per block one
+    reciprocal of ``y - nodes`` and one matmul with the weighted ``f``
+    and the weights, numerator and denominator together.  At a node it
+    returns ``f`` there exactly.
+    """
+    w = np.ones(nodes.size)
+    w[1::2] = -1.0
+    w[[0, -1]] *= 0.5
+    wf = np.column_stack([w[:, None] * f, w])
+    out = np.empty((y.size, f.shape[1]))
+    with np.errstate(divide="ignore", invalid="ignore"):  # at a node; overwritten below
+        for rows, (d,) in _blocks(y.size, nodes.size, 1):
+            np.subtract(y[rows, None], nodes, out=d)
+            sums = np.reciprocal(d, out=d) @ wf
+            out[rows] = sums[:, :-1] / sums[:, -1:]
+    node = np.minimum(np.searchsorted(nodes, y), nodes.size - 1)
+    hit = nodes[node] == y
+    out[hit] = f[node[hit]]
+    return out
+
+
+def _chebyshev(exact, y: np.ndarray, atol: float, rtol: float) -> Optional[np.ndarray]:
+    """``exact(y)`` at the sorted values ``y``, interpolated in y, or None.
+
+    ``exact`` maps a vector of points to an array with one row per
+    point.  The ``CHEB_TAIL`` smallest and largest values are walked
+    exactly; between them the interpolant runs on Chebyshev-Lobatto
+    points.  From ``CHEB_FIRST`` points the intervals double, up to
+    ``CHEB_POINTS`` points; after each level the interpolant on the
+    points before it predicts the level's new points, and once every
+    prediction is within ``atol`` plus ``rtol`` times its column's
+    largest magnitude on the first level, the interpolant through every
+    point walked is evaluated at the values (Trefethen 2013,
+    *Approximation Theory and Approximation Practice*).  What is
+    interpolated is ``exact`` less its chord between the end points,
+    which is added back exactly: the rounding of the barycentric sums
+    scales with the magnitude they sum, and a log-sum-exp of large terms
+    is mostly its chord.  None when ``CHEB_POINTS`` points do not meet
+    the tolerance.
+    """
+    inner = y[CHEB_TAIL : y.size - CHEB_TAIL]
+    lo, hi = inner[0], inner[-1]
+    grid = _chebyshev_points(lo, hi)
+    step = (CHEB_POINTS - 1) // (CHEB_FIRST - 1)
+    first = exact(grid[::step])
+    f = first.reshape(first.shape[0], -1)
+    tol = atol + rtol * np.max(np.abs(f), axis=0)
+    start, rise = f[0], (f[-1] - f[0]) / (hi - lo)
+
+    def chord(t):
+        return start + (t - lo)[:, None] * rise
+
+    f = f - chord(grid[::step])
+    while step > 1:
+        new = grid[step // 2 :: step]
+        f_new = exact(new).reshape(new.size, -1) - chord(new)
+        guess = _barycentric(grid[::step], f, new)
+        merged = np.empty((f.shape[0] + new.size, f.shape[1]))
+        merged[::2], merged[1::2] = f, f_new
+        f, step = merged, step // 2
+        if np.all(np.abs(guess - f_new) <= tol):
+            fitted = _barycentric(grid[::step], f, inner) + chord(inner)
+            fitted = fitted.reshape(inner.shape + first.shape[1:])
+            return np.concatenate([exact(y[:CHEB_TAIL]), fitted, exact(y[y.size - CHEB_TAIL :])])
+    return None
+
+
+def _smooth_in_y(exact, y: np.ndarray, atol: float, rtol: float) -> np.ndarray:
+    """``exact(y)``, by ``_chebyshev`` where ``y`` holds at least ``4 * CHEB_POINTS`` values.
+
+    So a function whose interpolant fails wastes at most a quarter of
+    the exact walk at ``y``, which runs then and below that size.
+    """
+    if y.size >= 4 * CHEB_POINTS:
+        fitted = _chebyshev(exact, y, atol, rtol)
+        if fitted is not None:
+            return fitted
+    return exact(y)
 
 
 def _log_c_at(gamma: OutcomeSpec, y: np.ndarray, data: Dataset) -> np.ndarray:
-    """log C(y) = log sum_l f(y | x_l) over respondents l at each value, by blocks of them."""
-    blocks = _log_density_blocks(gamma, y, data.respondent_columns(), data.n_respondents)
-    return _logsumexp_blocks((block for _, block in blocks), y.size)
+    """log C(y) = log sum_l f(y | x_l) over respondents l at the sorted values ``y``.
+
+    A function of y alone: exact by blocks of respondents, or through
+    ``_smooth_in_y`` from Chebyshev points in y.  For one component only
+    ``LSE_l(slope_l*y + offset_l)`` is interpolated, from
+    ``log_density_factors`` with the support checked once on ``y``, and
+    ``log c(y)`` is added at the values: it need not exist between them
+    (a Poisson node is no integer).  Where the interpolant fails, the
+    exact walk runs at the values.
+    """
+    columns, n1 = data.respondent_columns(), data.n_respondents
+
+    def exact(t):
+        return _logsumexp_blocks((b for _, b in _log_density_blocks(gamma, t, columns, n1)), t.size)
+
+    if gamma.k > 1 or y.size < 4 * CHEB_POINTS:
+        return _smooth_in_y(exact, y, LOG_C_TOL, 0.0)
+    slope, offset, log_c_y = log_density_factors(gamma, y, columns)
+    left = np.column_stack([slope, offset])
+
+    def lse(t):
+        blocks = _matmul_blocks(left, np.vstack([t, np.ones_like(t)]), n1)
+        return _logsumexp_blocks((b for _, b in blocks), t.size)
+
+    fitted = _chebyshev(lse, y, LOG_C_TOL, 0.0)
+    return exact(y) if fitted is None else fitted + log_c_y
 
 
 def _donor_kernel(gamma: OutcomeSpec, data: Dataset):
@@ -461,7 +616,8 @@ def fractional_weights(
 # the coarse level: a warm start for the one-component solve
 # ---------------------------------------------------------------------------
 
-COARSE_BINS = 256  # equal-count bins, and as many equal-width ones, cut the coarse grid
+COARSE_BINS = 256  # fewest equal-count bins, and as many equal-width ones, of the coarse grid
+COARSE_BIN_VALUES = 64  # beyond this many values per equal-count bin, the bins grow
 # the coarse solve stops at this next step: its root is only a start, about
 # 1e-7 from the full grid's (s1, n=6000), so solving it finer is wasted
 COARSE_STEP = 1e-6
@@ -470,13 +626,17 @@ COARSE_STEP = 1e-6
 def _coarse_starts(y: np.ndarray) -> np.ndarray:
     """First index of each coarse bin of the sorted values ``y``.
 
-    The bins are cut at the union of ``COARSE_BINS`` equal-count edges,
-    which resolve where the values are dense, and as many equal-width
-    edges, which keep bins in the sparse tails narrow.
+    The bins are cut at the union of ``bins`` equal-count edges, which
+    resolve where the values are dense, and as many equal-width edges,
+    which keep bins in the sparse tails narrow.  ``bins`` is
+    ``COARSE_BINS``, or one per ``COARSE_BIN_VALUES`` values where that
+    is more, so that a bin's width, and with it the coarse root's
+    distance from the full one, stops growing with the values.
     """
-    width_edges = np.linspace(y[0], y[-1], COARSE_BINS + 1)[1:-1]
+    bins = max(COARSE_BINS, y.size // COARSE_BIN_VALUES)
+    width_edges = np.linspace(y[0], y[-1], bins + 1)[1:-1]
     return np.unique(np.concatenate([
-        np.arange(COARSE_BINS) * y.size // COARSE_BINS,
+        np.arange(bins) * y.size // bins,
         np.searchsorted(y, width_edges),
     ]))
 
@@ -762,7 +922,8 @@ def em_fit(
     reaches a next step below ``COARSE_STEP``.  Where it does not
     converge (see FiControls), EM from the ignorable start gives the same
     solve a second start; FitError is raised when EM or that solve does
-    not converge.
+    not converge, and before any kernel is built when the respondents'
+    normal model has zero variance.
     ``mean_score_norm`` is the max-abs ``S(phi_hat; w(beta_hat))``;
     ``trace`` and ``em_iterations`` list and count the full grid's Newton
     steps, any EM iterations and the second solve's steps; the coarse
@@ -771,6 +932,13 @@ def em_fit(
     calls this.
     """
     gamma = gamma_fit.spec
+    if gamma.family is Family.NORMAL and any(c.dispersion == 0.0 for c in gamma.components):
+        # fit_glm returns it where the complete cases fit exactly; its
+        # density is a point mass that no donor weight can be built from
+        raise FitError(
+            "the respondents' normal model has zero variance (it fits the "
+            "complete cases exactly), so it gives the donors no density"
+        )
     phi = _initial_phi(h_basis, data)
 
     if engine == "donor":

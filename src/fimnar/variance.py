@@ -38,11 +38,14 @@ and of ``u pi`` against one centred power matrix (``_centred_powers``),
 from which the moments of every weight matrix V follow, divided by the
 row sum of ``u``; ``_one_component_sums`` then runs once over all units.
 A mixture block runs ``_mixture_sums`` on ``u`` and divides its rows by
-the row sum.  The ``d log C/d gamma`` term walks blocks of respondents
-with the per-value ``log C`` that the fit kept, reduced the same way to
-per-respondent moments for one component, and from the one pass over
-its component densities that also gives the responsibilities for a
-mixture.
+the row sum.  The ``d log C/d gamma`` term is, for one component, a
+smooth function of y alone, ``B(y) phi(y)`` (``_grad_log_c``): per block
+of points a softmax over the respondents and one matmul with their
+score coefficients, taken at the values exactly, or on at least
+``4 * fiem.CHEB_POINTS`` values from Chebyshev points in y through
+``fiem._smooth_in_y``.  For a mixture it walks blocks of respondents
+with the per-value ``log C`` that the fit kept, from the one pass over
+its component densities that also gives the responsibilities.
 
 When the data contain no missing units the weighted terms vanish and
 the bread degenerates; the estimator then reduces to the ordinary
@@ -53,17 +56,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .dataio import Dataset
-from .expfam import Family, OutcomeSpec, _logsumexp0, flatten_params
+from .expfam import Family, OutcomeSpec, _logsumexp0, flatten_params, log_density_factors
 from .fiem import (
     FitResult,
     FractionalWeights,
     _blocks,
     _donor_blocks,
-    _log_density_blocks,
+    _matmul_blocks,
+    _smooth_in_y,
     _take,
     estimate_mu_y,
 )
@@ -80,6 +85,7 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
+GRAD_LOG_C_TOL = 1e-9  # relative to each column's largest magnitude, at the next level's points
 Z975 = 1.959963984540054
 
 
@@ -115,16 +121,18 @@ def _check_cond(matrix: np.ndarray, label: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _centred_powers(gamma: OutcomeSpec, y: np.ndarray):
+def _centred_powers(gamma: OutcomeSpec, y: np.ndarray, shift: Optional[float] = None):
     """``(shift, powers, lo, hi)`` for reducing weight matrices V over the values ``y``.
 
     ``powers`` has the columns ``(1, y_c, y_c^2, y_c^3)`` of ``y_c = y -
-    shift``, with ``shift`` the values' mean, and for the gamma family
-    also ``(log y, y_c log y)``.  Of ``m = V @ powers``, ``m[:, lo]`` are
-    the moments that ``_one_component_sums`` reads, and ``m[:, hi] - t
-    m[:, lo]`` are those of ``V (y_c - t)`` for a per-unit ``t``.
+    shift``, with ``shift`` the values' mean unless given, and for the
+    gamma family also ``(log y, y_c log y)``.  Of ``m = V @ powers``,
+    ``m[:, lo]`` are the moments that ``_one_component_sums`` reads, and
+    ``m[:, hi] - t m[:, lo]`` are those of ``V (y_c - t)`` for a per-unit
+    ``t``.
     """
-    shift = float(np.mean(y))
+    if shift is None:
+        shift = float(np.mean(y))
     y_c = y - shift
     columns = [np.ones_like(y_c), y_c, y_c**2, y_c**3]
     lo, hi = [0, 1, 2], [1, 2, 3]
@@ -400,6 +408,39 @@ def _mu_y_grad_beta(weights: FractionalWeights, n: int) -> float:
     return -float(np.sum(weights.spread)) / n
 
 
+def _grad_log_c(gamma: OutcomeSpec, y_u: np.ndarray, data: Dataset):
+    """``d log C(y)/d gamma`` of a one-component model, as a function of the points ``t``.
+
+    With ``s1(x_l, y) = A_l phi(y)``, where ``phi(y)`` are the
+    ``_centred_powers`` columns ``lo`` about the values' mean and ``A_l``
+    is ``_one_component_sums`` on unit moment vectors (it is linear in
+    them), ``d log C(y)/d gamma = B(y) phi(y)`` with ``B(y) = sum_l P(l |
+    y) A_l``.  Per block of points, ``P(. | t)`` is a softmax over a row
+    of respondents' ``slope_l*t + offset_l`` (``log c`` cancels), so
+    ``B`` is one matmul with ``A``.  The support is checked once, on
+    ``y_u``.
+    """
+    resp_cols, n1 = data.respondent_columns(), data.n_respondents
+    shift, _, lo, _ = _centred_powers(gamma, y_u)
+    slope, offset, _ = log_density_factors(gamma, y_u, resp_cols)
+    units = [np.broadcast_to(e, (n1, len(lo))) for e in np.eye(len(lo))]
+    a = np.hstack([_one_component_sums(gamma, resp_cols, shift, m) for m in units])
+    q = a.shape[1] // len(lo)
+    right = np.vstack([slope, offset])
+
+    def at(t: np.ndarray) -> np.ndarray:
+        phi = _centred_powers(gamma, t, shift)[1][:, lo]
+        out = np.empty((t.size, q))
+        for rows, p in _matmul_blocks(np.column_stack([t, np.ones_like(t)]), right, t.size):
+            p -= p.max(axis=1, keepdims=True)
+            np.exp(p, out=p)
+            b = (p @ a) / p.sum(axis=1, keepdims=True)
+            out[rows] = np.einsum("rkq,rk->rq", b.reshape(-1, len(lo), q), phi[rows])
+        return out
+
+    return at
+
+
 def _mu_y_grad_gamma(
     gamma: OutcomeSpec, weights: FractionalWeights, data: Dataset, parts: SandwichParts
 ):
@@ -412,8 +453,11 @@ def _mu_y_grad_gamma(
     ``P(l | y_j) = f(y_j | x_l) / C(y_j)``, so that the last sum is
     ``d log C(y_j)/d gamma``.  Both sums run over the weights' values
     (donors sharing a value pool their ``c_j``).  The first sum and ``c``
-    came with ``parts`` from the sandwich's walk of the missing units;
-    the second walks blocks of respondents with the ``log C`` the fit kept.
+    came with ``parts`` from the sandwich's walk of the missing units.
+    For one component ``d log C/d gamma`` is a smooth function of y alone
+    (``_grad_log_c``), taken at the values through ``fiem._smooth_in_y``;
+    for a mixture the second sum walks blocks of respondents with the
+    ``log C`` the fit kept.
     """
     y_u, c, log_c = weights.values, parts.c_values, weights.log_c
     resp_cols = data.respondent_columns()
@@ -427,15 +471,7 @@ def _mu_y_grad_gamma(
             via_c += _mixture_sums(gamma, pieces, (p,))[0].sum(axis=0)
             del log_f, pieces, p  # else they live on while the next block is built
     else:
-        # per respondent, the moments of c_j P(l | y_j): P(l | y_j) built in
-        # the buffer of the block's log densities, c folded into the powers
-        shift, powers, lo, _ = _centred_powers(gamma, y_u)
-        weighted = powers[:, lo] * c[:, None]
-        m = np.empty((data.n_respondents, len(lo)))
-        for rows, p in _log_density_blocks(gamma, y_u, resp_cols, data.n_respondents):
-            p -= log_c
-            m[rows] = np.exp(p, out=p) @ weighted
-        via_c = _one_component_sums(gamma, resp_cols, shift, m).sum(axis=0)
+        via_c = c @ _smooth_in_y(_grad_log_c(gamma, y_u, data), y_u, 0.0, GRAD_LOG_C_TOL)
     return (parts.v_score - via_c) / data.n
 
 

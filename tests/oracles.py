@@ -1,11 +1,12 @@
 """Reference paths that only tests call: the stored donor grid, finite-difference
-scores, per-row sampling and the one-level solve.
+scores, per-row sampling, the one-level solve and the exact respondent walks.
 
 The package computes the donor weights block by block from the factors
 of ``fiem._donor_kernel``, every outcome-model score in closed form, a
-parametric pool from each unit's own parameters, and a large donor fit's
-root from a coarse grid's; these are the independent versions the tests
-compare them with.
+parametric pool from each unit's own parameters, a large donor fit's
+root from a coarse grid's, and on many values ``log C`` and ``d log C/d
+gamma`` by interpolation in y; these are the independent versions the
+tests compare them with.
 """
 
 import math
@@ -34,12 +35,15 @@ from fimnar.fiem import (
     _evaluate,
     _initial_phi,
     _log_c_at,
+    _log_density_blocks,
+    _logsumexp_blocks,
     _normalize_rows,
     _score_arrays,
     _take,
 )
 from fimnar.respondent import FitError, _newton
 from fimnar.response import propensity_from_log_odds
+from fimnar.variance import _centred_powers, _one_component_sums
 
 FD_STEP_GAMMA = 1e-4  # relative step of the finite-difference score check
 
@@ -170,3 +174,26 @@ def one_level_root(data: Dataset, gamma: OutcomeSpec, h_basis):
     if not converged:
         raise FitError("the one-level solve did not converge")
     return x, len(path) - 1
+
+
+def exact_log_c(gamma: OutcomeSpec, values: np.ndarray, data: Dataset) -> np.ndarray:
+    """log C at every value by the walk of respondent blocks, on any number of values:
+    ``fiem._log_c_at`` as it was before it interpolated in y."""
+    blocks = _log_density_blocks(gamma, values, data.respondent_columns(), data.n_respondents)
+    return _logsumexp_blocks((block for _, block in blocks), values.size)
+
+
+def exact_via_c(gamma: OutcomeSpec, values, c, log_c, data: Dataset) -> np.ndarray:
+    """``sum_j c_j d log C(y_j)/d gamma`` of a one-component model by the walk of
+    respondent blocks: per respondent the moments of ``c_j P(l | y_j)``, from the
+    exact ``log_c`` at the values, then ``_one_component_sums``; the
+    per-respondent walk that ``variance._mu_y_grad_gamma`` ran before it
+    interpolated in y."""
+    resp_cols = data.respondent_columns()
+    shift, powers, lo, _ = _centred_powers(gamma, values)
+    weighted = powers[:, lo] * c[:, None]
+    m = np.empty((data.n_respondents, len(lo)))
+    for rows, p in _log_density_blocks(gamma, values, resp_cols, data.n_respondents):
+        p -= log_c
+        m[rows] = np.exp(p, out=p) @ weighted
+    return _one_component_sums(gamma, resp_cols, shift, m).sum(axis=0)

@@ -537,6 +537,33 @@ def test_fewer_than_one_worker_is_a_usage_error(tmp_path, capsys, monkeypatch, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kappa2", ["nan", "inf", "1e200"])
+def test_simulate_refuses_a_kappa2_whose_odds_normalizer_diverges(tmp_path, capsys, kappa2):
+    # it used to make --out and then fail with a traceback in run_mc
+    out = tmp_path / "sim"
+    assert main([
+        "simulate", "--scenario", "s1", "--b", "1", "--seed", "5", "--out", str(out),
+        "--kappa2", kappa2,
+    ]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --kappa2 {float(kappa2):g}: scenario s1: odds normalizer diverges"]
+    assert not out.exists()
+
+
+def test_simulate_reports_a_zero_variance_respondents_model(tmp_path, capsys):
+    # at n=3 a replicate's normal complete-case fit can interpolate its two
+    # or three points; that replicate used to end the run in a traceback
+    out = tmp_path / "sim"
+    assert main([
+        "simulate", "--scenario", "s1", "--n", "3", "--b", "2", "--seed", "1",
+        "--out", str(out),
+    ]) == 4
+    captured = capsys.readouterr()
+    assert captured.out.startswith("simulation failed: 2 of 2 replicates failed")
+    assert "Traceback" not in captured.out + captured.err
+    assert "zero variance" in (out / "replicates.tsv").read_text()
+
+
 def test_simulate_replicate_log_has_one_row_per_replicate(tmp_path):
     out = tmp_path / "sim"
     assert main([

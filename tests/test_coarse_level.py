@@ -54,6 +54,16 @@ def test_coarse_bins_cover_the_values_once(raw):
     assert starts.size <= 2 * COARSE_BINS - 1
 
 
+@pytest.mark.parametrize("size, bins", [(16447, COARSE_BINS), (16448, COARSE_BINS + 1)])
+def test_coarse_bins_grow_with_the_values(size, bins):
+    # past COARSE_BIN_VALUES values per bin there is one more equal-count
+    # edge; an outlier puts every equal-width edge at the last value, so
+    # the starts are the equal-count edges and that one
+    y = np.append(np.arange(size - 1.0), 1e9)
+    starts = _coarse_starts(y)
+    assert np.array_equal(starts, np.union1d(np.arange(bins) * size // bins, [size - 1]))
+
+
 def s1_case(kappa2, n, seed):
     scn = scenario_s1(kappa2, n=n)
     rng = np.random.default_rng(seed)

@@ -624,7 +624,8 @@ def test_kernel_passes_reuse_their_block_buffers():
     # here): three for a score pass (weights, pi, w pi), two for log C
     # (log densities, logsumexp scratch).  A fresh array per block, with
     # the previous block alive while the next is built, peaked at 5.4 and
-    # 3.4 blocks.
+    # 3.4 blocks.  Here log C and d log C/d gamma are interpolated in y,
+    # and those passes are held to the same bound as the exact log C.
     data, gf, h_basis = scenario_case("s1", 67, n=3000)
     block = fiem.CELLS * 8
     kernel = fiem._donor_kernel(gf.spec, data)[0]
@@ -632,9 +633,14 @@ def test_kernel_passes_reuse_their_block_buffers():
     arrays = _score_arrays(phi, data)
     w = replace(kernel, beta=phi.beta)
     assert data.n_missing * kernel.donor_y.size > 8 * fiem.CELLS  # many blocks
+    assert kernel.donor_y.size >= 4 * fiem.CHEB_POINTS  # interpolated in y
     _, score_peak = traced_peak(
         lambda: _score_and_jacobian(phi, arrays, w, kernel.donor_y, True)
     )
     _, log_c_peak = traced_peak(lambda: fiem._log_c_at(gf.spec, kernel.donor_y, data))
+    fit = FitResult(phi, fractional_weights(phi, gf.spec, data), 0.0)
+    parts = variance_estimate(fit, gf, data)[1]
+    _, grad_peak = traced_peak(lambda: _mu_y_grad_gamma(gf.spec, fit.weights, data, parts))
     assert score_peak <= 4 * block
     assert log_c_peak <= 3 * block
+    assert grad_peak <= 3 * block

@@ -325,6 +325,18 @@ def test_parametric_engine_cross_checks_donor_engine():
     assert np.all(np.abs(par.phi - donor.phi) < 0.1)
 
 
+@pytest.mark.parametrize("engine", ["donor", "parametric"])
+def test_zero_variance_respondents_model_is_a_fit_error(engine):
+    # fit_glm returns variance 0 where the complete cases lie on a line;
+    # em_fit used to die dividing by it
+    x = np.linspace(-2.0, 2.0, 6)
+    data = make_dataset(x, 2.0 + 3.0 * x, 3, x_missing=[0.1, 0.5, 0.9])
+    gf = fit_glm(data.y_observed, data.respondent_columns(), Family.NORMAL, B1X)
+    assert gf.spec.components[0].dispersion == 0.0
+    with pytest.raises(FitError, match="zero variance"):
+        em_fit(data, gf, B1X, engine=engine)
+
+
 def test_unknown_engine_rejected():
     scn = scenario_s1(1.0, n=300)
     data = generate(scn, 13)
