@@ -20,11 +20,12 @@ fimnar.cli`` takes in a fresh interpreter on the same tree.  After the
 timed runs, one untimed pass over the seeds runs each layer under
 ``tracemalloc`` and reports its largest peak of traced allocations (NumPy
 reports its buffers), since tracing slows code that allocates.  It also
-reports the mean number of mean-score evaluations per replicate in
-``em_fit``: those on the full donor grid (the Newton solves and EM's
-M-steps) and those on the coarse grid that starts a large one-component
-fit, told apart by their number of donor values.  BLAS runs on one
-thread.
+reports the mean number of walks of the missing-unit x value grid per
+replicate, counted at ``fiem._weight_blocks`` over every layer: those on
+the full donor grid (the Newton solves, EM's M-steps and any walk of
+the variances), in total and by layer, and those on the coarse grid
+that starts a large one-component fit, told apart by their number of
+values.  BLAS runs on one thread.
 
 The results are merged into the output file under ``--label``, so two
 checkouts can be compared in one file:
@@ -149,25 +150,36 @@ def traced(call):
         tracemalloc.stop()
 
 
-def count_grid_evaluations() -> list:
-    """Wrap ``fiem._evaluate`` so that each call appends its grid's number
-    of donor values to the list returned."""
+def count_grid_walks() -> list:
+    """Wrap ``fiem._weight_blocks``, which every walk of the missing-unit x
+    value grid goes through (the solver's evaluations and any walk of the
+    variance), so that each walk appends its grid's number of values to
+    the list returned."""
     from fimnar import fiem
 
-    evaluate, sizes = fiem._evaluate, []
+    weight_blocks, sizes = fiem._weight_blocks, []
 
-    def counted(phi, arrays, w, donor_y, weights_move):
-        sizes.append(donor_y.shape[-1])
-        return evaluate(phi, arrays, w, donor_y, weights_move)
+    def counted(w, y, *args, **kwargs):
+        sizes.append(y.shape[-1])
+        return weight_blocks(w, y, *args, **kwargs)
 
-    fiem._evaluate = counted
+    fiem._weight_blocks = counted
     return sizes
 
 
-def grid_evaluations(sizes: list) -> dict:
-    """``sizes`` as full-grid and coarse-grid counts: the full grid has the most values."""
-    full = sizes.count(max(sizes, default=0))
-    return {"full_grid": full, "coarse_grid": len(sizes) - full}
+def grid_walks(sizes: dict) -> dict:
+    """Per-layer walk ``sizes`` as full-grid and coarse-grid counts over the
+    replicate: the full grid has the most values.  ``full_grid`` and
+    ``coarse_grid`` count every layer; ``by_layer`` gives each layer's
+    full-grid walks."""
+    full = max((size for layer in sizes.values() for size in layer), default=0)
+    by_layer = {layer: walks.count(full) for layer, walks in sizes.items()}
+    every = sum(len(walks) for walks in sizes.values())
+    return {
+        "full_grid": sum(by_layer.values()),
+        "coarse_grid": every - sum(by_layer.values()),
+        "by_layer": by_layer,
+    }
 
 
 def split_log_c():
@@ -182,9 +194,9 @@ def split_log_c():
 
 def replicate(scenario, seed, measure, sizes: list, log_c_at, stored: dict):
     """One ``run_mc`` replicate: its Var(mu), ``measure``'s value for each
-    layer, and ``em_fit``'s ``grid_evaluations`` from the ``sizes`` that
-    ``count_grid_evaluations`` returned.  ``log_c_at`` and ``stored`` are
-    what ``split_log_c`` returned."""
+    layer, and its ``grid_walks`` from the ``sizes`` that
+    ``count_grid_walks`` returned.  ``log_c_at`` and ``stored`` are what
+    ``split_log_c`` returned."""
     # imported here, after main has put the --src tree on the path
     import numpy as np
 
@@ -212,16 +224,14 @@ def replicate(scenario, seed, measure, sizes: list, log_c_at, stored: dict):
             out["em_fit"], out["respondent_fit"], data, out["variance_estimate"][1]
         )),
     )
-    values = {}
+    values, walks = {}, {}
     for layer, call in calls:
-        if layer == "em_fit":
-            sizes.clear()
+        sizes.clear()
         out[layer], values[layer] = measure(call)
+        walks[layer] = list(sizes)
         if layer == "log_c":
             stored["log_c"] = out["log_c"]
-        if layer == "em_fit":
-            evaluations = grid_evaluations(sizes)
-    return float(out["mu_y_variance"]), values, evaluations
+    return float(out["mu_y_variance"]), values, grid_walks(walks)
 
 
 def forget_t_quantiles() -> None:
@@ -337,7 +347,7 @@ def main() -> int:
 
     scenario = built_in_scenario(args.scenario, n=args.n)
     seeds = parse_seeds(args.seeds)
-    sizes = count_grid_evaluations()
+    sizes = count_grid_walks()
     log_c_at, stored = split_log_c()
     replicate(scenario, seeds[0], timed, sizes, log_c_at, stored)  # warm-up
 
@@ -346,7 +356,7 @@ def main() -> int:
     mu_var = []
     for _ in range(args.runs):
         forget_t_quantiles()
-        mu_var, runs, evaluations = zip(*(
+        mu_var, runs, walks = zip(*(
             replicate(scenario, seed, timed, sizes, log_c_at, stored) for seed in seeds
         ))
         for layer in LAYERS:
@@ -372,8 +382,12 @@ def main() -> int:
             layer: statistics.median(values) for layer, values in faults_per_run.items()
         },
         "runs_minflt_per_replicate": faults_per_run,
-        "em_fit_evaluations_per_replicate": {
-            grid: sum(e[grid] for e in evaluations) / len(seeds) for grid in evaluations[0]
+        "grid_walks_per_replicate": {
+            "full_grid": sum(w["full_grid"] for w in walks) / len(seeds),
+            "coarse_grid": sum(w["coarse_grid"] for w in walks) / len(seeds),
+            "full_grid_by_layer": {
+                layer: sum(w["by_layer"][layer] for w in walks) / len(seeds) for layer in LAYERS
+            },
         },
         "import_s": statistics.median(import_runs),
         "runs_import_s": import_runs,
@@ -389,8 +403,9 @@ def main() -> int:
         print(f"{layer:>18}: {result['ms_per_replicate'][layer]:8.1f} ms, "
               f"{result['minflt_per_replicate'][layer]:9.0f} minor faults, "
               f"peak alloc {result['peak_alloc_mb'][layer]:8.2f} MB")
-    counts = result["em_fit_evaluations_per_replicate"]
-    print(f"{'em_fit evaluations':>18}: {counts['full_grid']:g} full grid, "
+    counts = result["grid_walks_per_replicate"]
+    layers = ", ".join(f"{layer} {k:g}" for layer, k in counts["full_grid_by_layer"].items() if k)
+    print(f"{'grid walks':>18}: {counts['full_grid']:g} full grid ({layers}), "
           f"{counts['coarse_grid']:g} coarse grid per replicate")
     print(f"{'total':>18}: {result['total_ms_per_replicate']:8.1f} ms, "
           f"peak RSS {result['peak_rss_mb']} MB, import {result['import_s']:.3f} s "

@@ -84,9 +84,15 @@ the same moment matmul that gives the weighted donor mean and spread, is
 divided out once per unit.  The propensity is ``1 / (1 + a_i b_j)`` from
 odds factors taken once per pass (``response.propensity_from_odds``), so
 it costs no ``exp`` per cell; a pass whose factors leave the floating
-range uses the log-odds form.  The solve's last evaluation is at the
-root, so ``em_fit`` keeps the unit moments it reduced there and needs no
-separate pass for them.  So a one-component fit stores only vectors over
+range uses the log-odds form.  Every walk at given response
+parameters is ``_reduce``: per block it reduces ``u`` and ``u pi``
+against one centred value-power matrix (``_centred_powers``: ``(1, y_c,
+y_c^2, y_c^3)``, and ``(log y, y_c log y)`` for the gamma family), and
+on the full grid of a one-component fit also the per-value sums ``c_j =
+sum_i w_ij (y_j - ybar_i)``.  The solve's last evaluation is at the
+root, so ``em_fit`` keeps those sums (``_KernelSums``) with the weights,
+and the unit moments and both variances read them with no walk of their
+own.  So a one-component fit stores only vectors over
 units and unique donor values, plus a few block buffers; only the EM
 fallback holds its iteration's (n_missing, unique values) weights.  A
 mixture's log density has no such factors, so its fit stores one
@@ -163,32 +169,34 @@ class FractionalWeights:
     ``kernel`` and ``values`` are what the solver and the variance code
     reduce.  The property ``w`` is the per-donor array, rows summing to
     one, built on each read (a value's weight split evenly among its
-    donors) and never kept.  ``ybar`` and ``spread`` are each unit's
-    weighted donor mean and centred second moment ``sum_j w_ij (y_j -
-    ybar_i)^2``: ``moments`` when given (``em_fit`` passes the ones its
-    solver reduced at these weights), else computed once here by
-    ``_unit_moments``.  ``n_missing`` counts the missing units, the
-    kernel's rows.  ``log_c`` is the donor engine's
-    ``log C(y)`` at each of the values, under the respondents' model the
-    weights were built with, kept for the variance of the outcome mean.
+    donors) and never kept.  ``sums`` is the ``_KernelSums`` of one walk
+    of the donor kernel at the response parameters the weights were built
+    for: ``em_fit`` passes the ones its solve reduced at the root, and
+    ``fractional_weights`` reduces them at its ``phi``.  ``ybar`` and
+    ``spread``, each unit's weighted donor mean and centred second moment
+    ``sum_j w_ij (y_j - ybar_i)^2``, come from them, and the variance
+    reads the rest.  ``n_missing`` counts the missing units, the kernel's
+    rows.  ``log_c`` is the donor engine's ``log C(y)`` at each of the
+    values, under the respondents' model the weights were built with,
+    kept for the variance of the outcome mean.
     """
 
     def __init__(
         self,
         n_missing: int,
         kernel: "_LogWeights",
+        sums: "_KernelSums",
         log_c: Optional[np.ndarray] = None,
         inverse: Optional[np.ndarray] = None,
-        moments: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         self.n_missing = int(n_missing)
         self.log_c = log_c
         self.kernel = kernel
         self.values = kernel.donor_y
         self.inverse = inverse
-        if moments is None:
-            moments = _unit_moments(self.kernel, self.values, self.n_missing)
-        self.ybar, self.spread = moments
+        self.sums = sums
+        self.ybar = sums.shift + sums.w[:, 1]
+        self.spread = sums.w[:, 2] - sums.w[:, 1] ** 2
 
     @property
     def w(self) -> np.ndarray:
@@ -600,15 +608,14 @@ def fractional_weights(
     """Donor weights at the given response parameters.
 
     Computed in log space and exponentiated after subtracting each
-    row's maximum.  Raises FitError when some missing unit has zero
-    density at every donor value.
+    row's maximum, with the ``_KernelSums`` of one walk at ``phi``.
+    Raises FitError when some missing unit has zero density at every
+    donor value.
     """
     kernel, inverse, log_c = _donor_kernel(gamma, data)
+    kernel = replace(kernel, beta=phi.beta)
     return FractionalWeights(
-        data.n_missing,
-        log_c=log_c,
-        kernel=replace(kernel, beta=phi.beta),
-        inverse=inverse,
+        data.n_missing, kernel, _kept_sums(phi, kernel, gamma, data), log_c, inverse
     )
 
 
@@ -705,41 +712,6 @@ def _coarse_kernel(kernel: "_LogWeights") -> Optional["_LogWeights"]:
     return _LogWeights(log_w[keep], kernel.beta, nodes[keep], kernel.slope)
 
 
-def _centred(y: np.ndarray):
-    """``(shift, powers)``: the values' mean, and the columns (1, y - shift, (y - shift)^2).
-
-    ``powers`` is None for per-unit pools.  Moments about the mean do not
-    cancel as raw ones do.
-    """
-    shift = float(np.mean(y)) if y.size else 0.0
-    if y.ndim != 1:
-        return shift, None
-    y_c = y - shift
-    return shift, np.column_stack([np.ones_like(y_c), y_c, y_c**2])
-
-
-def _mean_and_spread(m: np.ndarray, shift: float):
-    """Each unit's weighted donor mean and centred second moment.
-
-    ``m`` holds the unit's sums of ``u`` against ``_centred``'s powers; its
-    first column, the row sum, normalizes them.
-    """
-    mean_c = m[:, 1] / m[:, 0]
-    return shift + mean_c, m[:, 2] / m[:, 0] - mean_c**2
-
-
-def _unit_moments(w, y: np.ndarray, n_missing: int):
-    """Per-unit weighted donor mean and centred second moment, by row blocks of ``w``.
-
-    The reduction of ``_evaluate``, in a pass of its own.
-    """
-    shift, powers = _centred(y)
-    m = np.empty((n_missing, 3))
-    for rows, y_b, u in _weight_blocks(w, y, n_missing):
-        m[rows] = _power_sums(u, y_b, powers, shift)
-    return _mean_and_spread(m, shift)
-
-
 def _parametric_pool(
     gamma: OutcomeSpec, data: Dataset, m_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -776,17 +748,113 @@ def _row_dot(a: np.ndarray, donor_y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, donor_y)
 
 
-def _power_sums(v: np.ndarray, y: np.ndarray, powers, shift: float = 0.0) -> np.ndarray:
-    """Per-unit sums of ``v`` against (1, y - shift, (y - shift)^2), as (units, 3).
+def _centred_powers(y: np.ndarray, logs: bool = False, shift: Optional[float] = None):
+    """``(shift, powers)``: the value-power matrix that a walk reduces its weights against.
 
-    One matmul with the shared donors' ``powers`` matrix, which holds
-    those columns; row dots with a block's per-unit pools ``y`` when
-    there is none.
+    ``powers`` has the columns ``(1, y_c, y_c^2, y_c^3)`` of ``y_c = y -
+    shift``, with ``shift`` the values' mean unless given, and with
+    ``logs`` (the gamma family) also ``(log y, y_c log y)``; it is None
+    for per-unit pools.  Moments about the mean do not cancel as raw ones
+    do.
     """
-    if powers is not None:
-        return v @ powers
-    y = y - shift
-    return np.column_stack([v.sum(axis=1), _row_dot(v, y), _row_dot(v, y * y)])
+    if shift is None:
+        shift = float(np.mean(y)) if y.size else 0.0
+    if y.ndim != 1:
+        return shift, None
+    y_c = y - shift
+    columns = [np.ones_like(y_c), y_c, y_c**2, y_c**3]
+    if logs:
+        log_y = np.log(y)
+        columns += [log_y, y_c * log_y]
+    # column-major: a block's matmul with it runs about a third faster
+    return shift, np.asfortranarray(np.column_stack(columns))
+
+
+@dataclass(frozen=True)
+class _KernelSums:
+    """What one walk of the donor kernel at the response parameters ``phi`` reduces.
+
+    ``w`` and ``wp`` are each unit's sums of its normalized weights, and
+    of the weights times the propensity, against the columns of the
+    walk's ``_centred_powers`` about ``shift`` (for per-unit pools,
+    against ``(1, y_c, y_c^2)``); their first column is the row sum.
+    ``c`` is, per value, ``c_j = sum_i w_ij (y_j - ybar_i)``, or None
+    where the walk did not reduce it.
+    """
+
+    phi: np.ndarray
+    shift: float
+    w: np.ndarray
+    wp: np.ndarray
+    c: Optional[np.ndarray] = None
+
+
+def _reduce(phi, b_miss, w, y, powers, jacobian=False, per_value=False, each=None, spare=0):
+    """One walk of the donor kernel at ``phi``: ``(_KernelSums, q)``.
+
+    ``w`` is a ``_LogWeights`` or an (n_missing, values) weight array
+    over the values ``y`` and ``powers`` their ``_centred_powers``.  Per
+    block of unnormalized weights ``u`` and propensities ``pi`` it
+    reduces ``u`` and ``u pi`` against the power matrix, one matmul each,
+    and every sum is divided by its unit's row sum of ``u`` at the end.
+    With ``jacobian``, ``q`` holds the sums of ``w pi (1 - pi)`` against
+    ``(1, y_c, y_c^2)``; with ``per_value`` on shared values, ``c`` is
+    reduced in the same block as ``(1/s, t/s) @ u`` for the row sums
+    ``s`` and ``t = ybar - shift``.  ``each(rows, u, u pi, s, ybar,
+    spares)`` runs on every block after these, with ``spare`` more block
+    buffers.
+    """
+    shift, matrix = powers
+    n0 = b_miss.shape[0]
+    width = 3 if matrix is None else matrix.shape[1]
+    m_u, m_wp = np.empty((n0, width)), np.empty((n0, width))
+    m_q = np.empty((n0, 3)) if jacobian else None
+    per_value = per_value and matrix is not None
+    if per_value:  # per value: sum_i w_ij and sum_i w_ij t_i
+        cols, col_block = np.zeros((2, y.size)), np.empty((2, y.size))
+    for rows, y_b, u, pi, *spares in _donor_blocks(phi, b_miss, y, w, spare):
+        if matrix is None:  # per-unit pools: row dots with the block's centred values
+            y_c = y_b - shift
+            y_c2 = y_c * y_c
+
+            def sums(v, k=3):
+                return np.column_stack([v.sum(axis=1), _row_dot(v, y_c), _row_dot(v, y_c2)])
+        else:
+            def sums(v, k=width):
+                return v @ matrix[:, :k]
+        m = m_u[rows] = sums(u)
+        s = m[:, 0]
+        t = m[:, 1] / s
+        if per_value:
+            left = np.empty((2, s.size))
+            np.divide(1.0, s, out=left[0])
+            np.multiply(t, left[0], out=left[1])
+            cols += np.matmul(left, u, out=col_block)
+        if each is not None:
+            wp = np.multiply(u, pi, out=pi)
+            each(rows, u, wp, s, shift + t, spares)
+        else:
+            wp = np.multiply(u, pi, out=u)  # delta = 0: residual -pi
+            if jacobian:
+                m_q[rows] = sums(np.multiply(wp, np.subtract(1.0, pi, out=pi), out=pi), 3)
+        m_wp[rows] = sums(wp)
+    s = m_u[:, :1].copy()
+    for m in (m_u, m_wp) + ((m_q,) if jacobian else ()):
+        m /= s
+    c = matrix[:, 1] * cols[0] - cols[1] if per_value else None
+    return _KernelSums(phi.phi, shift, m_u, m_wp, c), m_q
+
+
+def _kept_sums(phi: ResponseSpec, kernel: "_LogWeights", gamma: OutcomeSpec, data: Dataset):
+    """The ``_KernelSums`` that weights under ``gamma`` keep, from a walk of their own at ``phi``.
+
+    The power matrix holds the gamma family's log columns, and ``c`` is
+    reduced for a one-component model only: a mixture's variance walks
+    the grid again.
+    """
+    b_miss = phi.h_basis.design(data.missing_columns())
+    powers = _centred_powers(kernel.donor_y, gamma.family is Family.GAMMA)
+    return _reduce(phi, b_miss, kernel, kernel.donor_y, powers, per_value=gamma.k == 1)[0]
 
 
 def _score_and_jacobian(phi, arrays, w, donor_y, weights_move: bool):
@@ -801,46 +869,40 @@ def _score_and_jacobian(phi, arrays, w, donor_y, weights_move: bool):
     return _evaluate(phi, arrays, w, donor_y, weights_move)[:2]
 
 
-def _evaluate(phi, arrays, w, donor_y, weights_move: bool):
-    """``_score_and_jacobian`` and, reduced in the same pass, ``_unit_moments``."""
+def _evaluate(phi, arrays, w, donor_y, weights_move: bool, powers=None, per_value=False):
+    """``_score_and_jacobian`` and, from the same walk, ``_reduce``'s ``_KernelSums``.
+
+    ``powers`` defaults to the ``_centred_powers`` of ``donor_y``.  The
+    score and Jacobian need the raw sums of ``w pi`` and ``w pi (1 -
+    pi)`` against ``(1, y, y^2)``, which follow from the centred ones
+    with ``y = y_c + shift``.
+    """
     z = arrays.z_resp
     p_resp = propensity_from_log_odds(z @ -phi.phi)
     score = z.T @ (1.0 - p_resp)  # delta = 1
     jac = -(z.T @ (z * (p_resp * (1.0 - p_resp))[:, None]))
     b = arrays.b_miss
-    n0, L = b.shape  # L: position of the outcome column
-    moments = (np.empty(0), np.empty(0))
-    if n0:
-        # per unit: sums of u against (1, y_c, y_c^2), and of u pi and of
-        # u pi (1 - pi) against (1, y, y^2); u's row sum divides them all
-        m_u, m_wp, m_q = (np.empty((n0, 3)) for _ in range(3))
-        shift, centred = _centred(donor_y)
-        powers = None
-        if donor_y.ndim == 1:
-            powers = np.column_stack([np.ones_like(donor_y), donor_y, donor_y**2])
-        for rows, y, u, pi in _donor_blocks(phi, b, donor_y, w):
-            m_u[rows] = _power_sums(u, y, centred, shift)
-            wp = np.multiply(u, pi, out=u)  # delta = 0: residual -pi
-            q = np.multiply(wp, np.subtract(1.0, pi, out=pi), out=pi)
-            m_wp[rows] = _power_sums(wp, y, powers)
-            m_q[rows] = _power_sums(q, y, powers)
-        moments = _mean_and_spread(m_u, shift)
-        ybar = moments[0]
-        m_wp /= m_u[:, :1]
-        m_q /= m_u[:, :1]
-        row, wpy, wpy2 = m_wp.T
-        score[:L] -= b.T @ row
-        score[L] -= float(np.sum(wpy))
-        jac[:L, :L] -= b.T @ (b * m_q[:, [0]])
-        cross = b.T @ m_q[:, 1]
-        jac[:L, L] -= cross
-        jac[L, :L] -= cross
-        jac[L, L] -= float(np.sum(m_q[:, 2]))
-        if weights_move:
-            # per unit: sum_j w_ij (y_j - ybar_i) pi_ij, and the same times y_j
-            jac[:L, L] += b.T @ (wpy - ybar * row)
-            jac[L, L] += float(np.sum(wpy2 - ybar * wpy))
-    return score, jac, moments
+    L = b.shape[1]  # position of the outcome column
+    if powers is None:
+        powers = _centred_powers(donor_y)
+    sums, m_q = _reduce(phi, b, w, donor_y, powers, jacobian=True, per_value=per_value)
+    shift, t = sums.shift, sums.w[:, 1]  # t = ybar - shift
+    row, wpy_c, wpy2_c = sums.wp[:, :3].T
+    q0, qy_c, qy2_c = m_q.T
+    qy = qy_c + shift * q0
+    score[:L] -= b.T @ row
+    score[L] -= float(np.sum(wpy_c + shift * row))
+    jac[:L, :L] -= b.T @ (b * q0[:, None])
+    cross = b.T @ qy
+    jac[:L, L] -= cross
+    jac[L, :L] -= cross
+    jac[L, L] -= float(np.sum(qy2_c + shift * (qy_c + qy)))
+    if weights_move:
+        # per unit: sum_j w_ij (y_j - ybar_i) pi_ij, and the same times y_j
+        d = wpy_c - t * row
+        jac[:L, L] += b.T @ d
+        jac[L, L] += float(np.sum(wpy2_c - t * wpy_c + shift * d))
+    return score, jac, sums
 
 
 def mean_score(
@@ -927,7 +989,10 @@ def em_fit(
     ``mean_score_norm`` is the max-abs ``S(phi_hat; w(beta_hat))``;
     ``trace`` and ``em_iterations`` list and count the full grid's Newton
     steps, any EM iterations and the second solve's steps; the coarse
-    solve's steps are not among them.  No identifiability
+    solve's steps are not among them.  The weights keep the
+    ``_KernelSums`` of the full grid's last evaluation where it was at
+    the root, which a converged solve's is, and else of a walk of their
+    own there (``_kept_sums``).  No identifiability
     check is made here: ``fimnar fit`` gates on the verdict before it
     calls this.
     """
@@ -953,13 +1018,17 @@ def em_fit(
         raise ValueError(f"unknown imputation engine {engine!r}")
 
     arrays = _score_arrays(phi, data)
-    last = {}  # the point of the latest evaluation, and the unit moments reduced there
+    # the full grid's evaluations reduce what the variance reads at the root
+    powers = _centred_powers(kernel.donor_y, gamma.family is Family.GAMMA)
+    per_value = gamma.k == 1  # a mixture's variance walks the grid again
+    last = {}  # the point of the latest evaluation, and the kernel sums reduced there
 
-    def solve(x, grid=kernel, tols=(controls.tol_score, controls.tol_phi)):
+    def solve(x, grid=kernel, tols=(controls.tol_score, controls.tol_phi), powers=powers,
+              per_value=per_value):
         def system(x):
             p = phi.with_phi(x)
             w = replace(grid, beta=p.beta)
-            score, jac, last["moments"] = _evaluate(p, arrays, w, grid.donor_y, True)
+            score, jac, last["sums"] = _evaluate(p, arrays, w, grid.donor_y, True, powers, per_value)
             last["x"] = x
             return score, jac
 
@@ -970,7 +1039,9 @@ def em_fit(
     coarse = _coarse_kernel(kernel)
     if coarse is not None:
         # only a start: the full grid's solve decides the root
-        coarse_x, _, coarse_converged = solve(start, coarse, (math.inf, COARSE_STEP))
+        coarse_x, _, coarse_converged = solve(
+            start, coarse, (math.inf, COARSE_STEP), _centred_powers(coarse.donor_y), False
+        )
         if coarse_converged:
             start = coarse_x
     x, path, converged = solve(start)
@@ -995,18 +1066,13 @@ def em_fit(
                 trace=tuple(trace),
             )
     phi_hat = phi.with_phi(x)
+    kernel = replace(kernel, beta=phi_hat.beta)
     # a converged _newton evaluates its root last; the point is checked, not assumed
     at_root = np.array_equal(last.get("x"), x)
-    weights = FractionalWeights(
-        data.n_missing,
-        log_c=log_c,
-        kernel=replace(kernel, beta=phi_hat.beta),
-        inverse=inverse,
-        moments=last["moments"] if at_root else None,
-    )
+    sums = last["sums"] if at_root else _kept_sums(phi_hat, kernel, gamma, data)
     return FitResult(
         phi_hat=phi_hat,
-        weights=weights,
+        weights=FractionalWeights(data.n_missing, kernel, sums, log_c, inverse),
         mean_score_norm=path[-1][2],
         trace=tuple(trace),
     )

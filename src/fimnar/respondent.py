@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 GRAD_TOL = 1e-8  # fit_glm stops once its max-abs log-likelihood gradient is this small
+# a canonical-link fit also stops within this many ulps of the largest column
+# sum of |X' y|, in proportion to which its gradient X'(y - mu) rounds
+GRAD_ULPS = 16
 GLM_MAX_STEPS = 100  # Newton step cap of fit_glm
 MIXTURE_MAX_ITER = 500  # EM iteration cap of each fit_normal_mixture start
 MIXTURE_TOL = 1e-10  # relative log-likelihood gain at which a mixture start converges
@@ -175,7 +178,10 @@ def fit_glm(
     Raises FitError on a rank-deficient design or if damped Newton
     (``_newton``) fails to push the max-abs log-likelihood gradient below
     ``GRAD_TOL`` within ``GLM_MAX_STEPS`` steps (the gradient trace rides
-    on the exception).  ``iterations`` counts the gradient evaluations at
+    on the exception); for the canonical links (Bernoulli, Poisson) the
+    bound is at least ``GRAD_ULPS`` ulps of ``max_k sum_i |x_ik y_i|``,
+    the scale at which ``X'(y - mu)`` rounds, so that large counts can
+    converge.  ``iterations`` counts the gradient evaluations at
     accepted points, the start included.
     """
     y = np.asarray(y, dtype=float)
@@ -195,6 +201,10 @@ def fit_glm(
         return _finish(spec, y, columns, 1, True)
 
     coef = np.zeros(x.shape[1])
+    tol = GRAD_TOL
+    if family in (Family.BERNOULLI, Family.POISSON):
+        rounding = np.finfo(float).eps * float(np.max(np.abs(x).T @ np.abs(y)))
+        tol = max(GRAD_TOL, GRAD_ULPS * rounding)
     if family is Family.BERNOULLI:
         logistic = lambda eta: propensity_from_log_odds(-eta)
         system = _canonical_system(x, y, logistic, lambda mu: mu * (1.0 - mu))
@@ -214,7 +224,7 @@ def fit_glm(
     else:  # pragma: no cover - exhaustive over Family
         raise ValueError(f"unsupported family {family}")
 
-    coef, path, converged = _newton(coef, system, GLM_MAX_STEPS, GRAD_TOL)
+    coef, path, converged = _newton(coef, system, GLM_MAX_STEPS, tol)
     trace = tuple(norm for _, _, norm in path)
     if not converged:
         raise FitError(

@@ -28,17 +28,18 @@ mixture from one pass over its component densities that weights the
 complete-data score by the responsibilities (Louis, 1982).
 
 Memory: the variance holds only per-unit vectors and the temporaries of
-one row block.  The missing-unit pieces of both variances are reduced in
-one walk of ``fiem``'s donor kernel at the fitted parameters, which
-rebuilds each block's unnormalized weights ``u`` from the fit's factors,
-over the donors' unique values, with the kernel's propensities; the
-weighted donor mean and spread of each unit come with the fit's weights.
-For one component, each block is reduced to per-unit moments of ``u``
-and of ``u pi`` against one centred power matrix (``_centred_powers``),
-from which the moments of every weight matrix V follow, divided by the
-row sum of ``u``; ``_one_component_sums`` then runs once over all units.
-A mixture block runs ``_mixture_sums`` on ``u`` and divides its rows by
-the row sum.  The ``d log C/d gamma`` term is, for one component, a
+one row block.  The missing-unit pieces of both variances come from the
+weights' ``fiem._KernelSums``: each unit's moments of ``w`` and of ``w
+pi`` against one centred power matrix (``fiem._centred_powers``), from
+which the moments of every weight matrix V follow, and the per-value
+``c_j``.  ``em_fit`` keeps the sums its solve reduced at the root, so a
+one-component fit's variances walk no missing-unit x value grid, and
+``_one_component_sums`` runs once over all units.  Weights whose sums
+were reduced at other parameters, or lack ``c``, are walked once at the
+fitted parameters by ``fiem._reduce``, the solver's own reduction
+(``fiem._kept_sums``); a normal mixture is always walked so, and each block runs
+``_mixture_sums`` on ``u`` and divides its rows by the row sum.  The
+``d log C/d gamma`` term is, for one component, a
 smooth function of y alone, ``B(y) phi(y)`` (``_grad_log_c``): per block
 of points a softmax over the respondents and one matmul with their
 score coefficients, taken at the values exactly, or on at least
@@ -66,8 +67,10 @@ from .fiem import (
     FitResult,
     FractionalWeights,
     _blocks,
-    _donor_blocks,
+    _centred_powers,
+    _kept_sums,
     _matmul_blocks,
+    _reduce,
     _smooth_in_y,
     _take,
     estimate_mu_y,
@@ -121,26 +124,18 @@ def _check_cond(matrix: np.ndarray, label: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _centred_powers(gamma: OutcomeSpec, y: np.ndarray, shift: Optional[float] = None):
-    """``(shift, powers, lo, hi)`` for reducing weight matrices V over the values ``y``.
+def _moment_columns(gamma: OutcomeSpec):
+    """``(logs, lo, hi)``: what a reduction over ``fiem._centred_powers`` needs for ``gamma``.
 
-    ``powers`` has the columns ``(1, y_c, y_c^2, y_c^3)`` of ``y_c = y -
-    shift``, with ``shift`` the values' mean unless given, and for the
-    gamma family also ``(log y, y_c log y)``.  Of ``m = V @ powers``,
-    ``m[:, lo]`` are the moments that ``_one_component_sums`` reads, and
-    ``m[:, hi] - t m[:, lo]`` are those of ``V (y_c - t)`` for a per-unit
-    ``t``.
+    ``logs`` asks for the gamma family's log columns.  Of ``m = V @
+    powers``, ``m[:, lo]`` are the moments that ``_one_component_sums``
+    reads, and ``m[:, hi] - t m[:, lo]`` are those of ``V (y_c - t)`` for
+    a per-unit ``t``.
     """
-    if shift is None:
-        shift = float(np.mean(y))
-    y_c = y - shift
-    columns = [np.ones_like(y_c), y_c, y_c**2, y_c**3]
-    lo, hi = [0, 1, 2], [1, 2, 3]
-    if gamma.family is Family.GAMMA:
-        log_y = np.log(y)
-        columns += [log_y, y_c * log_y]
-        lo, hi = lo + [4], hi + [5]
-    return shift, np.column_stack(columns), lo, hi
+    logs = gamma.family is Family.GAMMA
+    if logs:
+        return logs, [0, 1, 2, 4], [1, 2, 3, 5]
+    return logs, [0, 1, 2], [1, 2, 3]
 
 
 def _one_component_sums(gamma: OutcomeSpec, columns, shift, m):
@@ -255,7 +250,8 @@ def _score_sums(gamma: OutcomeSpec, y_donors: np.ndarray, columns, weights):
     if gamma.k > 1:
         pieces = _responsibilities(gamma, y_donors[None, :], columns)[1]
         return _mixture_sums(gamma, pieces, weights)
-    shift, powers, lo, _ = _centred_powers(gamma, y_donors)
+    logs, lo, _ = _moment_columns(gamma)
+    shift, powers = _centred_powers(y_donors, logs)
     return [_one_component_sums(gamma, columns, shift, v @ powers[:, lo]) for v in weights]
 
 
@@ -269,57 +265,65 @@ def _missing_pieces(
 ):
     """Missing-unit designs, mean scores, mean design vectors, score sums, and V's sums.
 
-    One walk of the donor kernel reduces, block by block, ``s0bar``, the
+    From the weights' ``_KernelSums``: each unit's moments of ``w`` and
+    of ``w pi`` against ``fiem._centred_powers`` give ``s0bar``, the
     ``_score_sums`` of (w, w pi, w pi y), and for ``V_ij = w_ij (y_j -
-    ybar_i)`` the per-value ``c_j = sum_i V_ij`` and ``sum_ij V_ij
-    s1(x_i, y_j)``; ``z0bar`` ends in ``ybar``.  The walk's weights are
-    unnormalized, ``w = u / s`` with ``s`` the row sum of ``u``: every
-    sum is linear in a unit's row, so it is reduced on ``u`` and divided
-    by ``s`` once per unit.  With ``y_c = y - shift`` and ``t = ybar -
-    shift``, the moments of ``w pi y`` are those of ``w pi (y_c + shift)``
-    and the moments of ``V`` those of ``w (y_c - t)``, both from
-    ``_centred_powers``.
+    ybar_i)`` the sum ``sum_ij V_ij s1(x_i, y_j)``; the per-value ``c_j =
+    sum_i V_ij`` came with them, and ``z0bar`` ends in ``ybar``.  With
+    ``y_c = y - shift`` and ``t = ybar - shift``, the moments of ``w pi
+    y`` are those of ``w pi (y_c + shift)`` and the moments of ``V`` those
+    of ``w (y_c - t)``.  Where the sums were reduced at other parameters
+    or lack ``c``, a walk of their own at ``phi`` reduces them
+    (``fiem._kept_sums``); a normal mixture's walk also reduces the score
+    sums block by block (``_mixture_walk``).
     """
     miss_cols = data.missing_columns()
     b_miss = phi.h_basis.design(miss_cols)
-    y_u = weights.values
-    n0, q = b_miss.shape[0], flatten_params(gamma).size
-    shift, powers, lo, hi = _centred_powers(gamma, y_u)
-    t = weights.ybar - shift
-    m_u, m_wp = np.empty((n0, powers.shape[1])), np.empty((n0, powers.shape[1]))
-    c = np.zeros(y_u.size)
-    mixture = gamma.k > 1
-    sums = [np.empty((n0, q)) for _ in range(4)]  # of (w, w pi, w pi y, V), for a mixture
-    for rows, _, u, wp, *spares in _donor_blocks(phi, b_miss, y_u, weights.kernel, 2 * mixture):
-        m_u[rows] = u @ powers
-        s = m_u[rows, 0]
-        # c_j = sum_i u_ij (y_c_j - t_i) / s_i
-        col = u.T @ np.column_stack([1.0 / s, t[rows] / s])
-        c += powers[:, 1] * col[:, 0] - col[:, 1]
-        np.multiply(u, wp, out=wp)  # u pi
-        m_wp[rows] = wp @ powers
-        if mixture:
-            wpy, v = spares
-            np.multiply(wp, y_u, out=wpy)
-            np.subtract(y_u[None, :], weights.ybar[rows, None], out=v)
-            v *= u
-            block = _score_sums(gamma, y_u, _take(miss_cols, rows), (u, wp, wpy, v))
-            for out, r in zip(sums, block):
-                out[rows] = r / s[:, None]
-    s = m_u[:, :1].copy()
-    m_u /= s  # the moments of w
-    m_wp /= s  # the moments of w pi
-    s0bar = -np.column_stack([m_wp[:, :1] * b_miss, m_wp[:, 1] + shift * m_wp[:, 0]])
-    if not mixture:
+    sums = weights.sums
+    if gamma.k > 1:
+        sums, r = _mixture_walk(phi, gamma, weights, b_miss, miss_cols)
+    else:
+        if sums.c is None or not np.array_equal(sums.phi, phi.phi):
+            sums = _kept_sums(phi, weights.kernel, gamma, data)
+        _, lo, hi = _moment_columns(gamma)
+        m_u, m_wp, shift = sums.w, sums.wp, sums.shift
+        t = m_u[:, 1:2]
         moments = (
             m_u[:, lo],
             m_wp[:, lo],
             m_wp[:, hi] + shift * m_wp[:, lo],  # w pi (y_c + shift)
-            m_u[:, hi] - t[:, None] * m_u[:, lo],  # w (y_c - t)
+            m_u[:, hi] - t * m_u[:, lo],  # w (y_c - t)
         )
-        sums = [_one_component_sums(gamma, miss_cols, shift, m) for m in moments]
-    *sums, r_v = sums
-    return b_miss, s0bar, np.column_stack([b_miss, weights.ybar]), sums, c, r_v.sum(axis=0)
+        r = [_one_component_sums(gamma, miss_cols, shift, m) for m in moments]
+    m_wp, shift = sums.wp, sums.shift
+    s0bar = -np.column_stack([m_wp[:, :1] * b_miss, m_wp[:, 1] + shift * m_wp[:, 0]])
+    *r, r_v = r
+    return b_miss, s0bar, np.column_stack([b_miss, weights.ybar]), r, sums.c, r_v.sum(axis=0)
+
+
+def _mixture_walk(phi, gamma: OutcomeSpec, weights: FractionalWeights, b_miss, miss_cols):
+    """``(sums, r)``: one ``fiem._reduce`` walk at ``phi`` with a normal mixture's score sums.
+
+    ``r`` holds the ``_score_sums`` of (w, w pi, w pi y, V), each block
+    reduced on its unnormalized ``u`` from one responsibility pass and
+    divided by the row sum.
+    """
+    y_u = weights.values
+    n0, q = b_miss.shape[0], flatten_params(gamma).size
+    r = [np.empty((n0, q)) for _ in range(4)]
+
+    def each(rows, u, wp, s, ybar, spares):
+        wpy, v = spares
+        np.multiply(wp, y_u, out=wpy)
+        np.subtract(y_u[None, :], ybar[:, None], out=v)
+        v *= u
+        block = _score_sums(gamma, y_u, _take(miss_cols, rows), (u, wp, wpy, v))
+        for out, b in zip(r, block):
+            out[rows] = b / s[:, None]
+
+    powers = _centred_powers(y_u)
+    sums = _reduce(phi, b_miss, weights.kernel, y_u, powers, per_value=True, each=each, spare=2)[0]
+    return sums, r
 
 
 def variance_estimate(
@@ -421,7 +425,8 @@ def _grad_log_c(gamma: OutcomeSpec, y_u: np.ndarray, data: Dataset):
     ``y_u``.
     """
     resp_cols, n1 = data.respondent_columns(), data.n_respondents
-    shift, _, lo, _ = _centred_powers(gamma, y_u)
+    logs, lo, _ = _moment_columns(gamma)
+    shift = float(np.mean(y_u))
     slope, offset, _ = log_density_factors(gamma, y_u, resp_cols)
     units = [np.broadcast_to(e, (n1, len(lo))) for e in np.eye(len(lo))]
     a = np.hstack([_one_component_sums(gamma, resp_cols, shift, m) for m in units])
@@ -429,7 +434,7 @@ def _grad_log_c(gamma: OutcomeSpec, y_u: np.ndarray, data: Dataset):
     right = np.vstack([slope, offset])
 
     def at(t: np.ndarray) -> np.ndarray:
-        phi = _centred_powers(gamma, t, shift)[1][:, lo]
+        phi = _centred_powers(t, logs, shift)[1][:, lo]
         out = np.empty((t.size, q))
         for rows, p in _matmul_blocks(np.column_stack([t, np.ones_like(t)]), right, t.size):
             p -= p.max(axis=1, keepdims=True)
@@ -453,7 +458,7 @@ def _mu_y_grad_gamma(
     ``P(l | y_j) = f(y_j | x_l) / C(y_j)``, so that the last sum is
     ``d log C(y_j)/d gamma``.  Both sums run over the weights' values
     (donors sharing a value pool their ``c_j``).  The first sum and ``c``
-    came with ``parts`` from the sandwich's walk of the missing units.
+    came with ``parts`` from the sandwich's missing-unit pieces.
     For one component ``d log C/d gamma`` is a smooth function of y alone
     (``_grad_log_c``), taken at the values through ``fiem._smooth_in_y``;
     for a mixture the second sum walks blocks of respondents with the

@@ -1,12 +1,14 @@
 """Reference paths that only tests call: the stored donor grid, finite-difference
-scores, per-row sampling, the one-level solve and the exact respondent walks.
+scores, per-row sampling, the one-level solve, the exact respondent walks
+and the variance's own walk of the missing units.
 
 The package computes the donor weights block by block from the factors
 of ``fiem._donor_kernel``, every outcome-model score in closed form, a
 parametric pool from each unit's own parameters, a large donor fit's
-root from a coarse grid's, and on many values ``log C`` and ``d log C/d
-gamma`` by interpolation in y; these are the independent versions the
-tests compare them with.
+root from a coarse grid's, on many values ``log C`` and ``d log C/d
+gamma`` by interpolation in y, and the variance's missing-unit pieces
+from the sums the solve reduced at the root; these are the independent
+versions the tests compare them with.
 """
 
 import math
@@ -31,6 +33,8 @@ from fimnar.fiem import (
     MAX_NEWTON_STEPS,
     FiControls,
     _blocks,
+    _centred_powers,
+    _donor_blocks,
     _donor_kernel,
     _evaluate,
     _initial_phi,
@@ -43,7 +47,7 @@ from fimnar.fiem import (
 )
 from fimnar.respondent import FitError, _newton
 from fimnar.response import propensity_from_log_odds
-from fimnar.variance import _centred_powers, _one_component_sums
+from fimnar.variance import _moment_columns, _one_component_sums, _score_sums
 
 FD_STEP_GAMMA = 1e-4  # relative step of the finite-difference score check
 
@@ -190,10 +194,64 @@ def exact_via_c(gamma: OutcomeSpec, values, c, log_c, data: Dataset) -> np.ndarr
     per-respondent walk that ``variance._mu_y_grad_gamma`` ran before it
     interpolated in y."""
     resp_cols = data.respondent_columns()
-    shift, powers, lo, _ = _centred_powers(gamma, values)
+    logs, lo, _ = _moment_columns(gamma)
+    shift, powers = _centred_powers(values, logs)
     weighted = powers[:, lo] * c[:, None]
     m = np.empty((data.n_respondents, len(lo)))
     for rows, p in _log_density_blocks(gamma, values, resp_cols, data.n_respondents):
         p -= log_c
         m[rows] = np.exp(p, out=p) @ weighted
     return _one_component_sums(gamma, resp_cols, shift, m).sum(axis=0)
+
+
+def walked_missing_pieces(phi, gamma: OutcomeSpec, weights, data: Dataset):
+    """``variance._missing_pieces`` by a walk of its own at ``phi``, as it was before
+    it read the kernel sums that came with the weights.
+
+    One walk of the donor kernel reduces, block by block, ``s0bar``, the
+    ``_score_sums`` of (w, w pi, w pi y), and for ``V_ij = w_ij (y_j -
+    ybar_i)`` the per-value ``c_j = sum_i V_ij`` and ``sum_ij V_ij
+    s1(x_i, y_j)``, with ``ybar`` the weights'; one component from the
+    blocks' moments against the centred powers, a mixture from each
+    block's responsibility pass.
+    """
+    miss_cols = data.missing_columns()
+    b_miss = phi.h_basis.design(miss_cols)
+    y_u = weights.values
+    n0, q = b_miss.shape[0], flatten_params(gamma).size
+    logs, lo, hi = _moment_columns(gamma)
+    shift, powers = _centred_powers(y_u, logs)
+    t = weights.ybar - shift
+    m_u, m_wp = np.empty((n0, powers.shape[1])), np.empty((n0, powers.shape[1]))
+    c = np.zeros(y_u.size)
+    mixture = gamma.k > 1
+    sums = [np.empty((n0, q)) for _ in range(4)]  # of (w, w pi, w pi y, V), for a mixture
+    for rows, _, u, wp, *spares in _donor_blocks(phi, b_miss, y_u, weights.kernel, 2 * mixture):
+        m_u[rows] = u @ powers
+        s = m_u[rows, 0]
+        col = u.T @ np.column_stack([1.0 / s, t[rows] / s])
+        c += powers[:, 1] * col[:, 0] - col[:, 1]
+        np.multiply(u, wp, out=wp)  # u pi
+        m_wp[rows] = wp @ powers
+        if mixture:
+            wpy, v = spares
+            np.multiply(wp, y_u, out=wpy)
+            np.subtract(y_u[None, :], weights.ybar[rows, None], out=v)
+            v *= u
+            block = _score_sums(gamma, y_u, _take(miss_cols, rows), (u, wp, wpy, v))
+            for out, r in zip(sums, block):
+                out[rows] = r / s[:, None]
+    s = m_u[:, :1].copy()
+    m_u /= s
+    m_wp /= s
+    s0bar = -np.column_stack([m_wp[:, :1] * b_miss, m_wp[:, 1] + shift * m_wp[:, 0]])
+    if not mixture:
+        moments = (
+            m_u[:, lo],
+            m_wp[:, lo],
+            m_wp[:, hi] + shift * m_wp[:, lo],
+            m_u[:, hi] - t[:, None] * m_u[:, lo],
+        )
+        sums = [_one_component_sums(gamma, miss_cols, shift, m) for m in moments]
+    *sums, r_v = sums
+    return b_miss, s0bar, np.column_stack([b_miss, weights.ybar]), sums, c, r_v.sum(axis=0)

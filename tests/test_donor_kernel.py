@@ -568,10 +568,9 @@ def test_collapsed_donors_match_every_donor_and_ignore_row_order(
         assume(False)
     assume(got.pop("cond") <= 1e5)
     kernel, _, log_c = stored_grid_kernel(gf.spec, data)
+    kernel = replace(kernel, beta=phi.beta)
     every_donor = FractionalWeights(
-        data.n_missing,
-        log_c=log_c,
-        kernel=replace(kernel, beta=phi.beta),
+        data.n_missing, kernel, fiem._kept_sums(phi, kernel, gf.spec, data), log_c
     )
     ref = kernel_results(phi, gf, data, every_donor)
     for key, value in got.items():

@@ -452,12 +452,13 @@ def reference_em(phi, weights_at, data, tol=1e-9, max_iter=20000):
     raise AssertionError("reference EM did not converge")
 
 
-def parametric_weights_at(pool, data):
+def parametric_weights_at(pool, gamma, data):
     """Pool weights proportional to the full nonresponse odds, h included."""
 
     def weights_at(phi):
         logw = -(phi.h(data.missing_columns())[:, None] + phi.beta * pool)
-        return FractionalWeights(data.n_missing, _LogWeights(logw, 0.0, pool))
+        kernel = _LogWeights(logw, 0.0, pool)
+        return FractionalWeights(data.n_missing, kernel, fiem._kept_sums(phi, kernel, gamma, data))
 
     return weights_at
 
@@ -500,7 +501,7 @@ def test_em_fit_matches_reference_em(case):
     fit = em_fit(data, gf, h_basis, rng=np.random.default_rng(5), **engine)
     if engine:
         pool = _parametric_pool(gf.spec, data, 100, np.random.default_rng(5))
-        weights_at = parametric_weights_at(pool, data)
+        weights_at = parametric_weights_at(pool, gf.spec, data)
     else:
         def weights_at(phi):
             return fractional_weights(phi, gf.spec, data)
@@ -536,8 +537,25 @@ def stalled_replicate():
     return data, _fit_respondent(scn, data, rng, 10), scn.response.h_basis
 
 
+def same_sums(weights, ref, tol):
+    """Whether the weights' ``_KernelSums`` and unit moments agree with those of
+    the sums ``ref`` within ``tol`` relative, column by column."""
+    got, again = weights.sums, FractionalWeights(weights.n_missing, weights.kernel, ref)
+    assert np.array_equal(got.phi, ref.phi) and got.shift == ref.shift
+    assert (got.c is None) == (ref.c is None)
+    pairs = [(got.w, ref.w), (got.wp, ref.wp), (weights.ybar, again.ybar),
+             (weights.spread, again.spread)]
+    if ref.c is not None:
+        pairs.append((got.c, ref.c))
+    return all(
+        np.all(np.max(np.abs(a - b), axis=0) <= tol * np.max(np.abs(b), axis=0)) for a, b in pairs
+    )
+
+
 @pytest.mark.parametrize("case", ["s1", "s3", "election", "parametric", "em-fallback"])
 def test_em_fit_takes_the_unit_moments_from_its_last_evaluation(monkeypatch, case):
+    # the unit moments and the sums the variance reads (c included, for
+    # one component) come from the solve's last evaluation, at the root
     options = {}
     if case == "election":
         data, gf, h_basis = election_case()
@@ -551,21 +569,22 @@ def test_em_fit_takes_the_unit_moments_from_its_last_evaluation(monkeypatch, cas
         data, gf, h_basis = scenario_case(case, 500, 6)
 
     def separate_pass(*args):
-        raise AssertionError("em_fit ran a separate pass for the unit moments")
+        raise AssertionError("em_fit ran a separate walk for the kernel sums")
 
     with monkeypatch.context() as patch:
-        patch.setattr(fiem, "_unit_moments", separate_pass)
+        patch.setattr(fiem, "_kept_sums", separate_pass)
         fit = em_fit(data, gf, h_basis, **options)
     if case == "em-fallback":
         assert fit.em_iterations > fiem.MAX_NEWTON_STEPS
     w = fit.weights
-    for got, ref in zip((w.ybar, w.spread), fiem._unit_moments(w.kernel, w.values, w.n_missing)):
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(w.sums.phi, fit.phi)
+    assert (w.sums.c is None) == (case in ("s3", "parametric"))
+    assert same_sums(w, fiem._kept_sums(fit.phi_hat, w.kernel, gf.spec, data), 1e-13)
 
 
 def test_em_fit_checks_where_its_last_evaluation_was(monkeypatch):
     # a solver whose last evaluation is not at the point it returns: the
-    # fit must take the unit moments from a pass of their own
+    # fit must take the kernel sums from a walk of their own at the root
     newton = fiem._newton
 
     def one_more_evaluation(x, system, *args):
@@ -575,9 +594,9 @@ def test_em_fit_checks_where_its_last_evaluation_was(monkeypatch):
 
     monkeypatch.setattr(fiem, "_newton", one_more_evaluation)
     data, gf, h_basis = scenario_case("s1", 500, 6)
-    w = em_fit(data, gf, h_basis).weights
-    ybar, spread = fiem._unit_moments(w.kernel, w.values, w.n_missing)
-    assert np.array_equal(w.ybar, ybar) and np.array_equal(w.spread, spread)
+    fit = em_fit(data, gf, h_basis)
+    w = fit.weights
+    assert same_sums(w, fiem._kept_sums(fit.phi_hat, w.kernel, gf.spec, data), 0.0)
 
 
 def test_evaluation_leaves_a_weight_array_as_it_was():
@@ -604,7 +623,7 @@ def test_full_jacobian_matches_finite_differences_of_moving_weights(engine):
         def weights_at(phi):
             return fractional_weights(phi, gamma, data)
     else:
-        weights_at = parametric_weights_at(rng.normal(size=(15, 30)), data)
+        weights_at = parametric_weights_at(rng.normal(size=(15, 30)), gamma, data)
     phi = phi_spec(alpha=(0.2, -0.1), beta=0.3)
     w = weights_at(phi)
     donor_y = data.y_observed if engine == "donor" else w.values  # the columns of w.w

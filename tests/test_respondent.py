@@ -18,6 +18,7 @@ from fimnar.expfam import (
 )
 from fimnar.respondent import digamma as psi  # scipy's digamma is the reference here
 from fimnar.respondent import (
+    GRAD_TOL,
     SIGMA_FLOOR_FACTOR,
     Candidate,
     FitError,
@@ -168,6 +169,23 @@ def test_poisson_recovery():
     y = rng.poisson(np.exp(0.4 + 0.6 * x)).astype(float)
     fit = fit_glm(y, cols(x), Family.POISSON, B1X)
     assert np.allclose(fit.spec.components[0].coef, (0.4, 0.6), atol=0.05)
+    assert fit.trace[-1] <= GRAD_TOL  # small counts keep the absolute stop test
+
+
+@pytest.mark.parametrize("n, coef", [(4000, (9.0, 0.1)), (6000, (9.2, 0.1)), (6000, (9.5, 0.07))])
+def test_poisson_with_large_counts_converges(n, coef):
+    # at counts near 1e4 the gradient X'(y - mu) rounds at about 2e-8, so
+    # the absolute GRAD_TOL alone cannot be met
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=n)
+    y = rng.poisson(np.exp(coef[0] + coef[1] * x)).astype(float)
+    fit = fit_glm(y, cols(x), Family.POISSON, B1X)
+    got = np.asarray(fit.spec.components[0].coef)
+    design = B1X.design(cols(x))
+    gradient = design.T @ (y - np.exp(design @ got))
+    assert fit.trace[-1] > GRAD_TOL
+    assert np.max(np.abs(gradient)) <= 1e-14 * np.max(np.abs(design).T @ y)
+    assert np.allclose(got, coef, atol=0.01)
 
 
 @pytest.mark.parametrize(
