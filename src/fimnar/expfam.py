@@ -38,6 +38,7 @@ __all__ = [
     "log_density",
     "log_density_outer",
     "log_density_factors",
+    "log_base_measure",
     "log_odds_normalizer",
     "tilt",
     "mean",
@@ -296,23 +297,34 @@ def log_density_outer(
     return _log_density(spec, y_values, columns, outer=True)
 
 
+def log_base_measure(spec: OutcomeSpec, y_values: np.ndarray) -> np.ndarray:
+    """Each component's ``log c_k(y)`` at ``y_values``, shape (K, m); the support is checked."""
+    y = np.asarray(y_values, dtype=float)
+    _check_support(spec.family, y)
+    return np.stack([_log_c(spec.family, y, spec.tau(k)) for k in range(spec.k)])
+
+
 def log_density_factors(
     spec: OutcomeSpec, y_values: np.ndarray, columns: Mapping[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A one-component ``log_density_outer`` as ``slope[:, None]*y + offset[:, None] + log_c``.
+    """Each component's ``log(pi_k f_k(y | x))`` as ``slope_k*y + offset_k + log_c_k(y)``.
 
-    Returns the row slope ``tau*theta``, the row offset ``-tau*b(theta)``
-    and the column term ``log c(y)``: the formula of ``_log_density``'s
-    ``component``, so that an (n, m) grid of log densities is never needed.
-    The support check runs once on ``y_values``.
+    Returns the row slopes ``tau_k*theta_k`` and row offsets
+    ``-tau_k*b(theta_k)`` (plus, for a mixture, the row's log mixing
+    weight), each (K, n), and the column terms ``log c_k(y)``, (K, m):
+    the formula of ``_log_density``'s ``component``, so that an (n, m)
+    grid of log densities is never needed.  A one-component log density
+    is its component's; a mixture's is the log-sum-exp of its K.  The
+    support check runs once on ``y_values``.
     """
-    if spec.k != 1:
-        raise ValueError("a mixture's log density has no rank-one factors")
-    y = np.asarray(y_values, dtype=float)
-    _check_support(spec.family, y)
-    theta = _effective_theta(spec, 0, columns)
-    tau = spec.tau(0)
-    return tau * theta, -tau * _b(spec.family, theta), _log_c(spec.family, y, tau)
+    log_c = log_base_measure(spec, y_values)
+    thetas = [_effective_theta(spec, k, columns) for k in range(spec.k)]
+    taus = [spec.tau(k) for k in range(spec.k)]
+    slope = np.stack([tau * theta for tau, theta in zip(taus, thetas)])
+    offset = np.stack([-tau * _b(spec.family, theta) for tau, theta in zip(taus, thetas)])
+    if spec.k > 1:
+        offset += _log_mix_weights(spec, columns)
+    return slope, offset, log_c
 
 
 def density(spec: OutcomeSpec, y, columns: Mapping[str, np.ndarray]) -> np.ndarray:

@@ -41,12 +41,14 @@ one-level solve.
 
 The respondents' model ``gamma`` is fitted once from complete cases and
 held fixed throughout; only ``log f(y_j | x_i) - log C(y_j)`` depends on
-it.  For a one-component model ``log f(y | x_i) = slope_i*y + offset_i +
-log c(y)`` (``expfam.log_density_factors``), and the row constant
-``offset_i`` cancels when a unit's weights are normalized, so the log
-weights are ``(slope_i - beta)*y_j + e_j`` with ``e_j = log c(y_j) -
-log C(y_j)``: one vector over missing units and one over donors, both
-computed once per fit.  The donors are
+it.  Each of its K components has ``log(pi_k f_k(y | x_i)) =
+slope_ki*y + offset_ki + log c_k(y)`` (``expfam.log_density_factors``),
+so component k's term of the weights is the rank-one grid ``exp((slope_ki
+- beta)*y_j + offset_ki + e_kj)`` with ``e_kj = log c_k(y_j) - log
+C(y_j)``: K vectors over missing units and K over donors, all computed
+once per fit, and the weights are the sum of the K grids.  One
+component's row constant ``offset_i`` cancels when a unit's weights are
+normalized, so it keeps none.  The donors are
 collapsed to their unique values, each carrying its multiplicity in
 ``e``; this is exact, because a weight depends on the donor only through
 its value.
@@ -60,8 +62,8 @@ block buffers once, so that each block is written into the same memory.
 On it, ``_weight_blocks`` yields each block's weights, rebuilt from the
 factors by ``_LogWeights``, and the donor kernel ``_donor_blocks`` adds
 the propensities; the solver and the variance code reduce these, and
-``log C`` is an online logsumexp over row blocks of respondents, kept
-once per unique value.
+``log C`` is an online logsumexp over row blocks of the K*n1 factored
+respondent rows (component, respondent), kept once per unique value.
 
 ``log C``: it is a smooth function of the one scalar y, so on at least
 ``4 * CHEB_POINTS`` values it is walked exactly only at the
@@ -78,7 +80,10 @@ same way (``_smooth_in_y``).  The missing-unit walks are not: their
 propensity ``1 / (1 + a_i b_j)`` makes each cell depend on two scalars.
 
 The cell: a block's weights are left unnormalized, ``u = exp(logw -
-rowmax)``, one ``exp`` per cell.  Every per-unit reduction is linear in
+rowmax)``, one ``exp`` per cell and component: a mixture's block is ``u =
+sum_k u_k``, ``u_k = exp(L_k - rowmax)`` with one row max shared by its
+K log grids ``L_k``, and ``u_k / u`` is component k's responsibility.
+Every per-unit reduction is linear in
 the unit's row, so it runs on ``u``, and the row sum, the ones column of
 the same moment matmul that gives the weighted donor mean and spread, is
 divided out once per unit.  The propensity is ``1 / (1 + a_i b_j)`` from
@@ -88,17 +93,14 @@ range uses the log-odds form.  Every walk at given response
 parameters is ``_reduce``: per block it reduces ``u`` and ``u pi``
 against one centred value-power matrix (``_centred_powers``: ``(1, y_c,
 y_c^2, y_c^3)``, and ``(log y, y_c log y)`` for the gamma family), and
-on the full grid of a one-component fit also the per-value sums ``c_j =
-sum_i w_ij (y_j - ybar_i)``.  The solve's last evaluation is at the
-root, so ``em_fit`` keeps those sums (``_KernelSums``) with the weights,
-and the unit moments and both variances read them with no walk of their
-own.  So a one-component fit stores only vectors over
-units and unique donor values, plus a few block buffers; only the EM
-fallback holds its iteration's (n_missing, unique values) weights.  A
-mixture's log density has no such factors, so its fit stores one
-(n_missing, unique values) array of ``log f - log C``; ``_LogWeights``
-builds a block from whichever of the two it holds, so its readers do not
-tell them apart.
+on the full grid also the per-value sums ``c_j = sum_i w_ij (y_j -
+ybar_i)`` and, for a mixture, ``u_k`` and ``u_k pi`` against the same
+matrix.  The solve's last evaluation is at the root, so ``em_fit`` keeps
+those sums (``_KernelSums``) with the weights, and the unit moments and
+both variances read them with no walk of their own.  So a fit stores
+only vectors over units and unique donor values, plus a few block
+buffers; only the EM fallback holds its iteration's (n_missing, unique
+values) weights.
 
 An alternative "parametric" engine draws a fixed per-unit pool of M
 imputed values from the respondents' density and weights it by the
@@ -114,13 +116,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
 
 from .dataio import Dataset
-from .expfam import Family, OutcomeSpec, log_density_factors, log_density_outer, sample
+from .expfam import Family, OutcomeSpec, log_base_measure, log_density_factors, sample
 from .respondent import FitError, RespondentFit, _newton, fit_glm
 from .response import ResponseSpec, odds_factor, propensity_from_log_odds, propensity_from_odds
 
@@ -166,19 +168,22 @@ class FractionalWeights:
     ``values = kernel.donor_y``: for the donor engine the donors' unique
     values, with ``inverse`` mapping each donor to its value, and for the
     parametric engine an (n_missing, M) array of per-unit imputed pools.
-    ``kernel`` and ``values`` are what the solver and the variance code
-    reduce.  The property ``w`` is the per-donor array, rows summing to
-    one, built on each read (a value's weight split evenly among its
-    donors) and never kept.  ``sums`` is the ``_KernelSums`` of one walk
-    of the donor kernel at the response parameters the weights were built
-    for: ``em_fit`` passes the ones its solve reduced at the root, and
-    ``fractional_weights`` reduces them at its ``phi``.  ``ybar`` and
-    ``spread``, each unit's weighted donor mean and centred second moment
-    ``sum_j w_ij (y_j - ybar_i)^2``, come from them, and the variance
-    reads the rest.  ``n_missing`` counts the missing units, the kernel's
-    rows.  ``log_c`` is the donor engine's ``log C(y)`` at each of the
-    values, under the respondents' model the weights were built with,
-    kept for the variance of the outcome mean.
+    The donor kernel is K rank-one grids, one per component of the
+    respondents' model, so no (n_missing, values) array is kept for a
+    mixture either.  ``kernel`` and ``values`` are what the solver and
+    the variance code reduce.  The property ``w`` is the per-donor array,
+    rows summing to one, built on each read (a value's weight split
+    evenly among its donors) and never kept.  ``sums`` is the
+    ``_KernelSums`` of one walk of the donor kernel at the response
+    parameters the weights were built for: ``em_fit`` passes the ones its
+    solve reduced at the root, and ``fractional_weights`` reduces them at
+    its ``phi``.  ``ybar`` and ``spread``, each unit's weighted donor mean
+    and centred second moment ``sum_j w_ij (y_j - ybar_i)^2``, come from
+    them, and the variance reads the rest (for a mixture, each
+    component's sums too).  ``n_missing`` counts the missing units, the
+    kernel's rows.  ``log_c`` is the donor engine's ``log C(y)`` at each
+    of the values, under the respondents' model the weights were built
+    with.
     """
 
     def __init__(
@@ -255,10 +260,6 @@ def _blocks(n_rows: int, n_cols: int, buffers: int = 0):
         yield rows, [buffer[: rows.stop - start] for buffer in room]
 
 
-def _take(columns, rows: slice) -> dict:
-    return {name: col[rows] for name, col in columns.items()}
-
-
 def _check_covered(finite: np.ndarray, first: int = 0) -> None:
     """FitError naming the first missing unit whose ``finite`` entry is False.
 
@@ -285,58 +286,85 @@ def _exp_rows(logw: np.ndarray, first: int = 0) -> np.ndarray:
     return np.exp(logw, out=logw)
 
 
-def _normalize_rows(logw: np.ndarray, first: int = 0) -> np.ndarray:
-    """``_exp_rows`` with each row divided by its sum, in place."""
-    w = _exp_rows(logw, first)
-    w /= w.sum(axis=1, keepdims=True)
-    return w
-
-
 @dataclass(frozen=True)
 class _LogWeights:
-    """The weights ``exp(base - beta*y)`` of each missing unit, built block by block.
+    """The weights of each missing unit over the values ``donor_y``, built block by block.
 
-    The columns are the values ``donor_y``.  ``base`` is an (n_missing,
-    values) array; or, with ``slope`` given, the column term ``e`` of a
-    rank-one grid whose row i is ``slope_i*y + e``, the one-component
-    donor base up to a row constant that the normalization cancels; or
-    None, standing for zero, in the parametric engine, whose weights come
-    from ``-beta*y`` alone.  ``block`` gives a block's rows unnormalized,
-    ``exp(logw - rowmax)``, for the passes that reduce them and divide
-    each unit's sums by its row sum; indexing gives them normalized.
+    With ``slope`` given, each of the K components of the respondents'
+    model is a rank-one grid: unit i's log weight at value y is ``log
+    sum_k exp(L_k)`` with ``L_k = (slope_ki - beta)*y + base_k(y) +
+    offset_ki``, where ``slope`` and ``offset`` are (K, n_missing) and
+    ``base`` is (K, values), ``log c_k(y) - log C(y) + log m`` for the
+    donor kernel.  One component's offset is a row constant that the
+    normalization cancels, so it is None there.  Without ``slope``,
+    ``base`` is None, standing for zero, in the parametric engine, whose
+    weights come from ``-beta*y`` alone.  ``block`` gives a block's rows
+    unnormalized, ``exp(logw - rowmax)``, for the passes that reduce them
+    and divide each unit's sums by its row sum; indexing gives them
+    normalized.
     """
 
     base: Optional[np.ndarray]
     beta: float
     donor_y: np.ndarray
     slope: Optional[np.ndarray] = None
+    offset: Optional[np.ndarray] = None
+
+    @property
+    def k(self) -> int:
+        """The number of components: the block buffers a mixture block needs beside ``u``."""
+        return 1 if self.slope is None else self.slope.shape[0]
 
     @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(slope - beta, 1)`` by unit and ``(y, e)`` by value: a block is one matmul."""
-        left = np.column_stack([self.slope - self.beta, np.ones_like(self.slope)])
-        return left, np.vstack([self.donor_y, self.base])
+    def _factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per component, ``(slope_k - beta, 1[, offset_k])`` by unit and ``(y, base_k[, 1])``.
+
+        A block of ``L_k`` is one matmul of the two.
+        """
+        factors = []
+        for k in range(self.k):
+            left = [self.slope[k] - self.beta, np.ones_like(self.slope[k])]
+            right = [self.donor_y, self.base[k]]
+            if self.offset is not None:
+                left.append(self.offset[k])
+                right.append(np.ones_like(self.donor_y))
+            factors.append((np.column_stack(left), np.vstack(right)))
+        return factors
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         """The normalized weights of ``rows``: each row sums to one."""
-        return _normalize_rows(self._log_block(rows), rows.start or 0)
+        u = self.block(rows)
+        u /= u.sum(axis=1, keepdims=True)
+        return u
 
-    def block(self, rows: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The unnormalized weights of ``rows``, written into ``out`` when it is given."""
-        return _exp_rows(self._log_block(rows, out), rows.start or 0)
+    def block(self, rows: slice, out: Optional[np.ndarray] = None, parts=()) -> np.ndarray:
+        """The unnormalized weights ``u`` of ``rows``, written into ``out`` when it is given.
 
-    def _log_block(self, rows: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
-        y = self.donor_y if self.donor_y.ndim == 1 else self.donor_y[rows]
-        if self.slope is not None:
-            left, right = self._factors
-            return np.matmul(left[rows], right, out=out)
-        if self.base is None:
-            return np.multiply(y, -self.beta, out=out)
-        return np.subtract(self.base[rows], self.beta * y, out=out)
+        A mixture's block is ``u = sum_k u_k`` with ``u_k = exp(L_k - m)``
+        and ``m`` each row's largest ``L_k`` over components and values,
+        so ``u_k / u`` is component k's responsibility; each ``u_k`` is
+        left in its buffer of ``parts`` when they are given.
+        """
+        first = rows.start or 0
+        if self.slope is None:
+            y = self.donor_y if self.donor_y.ndim == 1 else self.donor_y[rows]
+            return _exp_rows(np.multiply(y, -self.beta, out=out), first)
+        buffers = (out,) if self.k == 1 else parts or (None,) * self.k
+        logs = [
+            np.matmul(left[rows], right, out=b) for (left, right), b in zip(self._factors, buffers)
+        ]
+        top = reduce(np.maximum, (log.max(axis=1) for log in logs))
+        _check_covered(np.isfinite(top), first)
+        u = None
+        for log in logs:
+            log -= top[:, None]
+            np.exp(log, out=log)
+            u = log if u is None else np.add(u, log, out=out)
+        return u
 
 
 def _weight_blocks(w, y: np.ndarray, n_rows: int, spare: int = 0):
-    """``(rows, y, u, *spares)`` for each row block of the ``n_rows`` missing units.
+    """``(rows, y, u, *spares, *parts)`` for each row block of the ``n_rows`` missing units.
 
     ``y`` is the block's donor values (the shared vector, or its rows of
     per-unit pools) and ``u`` its weights up to a positive factor per
@@ -344,20 +372,21 @@ def _weight_blocks(w, y: np.ndarray, n_rows: int, spare: int = 0):
     unnormalized rows that a ``_LogWeights`` builds, or a copy of the
     rows of a weight array.  Each reduction divides a unit's sums by its
     sum of ``u``.  ``spares`` are ``spare`` more block buffers for the
-    caller.  Buffers are rewritten by the next block.
+    caller, and ``parts`` a mixture kernel's K component weights ``u_k``,
+    which sum to ``u`` (none for one component); the caller may overwrite
+    them too.  Buffers are rewritten by the next block.
     """
-    for rows, (u, *spares) in _blocks(n_rows, y.shape[-1], 1 + spare):
+    parts = w.k if isinstance(w, _LogWeights) and w.k > 1 else 0
+    for rows, (u, *rest) in _blocks(n_rows, y.shape[-1], 1 + spare + parts):
         if isinstance(w, _LogWeights):
-            u = w.block(rows, u)
+            u = w.block(rows, u, rest[spare:])
         else:
             np.copyto(u, w[rows])
-        yield (rows, y if y.ndim == 1 else y[rows], u, *spares)
+        yield (rows, y if y.ndim == 1 else y[rows], u, *rest)
 
 
-def _donor_blocks(
-    phi: ResponseSpec, b_miss: np.ndarray, donor_y: np.ndarray, w, spare: int = 0
-):
-    """The donor kernel: ``(rows, y, u, pi, *spares)`` for each row block of missing units.
+def _donor_blocks(phi: ResponseSpec, b_miss: np.ndarray, donor_y: np.ndarray, w):
+    """The donor kernel: ``(rows, y, u, pi, *parts)`` for each row block of missing units.
 
     ``_weight_blocks`` plus ``pi``, the propensity ``P(delta=1 | x_i, y)``
     at every donor value, in a buffer of the pass that the caller may
@@ -369,14 +398,14 @@ def _donor_blocks(
     a = odds_factor(-lin)
     shared = donor_y.ndim == 1
     b = odds_factor(-phi.beta * donor_y) if shared else None
-    for rows, y, u, pi, *spares in _weight_blocks(w, donor_y, b_miss.shape[0], spare + 1):
+    for rows, y, u, pi, *parts in _weight_blocks(w, donor_y, b_miss.shape[0], 1):
         b_rows = b if shared else odds_factor(-phi.beta * y)
         if a is not None and b_rows is not None:
             propensity_from_odds(a[rows, None], b_rows, out=pi)
         else:
             np.subtract(-lin[rows, None], phi.beta * y, out=pi)  # log-odds
             propensity_from_log_odds(pi, out=pi)
-        yield (rows, y, u, pi, *spares)
+        yield (rows, y, u, pi, *parts)
 
 
 def _logsumexp_blocks(blocks, n_cols: int) -> np.ndarray:
@@ -412,20 +441,39 @@ def _matmul_blocks(left: np.ndarray, right: np.ndarray, n_rows: int):
         yield rows, np.matmul(left[rows], right, out=buffer)
 
 
-def _log_density_blocks(gamma: OutcomeSpec, y: np.ndarray, columns, n_rows: int):
-    """``(rows, log f(y | x_r))`` for each row block of the ``n_rows`` rows of ``columns``.
+def _respondent_factors(gamma: OutcomeSpec, y: np.ndarray, columns):
+    """``(left, log_c)``: the K*n rows (k, r) of ``log(pi_k f_k(y | x_r))`` as factors.
 
-    A one-component block is rebuilt from ``log_density_factors``, taken
-    once for all rows, by ``_matmul_blocks``; a mixture block is its
-    ``log_density_outer``.
+    ``left`` is (K*n, 2 + K), with columns ``slope_kr``, ``offset_kr``
+    and the one-hot component k, and ``log_c`` the (K, values) terms
+    ``log c_k(y)`` of ``expfam.log_density_factors``: row (k, r) is
+    ``left[(k, r)] @ (y, 1, log c_0(y), ..., log c_{K-1}(y))``, and the
+    log density of row r is the log-sum-exp of its K rows.
     """
+    slope, offset, log_c = log_density_factors(gamma, y, columns)
+    k, n = slope.shape
+    return np.column_stack([slope.ravel(), offset.ravel(), np.repeat(np.eye(k), n, axis=0)]), log_c
+
+
+def _log_density_blocks(gamma: OutcomeSpec, y: np.ndarray, columns, n_rows: int):
+    """``(rows, log(pi_k f_k(y | x_r)))`` for each row block of the K*``n_rows`` rows (k, r).
+
+    Each block is rebuilt from ``_respondent_factors``, taken once for
+    all rows, by ``_matmul_blocks``.
+    """
+    left, log_c = _respondent_factors(gamma, y, columns)
+    yield from _matmul_blocks(left, np.vstack([y, np.ones_like(y), log_c]), left.shape[0])
+
+
+def _value_rows(gamma: OutcomeSpec, t: np.ndarray) -> np.ndarray:
+    """``(t, 1, log c_k(t) - log c_0(t) for k >= 1)``: what ``_respondent_factors``'
+    rows, without their first one-hot column, multiply to give ``log(pi_k f_k(t | x_r)) -
+    log c_0(t)``, at any points ``t`` (a mixture is normal)."""
+    rows = [t, np.ones_like(t)]
     if gamma.k > 1:
-        for rows, _ in _blocks(n_rows, y.size):
-            yield rows, log_density_outer(gamma, y, _take(columns, rows))
-        return
-    slope, offset, log_c_y = log_density_factors(gamma, y, columns)
-    left = np.column_stack([slope, offset, np.ones_like(slope)])
-    yield from _matmul_blocks(left, np.vstack([y, np.ones_like(y), log_c_y]), n_rows)
+        log_c = log_base_measure(gamma, t)
+        rows.extend(log_c[1:] - log_c[0])
+    return np.vstack(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -543,30 +591,31 @@ def _smooth_in_y(exact, y: np.ndarray, atol: float, rtol: float) -> np.ndarray:
 def _log_c_at(gamma: OutcomeSpec, y: np.ndarray, data: Dataset) -> np.ndarray:
     """log C(y) = log sum_l f(y | x_l) over respondents l at the sorted values ``y``.
 
-    A function of y alone: exact by blocks of respondents, or through
-    ``_smooth_in_y`` from Chebyshev points in y.  For one component only
-    ``LSE_l(slope_l*y + offset_l)`` is interpolated, from
-    ``log_density_factors`` with the support checked once on ``y``, and
-    ``log c(y)`` is added at the values: it need not exist between them
-    (a Poisson node is no integer).  Where the interpolant fails, the
-    exact walk runs at the values.
+    A function of y alone: the log-sum-exp over the K*n1 rows (k, l) of
+    ``_respondent_factors``, exact by blocks of those rows, or on at
+    least ``4 * CHEB_POINTS`` values from Chebyshev points in y
+    (``_chebyshev``).  Only ``LSE_(k,l)(slope_kl*y + offset_kl + log
+    c_k(y) - log c_0(y))`` is interpolated (``_value_rows``), and ``log
+    c_0(y)`` is added at the values: for one component it need not exist
+    between them (a Poisson node is no integer).  Where the interpolant
+    fails, the exact walk runs at the values.
     """
     columns, n1 = data.respondent_columns(), data.n_respondents
 
     def exact(t):
         return _logsumexp_blocks((b for _, b in _log_density_blocks(gamma, t, columns, n1)), t.size)
 
-    if gamma.k > 1 or y.size < 4 * CHEB_POINTS:
-        return _smooth_in_y(exact, y, LOG_C_TOL, 0.0)
-    slope, offset, log_c_y = log_density_factors(gamma, y, columns)
-    left = np.column_stack([slope, offset])
+    if y.size < 4 * CHEB_POINTS:
+        return exact(y)
+    left, log_c_y = _respondent_factors(gamma, y, columns)
+    left = np.delete(left, 2, axis=1)  # log c_0 is added at the values
 
     def lse(t):
-        blocks = _matmul_blocks(left, np.vstack([t, np.ones_like(t)]), n1)
+        blocks = _matmul_blocks(left, _value_rows(gamma, t), left.shape[0])
         return _logsumexp_blocks((b for _, b in blocks), t.size)
 
     fitted = _chebyshev(lse, y, LOG_C_TOL, 0.0)
-    return exact(y) if fitted is None else fitted + log_c_y
+    return exact(y) if fitted is None else fitted + log_c_y[0]
 
 
 def _donor_kernel(gamma: OutcomeSpec, data: Dataset):
@@ -575,10 +624,10 @@ def _donor_kernel(gamma: OutcomeSpec, data: Dataset):
     Returns ``(kernel, inverse, log_c)``: a ``_LogWeights`` over the
     donors' unique values, each weighted by its multiplicity m so that
     it stands for all its donors, the index of each donor's value, and
-    ``log C`` at each value.  For one component the kernel keeps the
-    factors ``slope`` over missing units and ``e = log c(y) - log C(y) +
-    log m`` over values; for a mixture it keeps the (n_missing, values)
-    array ``log f - log C + log m``.
+    ``log C`` at each value.  The kernel keeps, per component k of the
+    respondents' model, the factors ``slope_k`` (and for a mixture
+    ``offset_k``) over missing units and ``log c_k(y) - log C(y) + log m``
+    over values (``expfam.log_density_factors``).
     """
     if data.n_respondents < 1:
         raise FitError("at least one respondent donor is required")
@@ -586,19 +635,12 @@ def _donor_kernel(gamma: OutcomeSpec, data: Dataset):
         data.y_observed, return_inverse=True, return_counts=True
     )
     log_c = _log_c_at(gamma, values, data)
-    e = np.log(counts) - log_c
-    miss_cols = data.missing_columns()
-    if gamma.k > 1:
-        base = np.empty((data.n_missing, values.size))
-        for rows, block in _log_density_blocks(gamma, values, miss_cols, data.n_missing):
-            np.add(block, e, out=base[rows])
-        kernel = _LogWeights(base, 0.0, values)
-    else:
-        slope, offset, log_c_y = log_density_factors(gamma, values, miss_cols)
-        # the offset cancels from the weights, but a unit whose density
-        # vanishes everywhere shows only there
-        _check_covered(np.isfinite(slope) & np.isfinite(offset))
-        kernel = _LogWeights(log_c_y + e, 0.0, values, slope)
+    slope, offset, log_c_y = log_density_factors(gamma, values, data.missing_columns())
+    # the offset cancels from one component's weights, but a unit whose
+    # density vanishes everywhere shows only there
+    _check_covered(np.any(np.isfinite(slope) & np.isfinite(offset), axis=0))
+    base = log_c_y + (np.log(counts) - log_c)
+    kernel = _LogWeights(base, 0.0, values, slope, offset if gamma.k > 1 else None)
     return kernel, inverse, log_c
 
 
@@ -696,20 +738,24 @@ def _coarse_kernel(kernel: "_LogWeights") -> Optional["_LogWeights"]:
     Each coarse bin of the kernel's values is replaced by its two-node
     Gauss rule under the value weights ``exp(e)``, with the units' slopes
     kept.  Only a one-component kernel (with ``slope``) whose rule has at
-    most a quarter as many nodes as there are values has one.  Each
-    equal-count bin holds a node, so fewer than ``4 * COARSE_BINS`` values
-    never have one.
+    most a quarter as many nodes as there are values has one; a mixture's
+    per-unit functions are no longer ``exp(slope*y)`` times one value
+    weight.  Each equal-count bin holds a node, so fewer than ``4 *
+    COARSE_BINS`` values never have one.
     """
     y = kernel.donor_y
-    if kernel.slope is None or y.size < 4 * COARSE_BINS or not np.all(np.isfinite(kernel.base)):
+    if kernel.slope is None or kernel.k > 1 or y.size < 4 * COARSE_BINS:
+        return None
+    (e,) = kernel.base
+    if not np.all(np.isfinite(e)):
         return None
     starts = _coarse_starts(y)
     singles = np.count_nonzero(np.diff(np.append(starts, y.size)) == 1)
     if 4 * (2 * starts.size - singles) > y.size:
         return None
-    nodes, log_w = _gauss_pairs(y, kernel.base, starts)
+    nodes, log_w = _gauss_pairs(y, e, starts)
     keep = np.isfinite(log_w)
-    return _LogWeights(log_w[keep], kernel.beta, nodes[keep], kernel.slope)
+    return _LogWeights(log_w[keep][None], kernel.beta, nodes[keep], kernel.slope)
 
 
 def _parametric_pool(
@@ -779,7 +825,10 @@ class _KernelSums:
     walk's ``_centred_powers`` about ``shift`` (for per-unit pools,
     against ``(1, y_c, y_c^2)``); their first column is the row sum.
     ``c`` is, per value, ``c_j = sum_i w_ij (y_j - ybar_i)``, or None
-    where the walk did not reduce it.
+    where the walk did not reduce it.  For a mixture kernel, ``parts``
+    holds, per component k, the same sums as ``w`` and ``wp`` of the
+    weights times k's responsibility, shape (2, K, n_missing, columns),
+    wherever ``c`` was reduced; else it is None.
     """
 
     phi: np.ndarray
@@ -787,9 +836,10 @@ class _KernelSums:
     w: np.ndarray
     wp: np.ndarray
     c: Optional[np.ndarray] = None
+    parts: Optional[np.ndarray] = None
 
 
-def _reduce(phi, b_miss, w, y, powers, jacobian=False, per_value=False, each=None, spare=0):
+def _reduce(phi, b_miss, w, y, powers, jacobian=False, per_value=False):
     """One walk of the donor kernel at ``phi``: ``(_KernelSums, q)``.
 
     ``w`` is a ``_LogWeights`` or an (n_missing, values) weight array
@@ -800,9 +850,8 @@ def _reduce(phi, b_miss, w, y, powers, jacobian=False, per_value=False, each=Non
     With ``jacobian``, ``q`` holds the sums of ``w pi (1 - pi)`` against
     ``(1, y_c, y_c^2)``; with ``per_value`` on shared values, ``c`` is
     reduced in the same block as ``(1/s, t/s) @ u`` for the row sums
-    ``s`` and ``t = ybar - shift``.  ``each(rows, u, u pi, s, ybar,
-    spares)`` runs on every block after these, with ``spare`` more block
-    buffers.
+    ``s`` and ``t = ybar - shift``, and a mixture kernel's component
+    weights ``u_k`` and ``u_k pi`` are reduced as ``u`` and ``u pi`` are.
     """
     shift, matrix = powers
     n0 = b_miss.shape[0]
@@ -810,9 +859,12 @@ def _reduce(phi, b_miss, w, y, powers, jacobian=False, per_value=False, each=Non
     m_u, m_wp = np.empty((n0, width)), np.empty((n0, width))
     m_q = np.empty((n0, 3)) if jacobian else None
     per_value = per_value and matrix is not None
+    m_parts = None
     if per_value:  # per value: sum_i w_ij and sum_i w_ij t_i
         cols, col_block = np.zeros((2, y.size)), np.empty((2, y.size))
-    for rows, y_b, u, pi, *spares in _donor_blocks(phi, b_miss, y, w, spare):
+        if isinstance(w, _LogWeights) and w.k > 1:
+            m_parts = np.empty((2, w.k, n0, width))
+    for rows, y_b, u, pi, *parts in _donor_blocks(phi, b_miss, y, w):
         if matrix is None:  # per-unit pools: row dots with the block's centred values
             y_c = y_b - shift
             y_c2 = y_c * y_c
@@ -830,31 +882,30 @@ def _reduce(phi, b_miss, w, y, powers, jacobian=False, per_value=False, each=Non
             np.divide(1.0, s, out=left[0])
             np.multiply(t, left[0], out=left[1])
             cols += np.matmul(left, u, out=col_block)
-        if each is not None:
-            wp = np.multiply(u, pi, out=pi)
-            each(rows, u, wp, s, shift + t, spares)
-        else:
-            wp = np.multiply(u, pi, out=u)  # delta = 0: residual -pi
-            if jacobian:
-                m_q[rows] = sums(np.multiply(wp, np.subtract(1.0, pi, out=pi), out=pi), 3)
+            if m_parts is not None:
+                for k, u_k in enumerate(parts):
+                    m_parts[0, k, rows] = sums(u_k)
+                    m_parts[1, k, rows] = sums(np.multiply(u_k, pi, out=u_k))
+        wp = np.multiply(u, pi, out=u)  # delta = 0: residual -pi
+        if jacobian:
+            m_q[rows] = sums(np.multiply(wp, np.subtract(1.0, pi, out=pi), out=pi), 3)
         m_wp[rows] = sums(wp)
     s = m_u[:, :1].copy()
-    for m in (m_u, m_wp) + ((m_q,) if jacobian else ()):
+    for m in (m_u, m_wp) + ((m_q,) if jacobian else ()) + ((m_parts,) if m_parts is not None else ()):
         m /= s
     c = matrix[:, 1] * cols[0] - cols[1] if per_value else None
-    return _KernelSums(phi.phi, shift, m_u, m_wp, c), m_q
+    return _KernelSums(phi.phi, shift, m_u, m_wp, c, m_parts), m_q
 
 
 def _kept_sums(phi: ResponseSpec, kernel: "_LogWeights", gamma: OutcomeSpec, data: Dataset):
     """The ``_KernelSums`` that weights under ``gamma`` keep, from a walk of their own at ``phi``.
 
-    The power matrix holds the gamma family's log columns, and ``c`` is
-    reduced for a one-component model only: a mixture's variance walks
-    the grid again.
+    The power matrix holds the gamma family's log columns, and ``c`` (with
+    a mixture's component sums) is reduced.
     """
     b_miss = phi.h_basis.design(data.missing_columns())
     powers = _centred_powers(kernel.donor_y, gamma.family is Family.GAMMA)
-    return _reduce(phi, b_miss, kernel, kernel.donor_y, powers, per_value=gamma.k == 1)[0]
+    return _reduce(phi, b_miss, kernel, kernel.donor_y, powers, per_value=True)[0]
 
 
 def _score_and_jacobian(phi, arrays, w, donor_y, weights_move: bool):
@@ -1020,11 +1071,10 @@ def em_fit(
     arrays = _score_arrays(phi, data)
     # the full grid's evaluations reduce what the variance reads at the root
     powers = _centred_powers(kernel.donor_y, gamma.family is Family.GAMMA)
-    per_value = gamma.k == 1  # a mixture's variance walks the grid again
     last = {}  # the point of the latest evaluation, and the kernel sums reduced there
 
     def solve(x, grid=kernel, tols=(controls.tol_score, controls.tol_phi), powers=powers,
-              per_value=per_value):
+              per_value=True):
         def system(x):
             p = phi.with_phi(x)
             w = replace(grid, beta=p.beta)

@@ -22,31 +22,29 @@ With mean-normalized pieces,
 parameters.  ``s1`` is the gradient of the respondents' log density in
 the outcome-model parameters gamma.  E and the gamma-gradient of the
 outcome mean need only per-unit sums ``sum_j V_ij s1(x_i, y_j)`` over a
-few weight matrices V, all in closed form: from the row moments of V
-against (1, y, y^2, log y) for one-component models, and for a normal
-mixture from one pass over its component densities that weights the
-complete-data score by the responsibilities (Louis, 1982).
+few weight matrices V, all in closed form, from the row moments of ``V
+r_k`` against (1, y, y^2, log y), where ``r_k`` is component k's
+responsibility (one for one-component models): a normal mixture weights
+each component's complete-data score by its responsibility (Louis, 1982),
+so its score sums follow from the same moments per component.
 
 Memory: the variance holds only per-unit vectors and the temporaries of
 one row block.  The missing-unit pieces of both variances come from the
 weights' ``fiem._KernelSums``: each unit's moments of ``w`` and of ``w
-pi`` against one centred power matrix (``fiem._centred_powers``), from
-which the moments of every weight matrix V follow, and the per-value
-``c_j``.  ``em_fit`` keeps the sums its solve reduced at the root, so a
-one-component fit's variances walk no missing-unit x value grid, and
-``_one_component_sums`` runs once over all units.  Weights whose sums
-were reduced at other parameters, or lack ``c``, are walked once at the
-fitted parameters by ``fiem._reduce``, the solver's own reduction
-(``fiem._kept_sums``); a normal mixture is always walked so, and each block runs
-``_mixture_sums`` on ``u`` and divides its rows by the row sum.  The
-``d log C/d gamma`` term is, for one component, a
-smooth function of y alone, ``B(y) phi(y)`` (``_grad_log_c``): per block
-of points a softmax over the respondents and one matmul with their
-score coefficients, taken at the values exactly, or on at least
-``4 * fiem.CHEB_POINTS`` values from Chebyshev points in y through
-``fiem._smooth_in_y``.  For a mixture it walks blocks of respondents
-with the per-value ``log C`` that the fit kept, from the one pass over
-its component densities that also gives the responsibilities.
+pi`` against one centred power matrix (``fiem._centred_powers``), for a
+mixture also those of ``w r_k`` and ``w r_k pi`` per component, from
+which the moments of every weight matrix V follow (``(y - mu_ki)^p``
+expanded about the matrix's shift), and the per-value ``c_j``.
+``em_fit`` keeps the sums its solve reduced at the root, so a fit's
+variances walk no missing-unit x value grid, and ``_component_sums``
+runs once over all units.  Weights whose sums were reduced at other
+parameters, or lack ``c``, are walked once at the fitted parameters by
+``fiem._reduce``, the solver's own reduction (``fiem._kept_sums``).  The
+``d log C/d gamma`` term is a smooth function of y alone, ``B(y)
+phi(y)`` (``_grad_log_c``): per block of points a softmax over the K*n1
+factored respondent rows and one matmul with their score coefficients,
+taken at the values exactly, or on at least ``4 * fiem.CHEB_POINTS``
+values from Chebyshev points in y through ``fiem._smooth_in_y``.
 
 When the data contain no missing units the weighted terms vanish and
 the bread degenerates; the estimator then reduces to the ordinary
@@ -62,17 +60,16 @@ from typing import Optional
 import numpy as np
 
 from .dataio import Dataset
-from .expfam import Family, OutcomeSpec, _logsumexp0, flatten_params, log_density_factors
+from .expfam import Family, OutcomeSpec, log_density_factors
 from .fiem import (
     FitResult,
     FractionalWeights,
-    _blocks,
     _centred_powers,
     _kept_sums,
     _matmul_blocks,
-    _reduce,
+    _respondent_factors,
     _smooth_in_y,
-    _take,
+    _value_rows,
     estimate_mu_y,
 )
 from .respondent import FitError, RespondentFit, digamma
@@ -171,88 +168,78 @@ def _one_component_sums(gamma: OutcomeSpec, columns, shift, m):
     )
 
 
-def _responsibilities(gamma: OutcomeSpec, y, columns):
-    """One pass over a normal mixture's K component densities at ``y``.
+def _component_sums(gamma: OutcomeSpec, columns, shift, m):
+    """(units, q) sums ``sum_j V_rj s1(x_r, y_j)`` from each component's row moments.
 
-    ``y`` broadcasts to (units, donors).  Returns the log density
-    ``log f = logsumexp_k(log pi_k + log f_k)`` and the pieces that
-    ``_mixture_sums`` reads: per component the design, the variance, the
-    residuals ``y - mu_k`` and the responsibilities ``r_k``.
+    ``m[k]`` holds the moments that ``_one_component_sums`` reads, of
+    ``V r_k`` for component k's responsibility ``r_k`` (one for one
+    component), so ``m`` is (K, units, moments).  A normal mixture's
+    observed score is the complete-data score weighted by the
+    responsibilities (Louis, 1982): per component the normal coefficient
+    and variance scores of ``_one_component_sums``, and the weight scores
+    ``A_k / pi_k - A_K / pi_K`` from the moments 0, ``A_k = sum_j V_rj
+    r_k``.
     """
-    comps, pis = gamma.components, gamma.weights
-    designs = [c.basis.design(columns) for c in comps]
-    sigma2 = [float(c.dispersion) for c in comps]
-    resid = [y - (d @ np.asarray(c.coef))[:, None] for d, c in zip(designs, comps)]
-    logp = np.stack(
-        [
-            math.log(pi) - 0.5 * (math.log(2.0 * math.pi * s2) + r**2 / s2)
-            for pi, s2, r in zip(pis, sigma2, resid)
-        ]
-    )
-    log_f = _logsumexp0(logp)
-    logp -= log_f
-    return log_f, (designs, sigma2, resid, np.exp(logp, out=logp))
-
-
-def _mixture_sums(gamma: OutcomeSpec, pieces, weights):
-    """``_score_sums`` of a normal mixture from its ``_responsibilities`` pieces.
-
-    The observed score is the complete-data score weighted by the
-    responsibilities r_k (Louis, 1982), so one pass over the K component
-    densities gives, per V, ``A_k^p = sum_j V_rj r_k (y_j - mu_rk)^p`` and
-    from them the coefficient scores ``x_k A_k^1 / sigma2_k``, the variance
-    scores ``(A_k^2 - sigma2_k A_k^0) / (2 sigma2_k^2)`` and the weight
-    scores ``A_k^0 / pi_k - A_K^0 / pi_K``.
-    """
-    designs, sigma2, resid, resp = pieces
+    if gamma.k == 1:
+        return _one_component_sums(gamma, columns, shift, m[0])
     pis = gamma.weights
-    out = []
-    for v in weights:
-        a = np.empty((3, gamma.k, v.shape[0]))  # A_k^p
-        for k, r in enumerate(resid):
-            rv = resp[k] * v
-            for p in range(3):
-                a[p, k] = rv.sum(axis=1)
-                rv *= r
-        coef = [d * (a[1, k] / s2)[:, None] for k, (d, s2) in enumerate(zip(designs, sigma2))]
-        disp = [(a[2, k] - s2 * a[0, k]) / (2.0 * s2**2) for k, s2 in enumerate(sigma2)]
-        mix = [a[0, k] / pis[k] - a[0, -1] / pis[-1] for k in range(gamma.k - 1)]
-        out.append(np.column_stack(coef + disp + mix))
-    return out
+    per = [
+        _one_component_sums(OutcomeSpec(Family.NORMAL, (comp,)), columns, shift, m_k)
+        for comp, m_k in zip(gamma.components, m)
+    ]
+    mix = [m[k][:, :1] / pis[k] - m[-1][:, :1] / pis[-1] for k in range(gamma.k - 1)]
+    return np.hstack([p[:, :-1] for p in per] + [p[:, -1:] for p in per] + mix)
+
+
+def _factor_responsibilities(gamma: OutcomeSpec, y: np.ndarray, columns, outer: bool = True):
+    """Each component's responsibility ``pi_k f_k / f`` of a mixture, from ``log_density_factors``.
+
+    Of every value ``y`` under every unit's model, (K, units, values), or
+    with ``outer`` False of ``y[r]`` under unit r's, (K, units).
+    """
+    slope, offset, log_c = log_density_factors(gamma, y, columns)
+    if outer:
+        log_p = slope[:, :, None] * y + offset[:, :, None] + log_c[:, None, :]
+    else:
+        log_p = slope * y + offset + log_c
+    log_p -= log_p.max(axis=0)
+    np.exp(log_p, out=log_p)
+    log_p /= log_p.sum(axis=0)
+    return log_p
 
 
 def respondent_score_gamma(gamma: OutcomeSpec, y: np.ndarray, columns) -> np.ndarray:
     """Gradient of log f(y | x, respondent) in the outcome parameters.
 
     Returns an (n, q) array ordered like ``flatten_params``: the closed
-    form of ``_score_sums`` with each unit its own single donor (for one
-    component, moments 1, 0, 0 about its own y).
+    form of ``_score_sums`` with each unit its own single donor (moments
+    ``r_k``, 0, 0 about its own y, for the responsibilities ``r_k``, which
+    are one for one component).
     """
     y = np.asarray(y, dtype=float)
-    ones = np.ones_like(y)
     if gamma.k > 1:
-        pieces = _responsibilities(gamma, y[:, None], columns)[1]
-        return _mixture_sums(gamma, pieces, (ones[:, None],))[0]
-    moments = [ones, np.zeros_like(y), np.zeros_like(y)]
+        r = _factor_responsibilities(gamma, y, columns, outer=False)
+    else:
+        r = np.ones((1, y.size))
+    moments = [r, np.zeros_like(r), np.zeros_like(r)]
     if gamma.family is Family.GAMMA:
-        moments.append(np.log(y))
-    return _one_component_sums(gamma, columns, y, np.column_stack(moments))
+        moments.append(np.log(y)[None])
+    return _component_sums(gamma, columns, y, np.stack(moments, axis=-1))
 
 
 def _score_sums(gamma: OutcomeSpec, y_donors: np.ndarray, columns, weights):
     """Per-unit sums ``sum_j V_rj s1(x_r, y_j)``, (units, q), for each V in ``weights``.
 
-    Closed form for every family: from the row moments of V against
-    (1, y, y^2, log y) for one component, from one responsibility pass
-    per call for a mixture.  No (q, units, donors) tensor is held.
-    ``gamma`` is a respondents' model, so it carries no tilt.
+    Closed form for every family, from the row moments of ``V r_k``
+    against the ``_centred_powers`` (1, y, y^2, log y), with a mixture's
+    responsibilities ``r_k`` from ``_factor_responsibilities``.  No (q,
+    units, donors) tensor is held.  ``gamma`` is a respondents' model, so
+    it carries no tilt.
     """
-    if gamma.k > 1:
-        pieces = _responsibilities(gamma, y_donors[None, :], columns)[1]
-        return _mixture_sums(gamma, pieces, weights)
     logs, lo, _ = _moment_columns(gamma)
     shift, powers = _centred_powers(y_donors, logs)
-    return [_one_component_sums(gamma, columns, shift, v @ powers[:, lo]) for v in weights]
+    r = _factor_responsibilities(gamma, y_donors, columns) if gamma.k > 1 else np.ones((1, 1, 1))
+    return [_component_sums(gamma, columns, shift, (r * v) @ powers[:, lo]) for v in weights]
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +253,8 @@ def _missing_pieces(
     """Missing-unit designs, mean scores, mean design vectors, score sums, and V's sums.
 
     From the weights' ``_KernelSums``: each unit's moments of ``w`` and
-    of ``w pi`` against ``fiem._centred_powers`` give ``s0bar``, the
+    of ``w pi`` against ``fiem._centred_powers`` (for a mixture, of ``w
+    r_k`` and ``w r_k pi`` per component k too) give ``s0bar``, the
     ``_score_sums`` of (w, w pi, w pi y), and for ``V_ij = w_ij (y_j -
     ybar_i)`` the sum ``sum_ij V_ij s1(x_i, y_j)``; the per-value ``c_j =
     sum_i V_ij`` came with them, and ``z0bar`` ends in ``ybar``.  With
@@ -274,56 +262,28 @@ def _missing_pieces(
     y`` are those of ``w pi (y_c + shift)`` and the moments of ``V`` those
     of ``w (y_c - t)``.  Where the sums were reduced at other parameters
     or lack ``c``, a walk of their own at ``phi`` reduces them
-    (``fiem._kept_sums``); a normal mixture's walk also reduces the score
-    sums block by block (``_mixture_walk``).
+    (``fiem._kept_sums``).
     """
     miss_cols = data.missing_columns()
     b_miss = phi.h_basis.design(miss_cols)
     sums = weights.sums
-    if gamma.k > 1:
-        sums, r = _mixture_walk(phi, gamma, weights, b_miss, miss_cols)
-    else:
-        if sums.c is None or not np.array_equal(sums.phi, phi.phi):
-            sums = _kept_sums(phi, weights.kernel, gamma, data)
-        _, lo, hi = _moment_columns(gamma)
-        m_u, m_wp, shift = sums.w, sums.wp, sums.shift
-        t = m_u[:, 1:2]
-        moments = (
-            m_u[:, lo],
-            m_wp[:, lo],
-            m_wp[:, hi] + shift * m_wp[:, lo],  # w pi (y_c + shift)
-            m_u[:, hi] - t * m_u[:, lo],  # w (y_c - t)
-        )
-        r = [_one_component_sums(gamma, miss_cols, shift, m) for m in moments]
-    m_wp, shift = sums.wp, sums.shift
+    if sums.c is None or not np.array_equal(sums.phi, phi.phi):
+        sums = _kept_sums(phi, weights.kernel, gamma, data)
+    _, lo, hi = _moment_columns(gamma)
+    # per component k, the moments of w r_k and w r_k pi
+    w_k, wp_k = (sums.w[None], sums.wp[None]) if sums.parts is None else sums.parts
+    shift, t = sums.shift, sums.w[:, 1:2]
+    moments = (
+        w_k[..., lo],
+        wp_k[..., lo],
+        wp_k[..., hi] + shift * wp_k[..., lo],  # w pi (y_c + shift)
+        w_k[..., hi] - t * w_k[..., lo],  # w (y_c - t)
+    )
+    r = [_component_sums(gamma, miss_cols, shift, m) for m in moments]
+    m_wp = sums.wp
     s0bar = -np.column_stack([m_wp[:, :1] * b_miss, m_wp[:, 1] + shift * m_wp[:, 0]])
     *r, r_v = r
     return b_miss, s0bar, np.column_stack([b_miss, weights.ybar]), r, sums.c, r_v.sum(axis=0)
-
-
-def _mixture_walk(phi, gamma: OutcomeSpec, weights: FractionalWeights, b_miss, miss_cols):
-    """``(sums, r)``: one ``fiem._reduce`` walk at ``phi`` with a normal mixture's score sums.
-
-    ``r`` holds the ``_score_sums`` of (w, w pi, w pi y, V), each block
-    reduced on its unnormalized ``u`` from one responsibility pass and
-    divided by the row sum.
-    """
-    y_u = weights.values
-    n0, q = b_miss.shape[0], flatten_params(gamma).size
-    r = [np.empty((n0, q)) for _ in range(4)]
-
-    def each(rows, u, wp, s, ybar, spares):
-        wpy, v = spares
-        np.multiply(wp, y_u, out=wpy)
-        np.subtract(y_u[None, :], ybar[:, None], out=v)
-        v *= u
-        block = _score_sums(gamma, y_u, _take(miss_cols, rows), (u, wp, wpy, v))
-        for out, b in zip(r, block):
-            out[rows] = b / s[:, None]
-
-    powers = _centred_powers(y_u)
-    sums = _reduce(phi, b_miss, weights.kernel, y_u, powers, per_value=True, each=each, spare=2)[0]
-    return sums, r
 
 
 def variance_estimate(
@@ -413,30 +373,43 @@ def _mu_y_grad_beta(weights: FractionalWeights, n: int) -> float:
 
 
 def _grad_log_c(gamma: OutcomeSpec, y_u: np.ndarray, data: Dataset):
-    """``d log C(y)/d gamma`` of a one-component model, as a function of the points ``t``.
+    """``d log C(y)/d gamma`` as a function of the points ``t``.
 
-    With ``s1(x_l, y) = A_l phi(y)``, where ``phi(y)`` are the
-    ``_centred_powers`` columns ``lo`` about the values' mean and ``A_l``
-    is ``_one_component_sums`` on unit moment vectors (it is linear in
-    them), ``d log C(y)/d gamma = B(y) phi(y)`` with ``B(y) = sum_l P(l |
-    y) A_l``.  Per block of points, ``P(. | t)`` is a softmax over a row
-    of respondents' ``slope_l*t + offset_l`` (``log c`` cancels), so
-    ``B`` is one matmul with ``A``.  The support is checked once, on
-    ``y_u``.
+    Over the K*n1 respondent rows (k, l) of ``fiem._respondent_factors``,
+    ``d log C(y)/d gamma = sum_(k,l) P(k, l | y) s1_k(x_l, y)`` with
+    ``P(k, l | y) = pi_k f_k(y | x_l) / C(y)`` and ``s1_k`` component k's
+    complete-data score (Louis, 1982; the score itself for one
+    component).  ``s1_k(x_l, y) = A_kl phi(y)``, where ``phi(y)`` are the
+    ``_centred_powers`` columns ``lo`` about the values' mean and ``A_kl``
+    is ``_component_sums`` on unit moments of component k (it is linear
+    in them), so ``d log C(y)/d gamma = B(y) phi(y)`` with ``B(y) =
+    sum_(k,l) P(k, l | y) A_kl``.  Per block of points, ``P(. | t)`` is a
+    softmax over a row of ``fiem._value_rows`` against the rows' factors
+    (``log c_0`` cancels), so ``B`` is one matmul with ``A``.  The
+    support is checked once, on ``y_u``.
     """
     resp_cols, n1 = data.respondent_columns(), data.n_respondents
     logs, lo, _ = _moment_columns(gamma)
     shift = float(np.mean(y_u))
-    slope, offset, _ = log_density_factors(gamma, y_u, resp_cols)
-    units = [np.broadcast_to(e, (n1, len(lo))) for e in np.eye(len(lo))]
-    a = np.hstack([_one_component_sums(gamma, resp_cols, shift, m) for m in units])
+    left, _ = _respondent_factors(gamma, y_u, resp_cols)
+    right = np.ascontiguousarray(np.delete(left, 2, axis=1).T)
+
+    def unit(k, p):
+        m = np.zeros((gamma.k, n1, len(lo)))
+        m[k, :, p] = 1.0
+        return m
+
+    a = np.vstack([
+        np.hstack([_component_sums(gamma, resp_cols, shift, unit(k, p)) for p in range(len(lo))])
+        for k in range(gamma.k)
+    ])
     q = a.shape[1] // len(lo)
-    right = np.vstack([slope, offset])
 
     def at(t: np.ndarray) -> np.ndarray:
         phi = _centred_powers(t, logs, shift)[1][:, lo]
         out = np.empty((t.size, q))
-        for rows, p in _matmul_blocks(np.column_stack([t, np.ones_like(t)]), right, t.size):
+        points = np.ascontiguousarray(_value_rows(gamma, t).T)
+        for rows, p in _matmul_blocks(points, right, t.size):
             p -= p.max(axis=1, keepdims=True)
             np.exp(p, out=p)
             b = (p @ a) / p.sum(axis=1, keepdims=True)
@@ -459,24 +432,11 @@ def _mu_y_grad_gamma(
     ``d log C(y_j)/d gamma``.  Both sums run over the weights' values
     (donors sharing a value pool their ``c_j``).  The first sum and ``c``
     came with ``parts`` from the sandwich's missing-unit pieces.
-    For one component ``d log C/d gamma`` is a smooth function of y alone
-    (``_grad_log_c``), taken at the values through ``fiem._smooth_in_y``;
-    for a mixture the second sum walks blocks of respondents with the
-    ``log C`` the fit kept.
+    ``d log C/d gamma`` is a smooth function of y alone (``_grad_log_c``),
+    taken at the values through ``fiem._smooth_in_y``.
     """
-    y_u, c, log_c = weights.values, parts.c_values, weights.log_c
-    resp_cols = data.respondent_columns()
-    via_c = 0.0
-    if gamma.k > 1:
-        # c_j P(l | y_j) from the log density of the responsibility pass
-        for rows, _ in _blocks(data.n_respondents, y_u.size):
-            log_f, pieces = _responsibilities(gamma, y_u[None, :], _take(resp_cols, rows))
-            p = np.exp(np.subtract(log_f, log_c, out=log_f), out=log_f)
-            p *= c
-            via_c += _mixture_sums(gamma, pieces, (p,))[0].sum(axis=0)
-            del log_f, pieces, p  # else they live on while the next block is built
-    else:
-        via_c = c @ _smooth_in_y(_grad_log_c(gamma, y_u, data), y_u, 0.0, GRAD_LOG_C_TOL)
+    y_u, c = weights.values, parts.c_values
+    via_c = c @ _smooth_in_y(_grad_log_c(gamma, y_u, data), y_u, 0.0, GRAD_LOG_C_TOL)
     return (parts.v_score - via_c) / data.n
 
 

@@ -47,7 +47,7 @@ from fimnar.variance import (
     variance_estimate,
 )
 
-from oracles import _donor_log_base, _donor_log_c
+from oracles import StoredGrid, _donor_log_base, _donor_log_c
 
 # ---------------------------------------------------------------------------
 # reference copies of the full-array code
@@ -208,7 +208,8 @@ def test_score_and_jacobian_match_full_array_code(case):
         ref_s, ref_j = reference_score_and_jacobian(
             phi, arrays, w_full, donor_y, moving
         )
-        for w in (_LogWeights(base, phi.beta, donor_y), w_full):
+        kernel = _LogWeights(None, phi.beta, donor_y) if base is None else StoredGrid(base, phi.beta, donor_y)
+        for w in (kernel, w_full):
             score, jac = _score_and_jacobian(phi, arrays, w, donor_y, moving)
             assert rel_err(score, ref_s) <= 1e-12
             assert rel_err(jac, ref_j) <= 1e-12
@@ -306,7 +307,7 @@ def test_score_and_jacobian_match_full_array_code_at_extreme_beta(beta, move_int
     w_full = reference_weights(beta, donor_y, base)
     for moving in (True, False):
         ref_s, ref_j = reference_score_and_jacobian(phi, arrays, w_full, donor_y, moving)
-        for w in (_LogWeights(base, beta, donor_y), w_full):
+        for w in (StoredGrid(base, beta, donor_y), w_full):
             score, jac = _score_and_jacobian(phi, arrays, w, donor_y, moving)
             assert rel_err(score, ref_s) <= 1e-12
             assert rel_err(jac, ref_j) <= 1e-12
@@ -325,7 +326,7 @@ def results_at_block_size(monkeypatch, cells, case):
     sigma, parts = variance_estimate(fit, gf, data)
     phi = fit.phi_hat.with_phi(fit.phi + 0.2)
     y_d = data.y_observed
-    w = _LogWeights(_donor_log_base(gf.spec, data), phi.beta, y_d)
+    w = StoredGrid(_donor_log_base(gf.spec, data), phi.beta, y_d)
     score, jac = _score_and_jacobian(phi, _score_arrays(phi, data), w, y_d, True)
     return {
         "phi": fit.phi,
@@ -421,7 +422,7 @@ def stored_grid_kernel(gamma, data):
     base from ``log_density_outer``, one column per donor, no factors."""
     log_c = reference_log_c(gamma, data)
     base = log_density_outer(gamma, data.y_observed, data.missing_columns()) - log_c
-    return _LogWeights(base, 0.0, data.y_observed), None, log_c
+    return StoredGrid(base, 0.0, data.y_observed), None, log_c
 
 
 def glm_scenario_case(family, seed, n=500):
@@ -609,6 +610,22 @@ def test_one_component_stages_allocate_no_grid():
     # the bound grows with n0 + n1, not with the n0 x n1 grid (about 15 MB here)
     data, gf, h_basis = scenario_case("s1", 67, n=3000)
     bound = 8e6 + 64 * (data.n_missing + data.n_respondents) * 8
+    fit, fit_peak = traced_peak(lambda: em_fit(data, gf, h_basis))
+    (_, parts), sandwich_peak = traced_peak(lambda: variance_estimate(fit, gf, data))
+    _, mu_peak = traced_peak(lambda: mu_y_variance(fit, gf, data, parts))
+    assert fit_peak <= bound
+    assert sandwich_peak <= bound
+    assert mu_peak <= bound
+
+
+def test_mixture_stages_allocate_no_grid():
+    # a mixture's kernel is K rank-one grids, so it keeps no (n_missing,
+    # values) base either: the bound grows with n0 + n1, and one such
+    # array exceeds it
+    data, gf, h_basis = scenario_case("s3", 68, n=3000)
+    bound = 8e6 + 64 * (data.n_missing + data.n_respondents) * 8
+    assert gf.spec.k > 1
+    assert data.n_missing * np.unique(data.y_observed).size * 8 > bound
     fit, fit_peak = traced_peak(lambda: em_fit(data, gf, h_basis))
     (_, parts), sandwich_peak = traced_peak(lambda: variance_estimate(fit, gf, data))
     _, mu_peak = traced_peak(lambda: mu_y_variance(fit, gf, data, parts))

@@ -14,7 +14,6 @@ from fimnar.expfam import Component, Family, OutcomeSpec, tilt
 from fimnar.fiem import (
     FiControls,
     FractionalWeights,
-    _LogWeights,
     _parametric_pool,
     _score_and_jacobian,
     _score_arrays,
@@ -29,7 +28,7 @@ from fimnar.respondent import FitError, fit_glm
 from fimnar.response import ResponseSpec
 from fimnar.sim import _fit_respondent, built_in_scenario, generate, scenario_s1
 
-from oracles import tiled_parametric_pool
+from oracles import StoredGrid, tiled_parametric_pool
 
 KINDS = {"x": continuous()}
 B1X = parse_formula("1 + x", KINDS)
@@ -457,7 +456,7 @@ def parametric_weights_at(pool, gamma, data):
 
     def weights_at(phi):
         logw = -(phi.h(data.missing_columns())[:, None] + phi.beta * pool)
-        kernel = _LogWeights(logw, 0.0, pool)
+        kernel = StoredGrid(logw, 0.0, pool)
         return FractionalWeights(data.n_missing, kernel, fiem._kept_sums(phi, kernel, gamma, data))
 
     return weights_at
@@ -543,10 +542,14 @@ def same_sums(weights, ref, tol):
     got, again = weights.sums, FractionalWeights(weights.n_missing, weights.kernel, ref)
     assert np.array_equal(got.phi, ref.phi) and got.shift == ref.shift
     assert (got.c is None) == (ref.c is None)
+    assert (got.parts is None) == (ref.parts is None)
     pairs = [(got.w, ref.w), (got.wp, ref.wp), (weights.ybar, again.ybar),
              (weights.spread, again.spread)]
     if ref.c is not None:
         pairs.append((got.c, ref.c))
+    if ref.parts is not None:  # per component, the sums of w r_k and of w r_k pi
+        shape = (-1,) + ref.parts.shape[2:]
+        pairs.extend(zip(got.parts.reshape(shape), ref.parts.reshape(shape)))
     return all(
         np.all(np.max(np.abs(a - b), axis=0) <= tol * np.max(np.abs(b), axis=0)) for a, b in pairs
     )
@@ -578,7 +581,8 @@ def test_em_fit_takes_the_unit_moments_from_its_last_evaluation(monkeypatch, cas
         assert fit.em_iterations > fiem.MAX_NEWTON_STEPS
     w = fit.weights
     assert np.array_equal(w.sums.phi, fit.phi)
-    assert (w.sums.c is None) == (case in ("s3", "parametric"))
+    assert (w.sums.c is None) == (case == "parametric")
+    assert (w.sums.parts is None) == (case != "s3")
     assert same_sums(w, fiem._kept_sums(fit.phi_hat, w.kernel, gf.spec, data), 1e-13)
 
 

@@ -66,8 +66,8 @@ def test_variances_from_the_root_sums_match_a_separate_walk(monkeypatch, case):
     with monkeypatch.context() as patch:
         walks = counted_walks(patch)
         sigma, parts, mu_var = both_variances(fit, gf, data)
-    # one component reads the root sums; a mixture walks for its score sums
-    assert walks == ([fit.weights.values.size] if gf.spec.k > 1 else [])
+    # every fit, a mixture's too, reads the root sums and walks no grid
+    assert walks == []
     monkeypatch.setattr(variance, "_missing_pieces", walked_missing_pieces)
     ref_sigma, ref_parts, ref_mu_var = both_variances(fit, gf, data)
     assert rel_err(sigma, ref_sigma) <= 1e-12
