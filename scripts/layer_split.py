@@ -159,9 +159,9 @@ def count_grid_walks() -> list:
 
     weight_blocks, sizes = fiem._weight_blocks, []
 
-    def counted(w, y, *args, **kwargs):
-        sizes.append(y.shape[-1])
-        return weight_blocks(w, y, *args, **kwargs)
+    def counted(w, *args, **kwargs):
+        sizes.append(w.donor_y.shape[-1])
+        return weight_blocks(w, *args, **kwargs)
 
     fiem._weight_blocks = counted
     return sizes

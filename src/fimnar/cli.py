@@ -317,6 +317,8 @@ def cmd_simulate(args) -> int:
         raise _UsageError(f"--b must be at least 1, got {args.b}")
     if args.n < 1:
         raise _UsageError(f"--n must be at least 1, got {args.n}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be at least 0, got {args.seed}")
     estimators = tuple(s.strip().upper() for s in args.estimators.split(",") if s.strip())
     if not estimators or not set(estimators) <= {"CC", "FI"}:
         raise _UsageError(f"--estimators takes CC and FI, got {args.estimators!r}")

@@ -43,6 +43,23 @@ def check_control(name: str, value) -> None:
         raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _whole(raw: Mapping, key: str, default: int, name: str, least: int) -> int:
+    """``raw[key]``, else ``default``, as an int of at least ``least``.
+
+    A ConfigError naming ``name`` unless it is a whole number (an int, or
+    a float with no fractional part) of at least ``least``: ``int()``
+    would truncate 2.5 and take a string.
+    """
+    value = raw.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class OutcomeCandidate:
     """One candidate outcome model from the config grid, built at load.
@@ -168,11 +185,10 @@ def parse_config(payload: Mapping) -> RunConfig:
         controls = FiControls(
             tol_phi=float(controls_raw.get("tol", 1e-8)),
             tol_score=float(controls_raw.get("score_tol", 1e-8)),
-            max_em_iter=int(controls_raw.get("max_iter", 500)),
+            max_em_iter=_whole(controls_raw, "max_iter", 500, "controls.max_iter", 1),
         )
         check_control("controls.tol", controls.tol_phi)
         check_control("controls.score_tol", controls.tol_score)
-        check_control("controls.max_iter", controls.max_em_iter)
         config = RunConfig(
             schema=DataSchema(
                 kinds=kinds,
@@ -185,9 +201,9 @@ def parse_config(payload: Mapping) -> RunConfig:
             sign_beta_known=bool(payload.get("sign_beta_known", False)),
             controls=controls,
             engine=str(controls_raw.get("engine", "donor")),
-            m_draws=int(controls_raw.get("m_draws", 500)),
-            restarts=int(controls_raw.get("restarts", 10)),
-            seed=int(payload.get("seed", 0)),
+            m_draws=_whole(controls_raw, "m_draws", 500, "controls.m_draws", 1),
+            restarts=_whole(controls_raw, "restarts", 10, "controls.restarts", 1),
+            seed=_whole(payload, "seed", 0, "seed", 0),
         )
     except (KeyError, TypeError, ValueError) as err:
         if isinstance(err, ConfigError):
@@ -195,8 +211,6 @@ def parse_config(payload: Mapping) -> RunConfig:
         raise ConfigError(f"malformed configuration: {err}") from err
     if config.engine not in ("donor", "parametric"):
         raise ConfigError(f"unknown imputation engine {config.engine!r}")
-    if config.m_draws < 1:
-        raise ConfigError(f"controls.m_draws must be at least 1, got {config.m_draws}")
     return config
 
 

@@ -56,14 +56,17 @@ its value.
 Memory: every walk of a grid goes through ``_blocks``, which cuts the
 rows into blocks of about ``CELLS`` grid cells, and at least
 ``MIN_BLOCK_ROWS`` rows so that per-block work over the value axis (the
-running column max of ``log C``, the variance's per-value sums) is
-shared by several rows on the largest grids, and allocates the pass's
-block buffers once, so that each block is written into the same memory.
-On it, ``_weight_blocks`` yields each block's weights, rebuilt from the
-factors by ``_LogWeights``, and the donor kernel ``_donor_blocks`` adds
-the propensities; the solver and the variance code reduce these, and
-``log C`` is an online logsumexp over row blocks of the K*n1 factored
-respondent rows (component, respondent), kept once per unique value.
+variance's per-value sums) is shared by several rows on the largest
+grids, and allocates the pass's block buffers once, so that each block
+is written into the same memory.  Each grid has one walk.  The missing
+unit x value grid: ``_weight_blocks`` yields each block's weights,
+rebuilt from a ``_LogWeights`` (the only form of weights any walk takes),
+and the donor kernel ``_donor_blocks`` adds the propensities; the solver
+and the variance code reduce these.  The point x respondent-row grid:
+``_respondent_blocks`` yields, per block of points in y, each point's
+softmax numerators over the K*n1 factored respondent rows (component,
+respondent); their row log-sum-exp is ``log C`` (``_respondent_lse``) and
+their mean of the score coefficients the variance's ``d log C/d gamma``.
 
 ``log C``: it is a smooth function of the one scalar y, so on at least
 ``4 * CHEB_POINTS`` values it is walked exactly only at the
@@ -75,8 +78,8 @@ other values (``_chebyshev``): O((n1 + values) * points) instead of
 O(n1 * values).
 Below that size, and where ``CHEB_POINTS`` points miss the tolerance,
 the exact walk runs at the values, so a failed interpolant wastes at
-most a quarter of it.  The variance's ``d log C/d gamma`` is taken the
-same way (``_smooth_in_y``).  The missing-unit walks are not: their
+most a quarter of it (``_smooth_in_y``).  The variance's ``d log C/d
+gamma`` is taken the same way.  The missing-unit walks are not: their
 propensity ``1 / (1 + a_i b_j)`` makes each cell depend on two scalars.
 
 The cell: a block's weights are left unnormalized, ``u = exp(logw -
@@ -99,8 +102,8 @@ matrix.  The solve's last evaluation is at the root, so ``em_fit`` keeps
 those sums (``_KernelSums``) with the weights, and the unit moments and
 both variances read them with no walk of their own.  So a fit stores
 only vectors over units and unique donor values, plus a few block
-buffers; only the EM fallback holds its iteration's (n_missing, unique
-values) weights.
+buffers; the EM fallback's M-steps walk the kernel at the E-step's beta
+too, so no fit holds an (n_missing, values) array.
 
 An alternative "parametric" engine draws a fixed per-unit pool of M
 imputed values from the respondents' density and weights it by the
@@ -181,9 +184,7 @@ class FractionalWeights:
     and centred second moment ``sum_j w_ij (y_j - ybar_i)^2``, come from
     them, and the variance reads the rest (for a mixture, each
     component's sums too).  ``n_missing`` counts the missing units, the
-    kernel's rows.  ``log_c`` is the donor engine's ``log C(y)`` at each
-    of the values, under the respondents' model the weights were built
-    with.
+    kernel's rows.
     """
 
     def __init__(
@@ -191,11 +192,9 @@ class FractionalWeights:
         n_missing: int,
         kernel: "_LogWeights",
         sums: "_KernelSums",
-        log_c: Optional[np.ndarray] = None,
         inverse: Optional[np.ndarray] = None,
     ) -> None:
         self.n_missing = int(n_missing)
-        self.log_c = log_c
         self.kernel = kernel
         self.values = kernel.donor_y
         self.inverse = inverse
@@ -363,29 +362,26 @@ class _LogWeights:
         return u
 
 
-def _weight_blocks(w, y: np.ndarray, n_rows: int, spare: int = 0):
+def _weight_blocks(w: _LogWeights, n_rows: int, spare: int = 0):
     """``(rows, y, u, *spares, *parts)`` for each row block of the ``n_rows`` missing units.
 
-    ``y`` is the block's donor values (the shared vector, or its rows of
-    per-unit pools) and ``u`` its weights up to a positive factor per
-    row, in a buffer of the pass that the caller may overwrite: the
-    unnormalized rows that a ``_LogWeights`` builds, or a copy of the
-    rows of a weight array.  Each reduction divides a unit's sums by its
-    sum of ``u``.  ``spares`` are ``spare`` more block buffers for the
-    caller, and ``parts`` a mixture kernel's K component weights ``u_k``,
-    which sum to ``u`` (none for one component); the caller may overwrite
-    them too.  Buffers are rewritten by the next block.
+    ``y`` is the block's donor values (the kernel's shared vector, or its
+    rows of per-unit pools) and ``u`` the block's unnormalized weights
+    that ``w.block`` builds, in a buffer of the pass that the caller may
+    overwrite; each reduction divides a unit's sums by its sum of ``u``.
+    ``spares`` are ``spare`` more block buffers for the caller, and
+    ``parts`` a mixture kernel's K component weights ``u_k``, which sum
+    to ``u`` (none for one component); the caller may overwrite them
+    too.  Buffers are rewritten by the next block.
     """
-    parts = w.k if isinstance(w, _LogWeights) and w.k > 1 else 0
+    y = w.donor_y
+    parts = w.k if w.k > 1 else 0
     for rows, (u, *rest) in _blocks(n_rows, y.shape[-1], 1 + spare + parts):
-        if isinstance(w, _LogWeights):
-            u = w.block(rows, u, rest[spare:])
-        else:
-            np.copyto(u, w[rows])
+        u = w.block(rows, u, rest[spare:])
         yield (rows, y if y.ndim == 1 else y[rows], u, *rest)
 
 
-def _donor_blocks(phi: ResponseSpec, b_miss: np.ndarray, donor_y: np.ndarray, w):
+def _donor_blocks(phi: ResponseSpec, b_miss: np.ndarray, w: _LogWeights):
     """The donor kernel: ``(rows, y, u, pi, *parts)`` for each row block of missing units.
 
     ``_weight_blocks`` plus ``pi``, the propensity ``P(delta=1 | x_i, y)``
@@ -396,9 +392,9 @@ def _donor_blocks(phi: ResponseSpec, b_miss: np.ndarray, donor_y: np.ndarray, w)
     """
     lin = b_miss @ np.asarray(phi.alpha)
     a = odds_factor(-lin)
-    shared = donor_y.ndim == 1
-    b = odds_factor(-phi.beta * donor_y) if shared else None
-    for rows, y, u, pi, *parts in _weight_blocks(w, donor_y, b_miss.shape[0], 1):
+    shared = w.donor_y.ndim == 1
+    b = odds_factor(-phi.beta * w.donor_y) if shared else None
+    for rows, y, u, pi, *parts in _weight_blocks(w, b_miss.shape[0], 1):
         b_rows = b if shared else odds_factor(-phi.beta * y)
         if a is not None and b_rows is not None:
             propensity_from_odds(a[rows, None], b_rows, out=pi)
@@ -408,72 +404,62 @@ def _donor_blocks(phi: ResponseSpec, b_miss: np.ndarray, donor_y: np.ndarray, w)
         yield (rows, y, u, pi, *parts)
 
 
-def _logsumexp_blocks(blocks, n_cols: int) -> np.ndarray:
-    """``expfam._logsumexp0`` of the row blocks stacked, in one pass over them.
-
-    A running column max rescales the running sum whenever it rises;
-    columns that are ``-inf`` throughout stay ``-inf``.  The blocks are
-    read, not written: ``exp(a - shift)`` goes to a scratch buffer that
-    grows to the largest block.
-    """
-    top, total = np.full(n_cols, -np.inf), np.zeros(n_cols)
-    shift = np.zeros(n_cols)
-    scratch = np.empty((0, n_cols))
-    for a in blocks:
-        new_top = np.maximum(top, a.max(axis=0))
-        shift = np.where(np.isfinite(new_top), new_top, 0.0)
-        total *= np.exp(top - shift)
-        if a.shape[0] > scratch.shape[0]:
-            scratch = np.empty(a.shape)
-        tmp = np.subtract(a, shift, out=scratch[: a.shape[0]])
-        total += np.exp(tmp, out=tmp).sum(axis=0)
-        top = new_top
-    with np.errstate(divide="ignore"):
-        return np.where(np.isfinite(top), shift + np.log(total), top)
-
-
-def _matmul_blocks(left: np.ndarray, right: np.ndarray, n_rows: int):
-    """``(rows, left[rows] @ right)`` for each row block, in one buffer of the pass.
-
-    The caller may overwrite the buffer; the next block rewrites it.
-    """
-    for rows, (buffer,) in _blocks(n_rows, right.shape[1], 1):
-        yield rows, np.matmul(left[rows], right, out=buffer)
-
-
 def _respondent_factors(gamma: OutcomeSpec, y: np.ndarray, columns):
-    """``(left, log_c)``: the K*n rows (k, r) of ``log(pi_k f_k(y | x_r))`` as factors.
+    """``(factors, log_c)``: the K*n respondent rows (k, r) as the factors every walk of them reads.
 
-    ``left`` is (K*n, 2 + K), with columns ``slope_kr``, ``offset_kr``
-    and the one-hot component k, and ``log_c`` the (K, values) terms
-    ``log c_k(y)`` of ``expfam.log_density_factors``: row (k, r) is
-    ``left[(k, r)] @ (y, 1, log c_0(y), ..., log c_{K-1}(y))``, and the
-    log density of row r is the log-sum-exp of its K rows.
+    ``factors`` is (K + 1, K*n), with rows ``slope_kr``, ``offset_kr`` and,
+    for each component k >= 1, the indicator of k's rows, so that
+    ``_value_rows(gamma, t).T @ factors`` holds ``log(pi_k f_k(t | x_r)) -
+    log c_0(t)`` at any points ``t``; ``log_c`` is the (K, values) terms
+    ``log c_k(y)`` of ``expfam.log_density_factors``, whose support check
+    runs on ``y``.
     """
     slope, offset, log_c = log_density_factors(gamma, y, columns)
     k, n = slope.shape
-    return np.column_stack([slope.ravel(), offset.ravel(), np.repeat(np.eye(k), n, axis=0)]), log_c
-
-
-def _log_density_blocks(gamma: OutcomeSpec, y: np.ndarray, columns, n_rows: int):
-    """``(rows, log(pi_k f_k(y | x_r)))`` for each row block of the K*``n_rows`` rows (k, r).
-
-    Each block is rebuilt from ``_respondent_factors``, taken once for
-    all rows, by ``_matmul_blocks``.
-    """
-    left, log_c = _respondent_factors(gamma, y, columns)
-    yield from _matmul_blocks(left, np.vstack([y, np.ones_like(y), log_c]), left.shape[0])
+    return np.vstack([slope.ravel(), offset.ravel(), np.repeat(np.eye(k)[1:], n, axis=1)]), log_c
 
 
 def _value_rows(gamma: OutcomeSpec, t: np.ndarray) -> np.ndarray:
-    """``(t, 1, log c_k(t) - log c_0(t) for k >= 1)``: what ``_respondent_factors``'
-    rows, without their first one-hot column, multiply to give ``log(pi_k f_k(t | x_r)) -
-    log c_0(t)``, at any points ``t`` (a mixture is normal)."""
+    """``(t, 1, log c_k(t) - log c_0(t) for k >= 1)``: what ``_respondent_factors``
+    multiply to give ``log(pi_k f_k(t | x_r)) - log c_0(t)``, at any points ``t``
+    (a mixture is normal)."""
     rows = [t, np.ones_like(t)]
     if gamma.k > 1:
         log_c = log_base_measure(gamma, t)
         rows.extend(log_c[1:] - log_c[0])
     return np.vstack(rows)
+
+
+def _respondent_blocks(gamma: OutcomeSpec, factors: np.ndarray, t: np.ndarray):
+    """``(rows, p, top)`` for each block of the points ``t``, over the respondent rows.
+
+    ``p`` is the block's ``exp(L - top)`` for ``L = log(pi_k f_k(t | x_r))
+    - log c_0(t)`` over the K*n rows of ``factors``, in a buffer of the
+    pass that the caller may overwrite, and ``top`` (points, 1) each
+    point's largest ``L``, or 0 where every ``L`` is ``-inf``.  The one walk
+    of the points x respondent-rows grid: ``log C`` is its row
+    log-sum-exp and ``d log C/d gamma`` a softmax mean over it.
+    """
+    points = np.ascontiguousarray(_value_rows(gamma, t).T)
+    for rows, (p,) in _blocks(t.size, factors.shape[1], 1):
+        np.matmul(points[rows], factors, out=p)
+        top = p.max(axis=1, keepdims=True)
+        top[~np.isfinite(top)] = 0.0
+        p -= top
+        np.exp(p, out=p)
+        yield rows, p, top
+
+
+def _respondent_lse(gamma: OutcomeSpec, factors: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``log C(t) - log c_0(t)``: the log-sum-exp of ``_respondent_blocks`` at the points ``t``.
+
+    ``-inf`` where every row is, with no warning.
+    """
+    out = np.empty(t.size)
+    with np.errstate(divide="ignore"):
+        for rows, p, top in _respondent_blocks(gamma, factors, t):
+            out[rows] = top[:, 0] + np.log(p.sum(axis=1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -591,43 +577,26 @@ def _smooth_in_y(exact, y: np.ndarray, atol: float, rtol: float) -> np.ndarray:
 def _log_c_at(gamma: OutcomeSpec, y: np.ndarray, data: Dataset) -> np.ndarray:
     """log C(y) = log sum_l f(y | x_l) over respondents l at the sorted values ``y``.
 
-    A function of y alone: the log-sum-exp over the K*n1 rows (k, l) of
-    ``_respondent_factors``, exact by blocks of those rows, or on at
-    least ``4 * CHEB_POINTS`` values from Chebyshev points in y
-    (``_chebyshev``).  Only ``LSE_(k,l)(slope_kl*y + offset_kl + log
-    c_k(y) - log c_0(y))`` is interpolated (``_value_rows``), and ``log
-    c_0(y)`` is added at the values: for one component it need not exist
-    between them (a Poisson node is no integer).  Where the interpolant
-    fails, the exact walk runs at the values.
+    A function of y alone: ``_respondent_lse`` over the K*n1 factored
+    rows (k, l), taken through ``_smooth_in_y`` (exact below the size
+    gate or where the interpolant fails), plus ``log c_0(y)`` at the
+    values: for one component it need not exist between them (a Poisson
+    node is no integer).
     """
-    columns, n1 = data.respondent_columns(), data.n_respondents
-
-    def exact(t):
-        return _logsumexp_blocks((b for _, b in _log_density_blocks(gamma, t, columns, n1)), t.size)
-
-    if y.size < 4 * CHEB_POINTS:
-        return exact(y)
-    left, log_c_y = _respondent_factors(gamma, y, columns)
-    left = np.delete(left, 2, axis=1)  # log c_0 is added at the values
-
-    def lse(t):
-        blocks = _matmul_blocks(left, _value_rows(gamma, t), left.shape[0])
-        return _logsumexp_blocks((b for _, b in blocks), t.size)
-
-    fitted = _chebyshev(lse, y, LOG_C_TOL, 0.0)
-    return exact(y) if fitted is None else fitted + log_c_y[0]
+    factors, log_c = _respondent_factors(gamma, y, data.respondent_columns())
+    return _smooth_in_y(lambda t: _respondent_lse(gamma, factors, t), y, LOG_C_TOL, 0.0) + log_c[0]
 
 
 def _donor_kernel(gamma: OutcomeSpec, data: Dataset):
-    """The donor engine's weights at beta = 0, the donors' value index and log C.
+    """The donor engine's weights at beta = 0 and the donors' value index.
 
-    Returns ``(kernel, inverse, log_c)``: a ``_LogWeights`` over the
-    donors' unique values, each weighted by its multiplicity m so that
-    it stands for all its donors, the index of each donor's value, and
-    ``log C`` at each value.  The kernel keeps, per component k of the
-    respondents' model, the factors ``slope_k`` (and for a mixture
-    ``offset_k``) over missing units and ``log c_k(y) - log C(y) + log m``
-    over values (``expfam.log_density_factors``).
+    Returns ``(kernel, inverse)``: a ``_LogWeights`` over the donors'
+    unique values, each weighted by its multiplicity m so that it stands
+    for all its donors, and the index of each donor's value.  The kernel
+    keeps, per component k of the respondents' model, the factors
+    ``slope_k`` (and for a mixture ``offset_k``) over missing units and
+    ``log c_k(y) - log C(y) + log m`` over values
+    (``expfam.log_density_factors``).
     """
     if data.n_respondents < 1:
         raise FitError("at least one respondent donor is required")
@@ -641,7 +610,7 @@ def _donor_kernel(gamma: OutcomeSpec, data: Dataset):
     _check_covered(np.any(np.isfinite(slope) & np.isfinite(offset), axis=0))
     base = log_c_y + (np.log(counts) - log_c)
     kernel = _LogWeights(base, 0.0, values, slope, offset if gamma.k > 1 else None)
-    return kernel, inverse, log_c
+    return kernel, inverse
 
 
 def fractional_weights(
@@ -654,11 +623,9 @@ def fractional_weights(
     Raises FitError when some missing unit has zero density at every
     donor value.
     """
-    kernel, inverse, log_c = _donor_kernel(gamma, data)
+    kernel, inverse = _donor_kernel(gamma, data)
     kernel = replace(kernel, beta=phi.beta)
-    return FractionalWeights(
-        data.n_missing, kernel, _kept_sums(phi, kernel, gamma, data), log_c, inverse
-    )
+    return FractionalWeights(data.n_missing, kernel, _kept_sums(phi, kernel, gamma, data), inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -839,14 +806,13 @@ class _KernelSums:
     parts: Optional[np.ndarray] = None
 
 
-def _reduce(phi, b_miss, w, y, powers, jacobian=False, per_value=False):
+def _reduce(phi, b_miss, w: _LogWeights, powers, jacobian=False, per_value=False):
     """One walk of the donor kernel at ``phi``: ``(_KernelSums, q)``.
 
-    ``w`` is a ``_LogWeights`` or an (n_missing, values) weight array
-    over the values ``y`` and ``powers`` their ``_centred_powers``.  Per
-    block of unnormalized weights ``u`` and propensities ``pi`` it
-    reduces ``u`` and ``u pi`` against the power matrix, one matmul each,
-    and every sum is divided by its unit's row sum of ``u`` at the end.
+    ``powers`` are the ``_centred_powers`` of ``w``'s values.  Per block of
+    unnormalized weights ``u`` and propensities ``pi`` it reduces ``u``
+    and ``u pi`` against the power matrix, one matmul each, and every sum
+    is divided by its unit's row sum of ``u`` at the end.
     With ``jacobian``, ``q`` holds the sums of ``w pi (1 - pi)`` against
     ``(1, y_c, y_c^2)``; with ``per_value`` on shared values, ``c`` is
     reduced in the same block as ``(1/s, t/s) @ u`` for the row sums
@@ -854,7 +820,7 @@ def _reduce(phi, b_miss, w, y, powers, jacobian=False, per_value=False):
     weights ``u_k`` and ``u_k pi`` are reduced as ``u`` and ``u pi`` are.
     """
     shift, matrix = powers
-    n0 = b_miss.shape[0]
+    y, n0 = w.donor_y, b_miss.shape[0]
     width = 3 if matrix is None else matrix.shape[1]
     m_u, m_wp = np.empty((n0, width)), np.empty((n0, width))
     m_q = np.empty((n0, 3)) if jacobian else None
@@ -862,9 +828,9 @@ def _reduce(phi, b_miss, w, y, powers, jacobian=False, per_value=False):
     m_parts = None
     if per_value:  # per value: sum_i w_ij and sum_i w_ij t_i
         cols, col_block = np.zeros((2, y.size)), np.empty((2, y.size))
-        if isinstance(w, _LogWeights) and w.k > 1:
+        if w.k > 1:
             m_parts = np.empty((2, w.k, n0, width))
-    for rows, y_b, u, pi, *parts in _donor_blocks(phi, b_miss, y, w):
+    for rows, y_b, u, pi, *parts in _donor_blocks(phi, b_miss, w):
         if matrix is None:  # per-unit pools: row dots with the block's centred values
             y_c = y_b - shift
             y_c2 = y_c * y_c
@@ -905,25 +871,24 @@ def _kept_sums(phi: ResponseSpec, kernel: "_LogWeights", gamma: OutcomeSpec, dat
     """
     b_miss = phi.h_basis.design(data.missing_columns())
     powers = _centred_powers(kernel.donor_y, gamma.family is Family.GAMMA)
-    return _reduce(phi, b_miss, kernel, kernel.donor_y, powers, per_value=True)[0]
+    return _reduce(phi, b_miss, kernel, powers, per_value=True)[0]
 
 
-def _score_and_jacobian(phi, arrays, w, donor_y, weights_move: bool):
+def _score_and_jacobian(phi, arrays, w: _LogWeights, weights_move: bool):
     """Mean score at phi for donor weights ``w``, and its Jacobian.
 
-    ``w`` is an (n_missing, donors) weight array or a ``_LogWeights``;
-    either is reduced block by block through ``_donor_blocks``.  With
+    ``w`` is reduced block by block through ``_donor_blocks``.  With
     ``weights_move`` the Jacobian includes the weights' dependence on
     beta, ``dw_ij/dbeta = -w_ij (y_j - ybar_i)``; otherwise it holds the
     weights fixed.
     """
-    return _evaluate(phi, arrays, w, donor_y, weights_move)[:2]
+    return _evaluate(phi, arrays, w, weights_move)[:2]
 
 
-def _evaluate(phi, arrays, w, donor_y, weights_move: bool, powers=None, per_value=False):
+def _evaluate(phi, arrays, w: _LogWeights, weights_move: bool, powers=None, per_value=False):
     """``_score_and_jacobian`` and, from the same walk, ``_reduce``'s ``_KernelSums``.
 
-    ``powers`` defaults to the ``_centred_powers`` of ``donor_y``.  The
+    ``powers`` defaults to the ``_centred_powers`` of ``w``'s values.  The
     score and Jacobian need the raw sums of ``w pi`` and ``w pi (1 -
     pi)`` against ``(1, y, y^2)``, which follow from the centred ones
     with ``y = y_c + shift``.
@@ -935,8 +900,8 @@ def _evaluate(phi, arrays, w, donor_y, weights_move: bool, powers=None, per_valu
     b = arrays.b_miss
     L = b.shape[1]  # position of the outcome column
     if powers is None:
-        powers = _centred_powers(donor_y)
-    sums, m_q = _reduce(phi, b, w, donor_y, powers, jacobian=True, per_value=per_value)
+        powers = _centred_powers(w.donor_y)
+    sums, m_q = _reduce(phi, b, w, powers, jacobian=True, per_value=per_value)
     shift, t = sums.shift, sums.w[:, 1]  # t = ybar - shift
     row, wpy_c, wpy2_c = sums.wp[:, :3].T
     q0, qy_c, qy2_c = m_q.T
@@ -961,7 +926,7 @@ def mean_score(
 ) -> np.ndarray:
     """Weighted mean score: respondent scores plus donor-averaged scores."""
     arrays = _score_arrays(phi, data)
-    return _score_and_jacobian(phi, arrays, weights.kernel, weights.values, False)[0]
+    return _score_and_jacobian(phi, arrays, weights.kernel, False)[0]
 
 
 def score_jacobian(
@@ -969,7 +934,7 @@ def score_jacobian(
 ) -> np.ndarray:
     """d mean_score / d phi with the weights held fixed (negative definite)."""
     arrays = _score_arrays(phi, data)
-    return _score_and_jacobian(phi, arrays, weights.kernel, weights.values, False)[1]
+    return _score_and_jacobian(phi, arrays, weights.kernel, False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -989,14 +954,14 @@ def solve_mean_score(
     ``MAX_NEWTON_STEPS`` steps.
     """
     arrays = _score_arrays(phi, data)
-    return _fixed_weight_solve(phi, arrays, weights.kernel, weights.values, controls)[0]
+    return _fixed_weight_solve(phi, arrays, weights.kernel, controls)[0]
 
 
-def _fixed_weight_solve(phi, arrays, w, donor_y, controls: FiControls):
+def _fixed_weight_solve(phi, arrays, w: _LogWeights, controls: FiControls):
     """``solve_mean_score`` on prepared arrays; returns (phi, max-abs score)."""
 
     def system(x):
-        return _score_and_jacobian(phi.with_phi(x), arrays, w, donor_y, False)
+        return _score_and_jacobian(phi.with_phi(x), arrays, w, False)
 
     # as an M-step this needs no step test: EM's own test on phi follows
     x, path, converged = _newton(phi.phi, system, MAX_NEWTON_STEPS, controls.tol_score)
@@ -1058,13 +1023,13 @@ def em_fit(
     phi = _initial_phi(h_basis, data)
 
     if engine == "donor":
-        kernel, inverse, log_c = _donor_kernel(gamma, data)
+        kernel, inverse = _donor_kernel(gamma, data)
     elif engine == "parametric":
         rng = rng or np.random.default_rng(0)
         pool = _parametric_pool(gamma, data, m_draws, rng)
         # proposal equals the respondents' density, so only the odds factor
         # survives in the self-normalized weights
-        kernel, inverse, log_c = _LogWeights(None, 0.0, pool), None, None
+        kernel, inverse = _LogWeights(None, 0.0, pool), None
     else:
         raise ValueError(f"unknown imputation engine {engine!r}")
 
@@ -1078,7 +1043,7 @@ def em_fit(
         def system(x):
             p = phi.with_phi(x)
             w = replace(grid, beta=p.beta)
-            score, jac, last["sums"] = _evaluate(p, arrays, w, grid.donor_y, True, powers, per_value)
+            score, jac, last["sums"] = _evaluate(p, arrays, w, True, powers, per_value)
             last["x"] = x
             return score, jac
 
@@ -1122,7 +1087,7 @@ def em_fit(
     sums = last["sums"] if at_root else _kept_sums(phi_hat, kernel, gamma, data)
     return FitResult(
         phi_hat=phi_hat,
-        weights=FractionalWeights(data.n_missing, kernel, sums, log_c, inverse),
+        weights=FractionalWeights(data.n_missing, kernel, sums, inverse),
         mean_score_norm=path[-1][2],
         trace=tuple(trace),
     )
@@ -1133,13 +1098,13 @@ def _em(phi, arrays, kernel: _LogWeights, controls: FiControls):
 
     Returns ``(phi, trace)``; raises FitError after
     ``controls.max_em_iter`` iterations.  Each iteration's weights are
-    built from ``kernel`` once, as one array: the M-step evaluates them
-    many times.
+    ``kernel`` at its beta, which the M-step's evaluations walk block by
+    block as every solve does; no iteration holds them as an array.
     """
     trace: list[tuple[int, float, float]] = []
     for iteration in range(1, controls.max_em_iter + 1):
-        w = replace(kernel, beta=phi.beta)[:]
-        new_phi, score_norm = _fixed_weight_solve(phi, arrays, w, kernel.donor_y, controls)
+        w = replace(kernel, beta=phi.beta)
+        new_phi, score_norm = _fixed_weight_solve(phi, arrays, w, controls)
         change = float(np.max(np.abs(new_phi.phi - phi.phi)))
         trace.append((iteration, change, score_norm))
         phi = new_phi

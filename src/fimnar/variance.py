@@ -41,7 +41,8 @@ runs once over all units.  Weights whose sums were reduced at other
 parameters, or lack ``c``, are walked once at the fitted parameters by
 ``fiem._reduce``, the solver's own reduction (``fiem._kept_sums``).  The
 ``d log C/d gamma`` term is a smooth function of y alone, ``B(y)
-phi(y)`` (``_grad_log_c``): per block of points a softmax over the K*n1
+phi(y)`` (``_grad_log_c``): per block of points of the walk that also
+gives ``log C`` (``fiem._respondent_blocks``), a softmax over the K*n1
 factored respondent rows and one matmul with their score coefficients,
 taken at the values exactly, or on at least ``4 * fiem.CHEB_POINTS``
 values from Chebyshev points in y through ``fiem._smooth_in_y``.
@@ -66,10 +67,9 @@ from .fiem import (
     FractionalWeights,
     _centred_powers,
     _kept_sums,
-    _matmul_blocks,
+    _respondent_blocks,
     _respondent_factors,
     _smooth_in_y,
-    _value_rows,
     estimate_mu_y,
 )
 from .respondent import FitError, RespondentFit, digamma
@@ -191,17 +191,11 @@ def _component_sums(gamma: OutcomeSpec, columns, shift, m):
     return np.hstack([p[:, :-1] for p in per] + [p[:, -1:] for p in per] + mix)
 
 
-def _factor_responsibilities(gamma: OutcomeSpec, y: np.ndarray, columns, outer: bool = True):
-    """Each component's responsibility ``pi_k f_k / f`` of a mixture, from ``log_density_factors``.
-
-    Of every value ``y`` under every unit's model, (K, units, values), or
-    with ``outer`` False of ``y[r]`` under unit r's, (K, units).
-    """
+def _factor_responsibilities(gamma: OutcomeSpec, y: np.ndarray, columns):
+    """Each component's responsibility ``pi_k f_k / f`` of a mixture at ``y[r]`` under unit
+    r's model, (K, units), from ``log_density_factors``."""
     slope, offset, log_c = log_density_factors(gamma, y, columns)
-    if outer:
-        log_p = slope[:, :, None] * y + offset[:, :, None] + log_c[:, None, :]
-    else:
-        log_p = slope * y + offset + log_c
+    log_p = slope * y + offset + log_c
     log_p -= log_p.max(axis=0)
     np.exp(log_p, out=log_p)
     log_p /= log_p.sum(axis=0)
@@ -212,34 +206,19 @@ def respondent_score_gamma(gamma: OutcomeSpec, y: np.ndarray, columns) -> np.nda
     """Gradient of log f(y | x, respondent) in the outcome parameters.
 
     Returns an (n, q) array ordered like ``flatten_params``: the closed
-    form of ``_score_sums`` with each unit its own single donor (moments
+    form ``_component_sums`` with each unit its own single donor (moments
     ``r_k``, 0, 0 about its own y, for the responsibilities ``r_k``, which
     are one for one component).
     """
     y = np.asarray(y, dtype=float)
     if gamma.k > 1:
-        r = _factor_responsibilities(gamma, y, columns, outer=False)
+        r = _factor_responsibilities(gamma, y, columns)
     else:
         r = np.ones((1, y.size))
     moments = [r, np.zeros_like(r), np.zeros_like(r)]
     if gamma.family is Family.GAMMA:
         moments.append(np.log(y)[None])
     return _component_sums(gamma, columns, y, np.stack(moments, axis=-1))
-
-
-def _score_sums(gamma: OutcomeSpec, y_donors: np.ndarray, columns, weights):
-    """Per-unit sums ``sum_j V_rj s1(x_r, y_j)``, (units, q), for each V in ``weights``.
-
-    Closed form for every family, from the row moments of ``V r_k``
-    against the ``_centred_powers`` (1, y, y^2, log y), with a mixture's
-    responsibilities ``r_k`` from ``_factor_responsibilities``.  No (q,
-    units, donors) tensor is held.  ``gamma`` is a respondents' model, so
-    it carries no tilt.
-    """
-    logs, lo, _ = _moment_columns(gamma)
-    shift, powers = _centred_powers(y_donors, logs)
-    r = _factor_responsibilities(gamma, y_donors, columns) if gamma.k > 1 else np.ones((1, 1, 1))
-    return [_component_sums(gamma, columns, shift, (r * v) @ powers[:, lo]) for v in weights]
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +234,14 @@ def _missing_pieces(
     From the weights' ``_KernelSums``: each unit's moments of ``w`` and
     of ``w pi`` against ``fiem._centred_powers`` (for a mixture, of ``w
     r_k`` and ``w r_k pi`` per component k too) give ``s0bar``, the
-    ``_score_sums`` of (w, w pi, w pi y), and for ``V_ij = w_ij (y_j -
-    ybar_i)`` the sum ``sum_ij V_ij s1(x_i, y_j)``; the per-value ``c_j =
-    sum_i V_ij`` came with them, and ``z0bar`` ends in ``ybar``.  With
-    ``y_c = y - shift`` and ``t = ybar - shift``, the moments of ``w pi
-    y`` are those of ``w pi (y_c + shift)`` and the moments of ``V`` those
-    of ``w (y_c - t)``.  Where the sums were reduced at other parameters
-    or lack ``c``, a walk of their own at ``phi`` reduces them
-    (``fiem._kept_sums``).
+    per-unit score sums ``sum_j V_ij s1(x_i, y_j)`` of V = w, w pi and w
+    pi y, and for ``V_ij = w_ij (y_j - ybar_i)`` the sum ``sum_ij V_ij
+    s1(x_i, y_j)``; the per-value ``c_j = sum_i V_ij`` came with them,
+    and ``z0bar`` ends in ``ybar``.  With ``y_c = y - shift`` and ``t =
+    ybar - shift``, the moments of ``w pi y`` are those of ``w pi (y_c +
+    shift)`` and the moments of ``V`` those of ``w (y_c - t)``.  Where the
+    sums were reduced at other parameters or lack ``c``, a walk of their
+    own at ``phi`` reduces them (``fiem._kept_sums``).
     """
     miss_cols = data.missing_columns()
     b_miss = phi.h_basis.design(miss_cols)
@@ -375,7 +354,7 @@ def _mu_y_grad_beta(weights: FractionalWeights, n: int) -> float:
 def _grad_log_c(gamma: OutcomeSpec, y_u: np.ndarray, data: Dataset):
     """``d log C(y)/d gamma`` as a function of the points ``t``.
 
-    Over the K*n1 respondent rows (k, l) of ``fiem._respondent_factors``,
+    Over the K*n1 respondent rows (k, l) of ``fiem._respondent_blocks``,
     ``d log C(y)/d gamma = sum_(k,l) P(k, l | y) s1_k(x_l, y)`` with
     ``P(k, l | y) = pi_k f_k(y | x_l) / C(y)`` and ``s1_k`` component k's
     complete-data score (Louis, 1982; the score itself for one
@@ -383,16 +362,14 @@ def _grad_log_c(gamma: OutcomeSpec, y_u: np.ndarray, data: Dataset):
     ``_centred_powers`` columns ``lo`` about the values' mean and ``A_kl``
     is ``_component_sums`` on unit moments of component k (it is linear
     in them), so ``d log C(y)/d gamma = B(y) phi(y)`` with ``B(y) =
-    sum_(k,l) P(k, l | y) A_kl``.  Per block of points, ``P(. | t)`` is a
-    softmax over a row of ``fiem._value_rows`` against the rows' factors
-    (``log c_0`` cancels), so ``B`` is one matmul with ``A``.  The
-    support is checked once, on ``y_u``.
+    sum_(k,l) P(k, l | y) A_kl``.  Per block of points, ``P(. | t)`` is
+    the walk's softmax (``log c_0`` cancels), so ``B`` is one matmul with
+    ``A``.  The support is checked once, on ``y_u``.
     """
     resp_cols, n1 = data.respondent_columns(), data.n_respondents
     logs, lo, _ = _moment_columns(gamma)
     shift = float(np.mean(y_u))
-    left, _ = _respondent_factors(gamma, y_u, resp_cols)
-    right = np.ascontiguousarray(np.delete(left, 2, axis=1).T)
+    factors, _ = _respondent_factors(gamma, y_u, resp_cols)
 
     def unit(k, p):
         m = np.zeros((gamma.k, n1, len(lo)))
@@ -408,10 +385,7 @@ def _grad_log_c(gamma: OutcomeSpec, y_u: np.ndarray, data: Dataset):
     def at(t: np.ndarray) -> np.ndarray:
         phi = _centred_powers(t, logs, shift)[1][:, lo]
         out = np.empty((t.size, q))
-        points = np.ascontiguousarray(_value_rows(gamma, t).T)
-        for rows, p in _matmul_blocks(points, right, t.size):
-            p -= p.max(axis=1, keepdims=True)
-            np.exp(p, out=p)
+        for rows, p, _ in _respondent_blocks(gamma, factors, t):
             b = (p @ a) / p.sum(axis=1, keepdims=True)
             out[rows] = np.einsum("rkq,rk->rq", b.reshape(-1, len(lo), q), phi[rows])
         return out

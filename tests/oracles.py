@@ -1,7 +1,8 @@
 """Reference paths that only tests call: the stored donor grid, finite-difference
 scores, a mixture's per-cell responsibility pass, per-row sampling, the
 one-level solve, the exact respondent walks and the variance's own walk of
-the missing units.
+the missing units, the score sums of full weight arrays, and EM on a dense
+weight array.
 
 The package computes the donor weights block by block from the factors
 of ``fiem._donor_kernel`` (for a mixture one rank-one grid per component,
@@ -29,6 +30,7 @@ from fimnar.expfam import (
     _logsumexp0,
     flatten_params,
     log_density,
+    log_density_factors,
     log_density_outer,
     unflatten_params,
 )
@@ -41,16 +43,16 @@ from fimnar.fiem import (
     _donor_kernel,
     _evaluate,
     _exp_rows,
+    _fixed_weight_solve,
     _initial_phi,
     _log_c_at,
-    _log_density_blocks,
-    _logsumexp_blocks,
     _LogWeights,
     _score_arrays,
+    _value_rows,
 )
 from fimnar.respondent import FitError, _newton
 from fimnar.response import propensity_from_log_odds
-from fimnar.variance import _moment_columns, _one_component_sums
+from fimnar.variance import _component_sums, _moment_columns, _one_component_sums
 
 FD_STEP_GAMMA = 1e-4  # relative step of the finite-difference score check
 
@@ -82,6 +84,35 @@ class StoredGrid(_LogWeights):
         return _exp_rows(np.subtract(self.base[rows], self.beta * y, out=out), rows.start or 0)
 
 
+@dataclass(frozen=True)
+class DenseWeights(_LogWeights):
+    """Weights held as one (n_missing, values) array ``base``, whose rows every walk copies.
+
+    The form in which the EM fallback held each iteration's weights before
+    its M-steps walked the kernel: a block is a copy of ``base``'s rows,
+    so the walks reduce it as they reduced that array.
+    """
+
+    def block(self, rows: slice, out=None, parts=()) -> np.ndarray:
+        np.copyto(out, self.base[rows])
+        return out
+
+
+def dense_em(phi, arrays, kernel: _LogWeights, controls: FiControls):
+    """``fiem._em`` with each iteration's weights built once as a dense array, as
+    it was before its M-steps walked the kernel at the E-step's beta."""
+    trace = []
+    for iteration in range(1, controls.max_em_iter + 1):
+        w = DenseWeights(replace(kernel, beta=phi.beta)[:], 0.0, kernel.donor_y)
+        new_phi, score_norm = _fixed_weight_solve(phi, arrays, w, controls)
+        change = float(np.max(np.abs(new_phi.phi - phi.phi)))
+        trace.append((iteration, change, score_norm))
+        phi = new_phi
+        if change <= controls.tol_phi:
+            return phi, trace
+    raise FitError("dense EM did not converge", trace=tuple(trace))
+
+
 # ---------------------------------------------------------------------------
 # a normal mixture's scores by one pass over its component densities per cell
 # ---------------------------------------------------------------------------
@@ -111,7 +142,7 @@ def _responsibilities(gamma: OutcomeSpec, y, columns):
 
 
 def _mixture_sums(gamma: OutcomeSpec, pieces, weights):
-    """``variance._score_sums`` of a normal mixture from its ``_responsibilities`` pieces.
+    """``score_sums`` of a normal mixture from its ``_responsibilities`` pieces.
 
     The observed score is the complete-data score weighted by the
     responsibilities r_k (Louis, 1982), so one pass over the K component
@@ -138,7 +169,7 @@ def _mixture_sums(gamma: OutcomeSpec, pieces, weights):
 
 
 def mixture_score_sums(gamma: OutcomeSpec, y_donors: np.ndarray, columns, weights):
-    """``variance._score_sums`` of a normal mixture by one responsibility pass over
+    """``score_sums`` of a normal mixture by one responsibility pass over
     the (units, donors) cells, as it was before it read the responsibilities from
     the components' factors."""
     pieces = _responsibilities(gamma, y_donors[None, :], columns)[1]
@@ -150,6 +181,29 @@ def mixture_respondent_scores(gamma: OutcomeSpec, y: np.ndarray, columns) -> np.
     y = np.asarray(y, dtype=float)
     pieces = _responsibilities(gamma, y[:, None], columns)[1]
     return _mixture_sums(gamma, pieces, (np.ones((y.size, 1)),))[0]
+
+
+def outer_responsibilities(gamma: OutcomeSpec, y: np.ndarray, columns) -> np.ndarray:
+    """Each component's responsibility ``pi_k f_k / f`` of a mixture at every value ``y``
+    under every unit's model, (K, units, values), from ``log_density_factors``."""
+    slope, offset, log_c = log_density_factors(gamma, y, columns)
+    log_p = slope[:, :, None] * y + offset[:, :, None] + log_c[:, None, :]
+    log_p -= log_p.max(axis=0)
+    np.exp(log_p, out=log_p)
+    log_p /= log_p.sum(axis=0)
+    return log_p
+
+
+def score_sums(gamma: OutcomeSpec, y_donors: np.ndarray, columns, weights):
+    """Per-unit sums ``sum_j V_rj s1(x_r, y_j)``, (units, q), for each full array V in
+    ``weights``: the closed form of ``variance._component_sums`` on the row moments of
+    ``V r_k`` against the ``_centred_powers`` (1, y, y^2, log y), with a mixture's
+    responsibilities ``r_k`` from ``outer_responsibilities``.  ``gamma`` is a
+    respondents' model, so it carries no tilt."""
+    logs, lo, _ = _moment_columns(gamma)
+    shift, powers = _centred_powers(y_donors, logs)
+    r = outer_responsibilities(gamma, y_donors, columns) if gamma.k > 1 else np.ones((1, 1, 1))
+    return [_component_sums(gamma, columns, shift, (r * v) @ powers[:, lo]) for v in weights]
 
 
 def _donor_log_c(gamma: OutcomeSpec, data: Dataset) -> np.ndarray:
@@ -270,7 +324,7 @@ def one_level_root(data: Dataset, gamma: OutcomeSpec, h_basis):
 
     def system(x):
         p = phi.with_phi(x)
-        return _evaluate(p, arrays, replace(kernel, beta=p.beta), kernel.donor_y, True)[:2]
+        return _evaluate(p, arrays, replace(kernel, beta=p.beta), True)[:2]
 
     controls = FiControls()
     steps = min(MAX_NEWTON_STEPS, controls.max_em_iter)
@@ -278,6 +332,88 @@ def one_level_root(data: Dataset, gamma: OutcomeSpec, h_basis):
     if not converged:
         raise FitError("the one-level solve did not converge")
     return x, len(path) - 1
+
+
+def _logsumexp_blocks(blocks, n_cols: int) -> np.ndarray:
+    """``expfam._logsumexp0`` of the row blocks stacked, in one pass over them.
+
+    A running column max rescales the running sum whenever it rises;
+    columns that are ``-inf`` throughout stay ``-inf``.  The blocks are
+    read, not written: ``exp(a - shift)`` goes to a scratch buffer that
+    grows to the largest block.
+    """
+    top, total = np.full(n_cols, -np.inf), np.zeros(n_cols)
+    shift = np.zeros(n_cols)
+    scratch = np.empty((0, n_cols))
+    for a in blocks:
+        new_top = np.maximum(top, a.max(axis=0))
+        shift = np.where(np.isfinite(new_top), new_top, 0.0)
+        total *= np.exp(top - shift)
+        if a.shape[0] > scratch.shape[0]:
+            scratch = np.empty(a.shape)
+        tmp = np.subtract(a, shift, out=scratch[: a.shape[0]])
+        total += np.exp(tmp, out=tmp).sum(axis=0)
+        top = new_top
+    with np.errstate(divide="ignore"):
+        return np.where(np.isfinite(top), shift + np.log(total), top)
+
+
+def _log_density_blocks(gamma: OutcomeSpec, y: np.ndarray, columns, n_rows: int):
+    """``(rows, log(pi_k f_k(y | x_r)))`` for each row block of the K*``n_rows`` rows (k, r),
+    each one matmul of the rows' factors ``(slope, offset, one-hot k)`` with ``(y, 1,
+    log c_0(y), ..., log c_{K-1}(y))``."""
+    slope, offset, log_c = log_density_factors(gamma, y, columns)
+    k, n = slope.shape
+    left = np.column_stack([slope.ravel(), offset.ravel(), np.repeat(np.eye(k), n, axis=0)])
+    right = np.vstack([y, np.ones_like(y), log_c])
+    for rows, (buffer,) in _blocks(left.shape[0], right.shape[1], 1):
+        yield rows, np.matmul(left[rows], right, out=buffer)
+
+
+def online_log_c(gamma: OutcomeSpec, values: np.ndarray, data: Dataset) -> np.ndarray:
+    """log C at every value by an online log-sum-exp over row blocks of the K*n1
+    factored respondent rows: ``fiem._log_c_at``'s exact walk as it was before it
+    shared the points-major walk of ``d log C/d gamma``."""
+    blocks = _log_density_blocks(gamma, values, data.respondent_columns(), data.n_respondents)
+    return _logsumexp_blocks((b for _, b in blocks), values.size)
+
+
+def grad_log_c_walk(gamma: OutcomeSpec, y_u: np.ndarray, data: Dataset):
+    """``variance._grad_log_c`` as it was before it shared ``log C``'s walk: its own
+    factor layout (the rows' ``(slope, offset, one-hot k)`` less the first one-hot
+    column) and its own points-major blocks."""
+    resp_cols, n1 = data.respondent_columns(), data.n_respondents
+    logs, lo, _ = _moment_columns(gamma)
+    shift = float(np.mean(y_u))
+    slope, offset, _ = log_density_factors(gamma, y_u, resp_cols)
+    k, n = slope.shape
+    left = np.column_stack([slope.ravel(), offset.ravel(), np.repeat(np.eye(k), n, axis=0)])
+    right = np.ascontiguousarray(np.delete(left, 2, axis=1).T)
+
+    def unit(k, p):
+        m = np.zeros((gamma.k, n1, len(lo)))
+        m[k, :, p] = 1.0
+        return m
+
+    a = np.vstack([
+        np.hstack([_component_sums(gamma, resp_cols, shift, unit(k, p)) for p in range(len(lo))])
+        for k in range(gamma.k)
+    ])
+    q = a.shape[1] // len(lo)
+
+    def at(t: np.ndarray) -> np.ndarray:
+        phi = _centred_powers(t, logs, shift)[1][:, lo]
+        out = np.empty((t.size, q))
+        points = np.ascontiguousarray(_value_rows(gamma, t).T)
+        for rows, (p,) in _blocks(t.size, right.shape[1], 1):
+            np.matmul(points[rows], right, out=p)
+            p -= p.max(axis=1, keepdims=True)
+            np.exp(p, out=p)
+            b = (p @ a) / p.sum(axis=1, keepdims=True)
+            out[rows] = np.einsum("rkq,rk->rq", b.reshape(-1, len(lo), q), phi[rows])
+        return out
+
+    return at
 
 
 def exact_log_c(gamma: OutcomeSpec, values: np.ndarray, data: Dataset) -> np.ndarray:
@@ -323,7 +459,7 @@ def walked_missing_pieces(phi, gamma: OutcomeSpec, weights, data: Dataset, score
     it read the kernel sums that came with the weights.
 
     One walk of the donor kernel reduces, block by block, ``s0bar``, the
-    ``_score_sums`` of (w, w pi, w pi y), and for ``V_ij = w_ij (y_j -
+    ``score_sums`` of (w, w pi, w pi y), and for ``V_ij = w_ij (y_j -
     ybar_i)`` the per-value ``c_j = sum_i V_ij`` and ``sum_ij V_ij
     s1(x_i, y_j)``, with ``ybar`` the weights'; one component from the
     blocks' moments against the centred powers, a mixture from each
@@ -342,7 +478,7 @@ def walked_missing_pieces(phi, gamma: OutcomeSpec, weights, data: Dataset, score
     if score_sums is None and gamma.k > 1:
         score_sums = mixture_score_sums
     sums = [np.empty((n0, q)) for _ in range(4)]  # of (w, w pi, w pi y, V), by score_sums
-    for rows, _, u, wp, *_ in _donor_blocks(phi, b_miss, y_u, weights.kernel):
+    for rows, _, u, wp, *_ in _donor_blocks(phi, b_miss, weights.kernel):
         m_u[rows] = u @ powers
         s = m_u[rows, 0]
         col = u.T @ np.column_stack([1.0 / s, t[rows] / s])

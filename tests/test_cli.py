@@ -120,6 +120,39 @@ def test_controls_that_can_never_converge_are_config_errors(tmp_path, capsys, ke
 
 
 @pytest.mark.parametrize(
+    "controls, key, value, message",
+    [
+        (False, "seed", -1, "seed must be at least 0, got -1"),
+        (False, "seed", 1.5, "seed must be a whole number, got 1.5"),
+        (False, "seed", "3", "seed must be a whole number, got '3'"),
+        (True, "m_draws", 2.7, "controls.m_draws must be a whole number, got 2.7"),
+        (True, "max_iter", 2.5, "controls.max_iter must be a whole number, got 2.5"),
+        (True, "restarts", 0, "controls.restarts must be at least 1, got 0"),
+        (True, "restarts", -3, "controls.restarts must be at least 1, got -3"),
+        (True, "restarts", True, "controls.restarts must be a whole number, got True"),
+    ],
+)
+def test_integer_config_keys_must_be_whole_numbers_in_range(
+    tmp_path, capsys, controls, key, value, message
+):
+    # a negative seed died in a ValueError traceback, int() truncated 1.5,
+    # 2.7 and 2.5 (max_iter 2.5 then ran out of iterations, exit 4), and
+    # restarts below 1 ran one start
+    payload = base_config(controls={key: value}) if controls else base_config(**{key: value})
+    path = write_config(tmp_path, payload)
+    out = tmp_path / "fit"
+    assert main(["fit", "--data", str(GATED_DATA), "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_integer_config_keys_take_whole_floats():
+    config = parse_config(base_config(seed=4.0, controls={"restarts": 2.0, "max_iter": 30.0}))
+    assert (config.seed, config.restarts, config.controls.max_em_iter) == (4, 2, 30)
+    assert all(type(v) is int for v in (config.seed, config.restarts, config.controls.max_em_iter))
+
+
+@pytest.mark.parametrize(
     "flag, value, message",
     [
         ("--tol", "-1", "--tol must be positive and finite, got -1.0"),
@@ -488,6 +521,7 @@ def test_simulate_rejects_fewer_than_one_replicate(tmp_path, capsys, b):
         ("--n", "-5", "--n must be at least 1, got -5"),
         ("--estimators", "XX", "--estimators takes CC and FI, got 'XX'"),
         ("--estimators", "CC,FJ", "--estimators takes CC and FI, got 'CC,FJ'"),
+        ("--seed", "-1", "--seed must be at least 0, got -1"),
     ],
 )
 def test_simulate_checks_its_arguments_first(tmp_path, capsys, flag, value, message):

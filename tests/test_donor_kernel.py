@@ -26,7 +26,6 @@ from fimnar.fiem import (
     FractionalWeights,
     _donor_blocks,
     _LogWeights,
-    _logsumexp_blocks,
     _parametric_pool,
     _row_dot,
     _score_and_jacobian,
@@ -41,13 +40,12 @@ from fimnar.sim import Scenario, _fit_respondent, built_in_scenario, generate
 from fimnar.variance import (
     _assemble,
     _mu_y_grad_gamma,
-    _score_sums,
     mu_y_variance,
     respondent_score_gamma,
     variance_estimate,
 )
 
-from oracles import StoredGrid, _donor_log_base, _donor_log_c
+from oracles import StoredGrid, _donor_log_base, _donor_log_c, _logsumexp_blocks, score_sums
 
 # ---------------------------------------------------------------------------
 # reference copies of the full-array code
@@ -99,7 +97,7 @@ def reference_missing_pieces(phi, gamma, weights, data, n):
     wp = weights.w * expit((b_miss @ np.asarray(phi.alpha))[:, None] + phi.beta * y_d)
     s0bar = -np.column_stack([wp.sum(axis=1)[:, None] * b_miss, wp @ y_d])
     z0bar = np.column_stack([b_miss, weights.w @ y_d])
-    r_w, r_wp, r_wpy = _score_sums(
+    r_w, r_wp, r_wpy = score_sums(
         gamma, y_d, data.missing_columns(), (weights.w, wp, wp * y_d)
     )
     e_cross = -(np.vstack([b_miss.T @ r_wp, r_wpy.sum(axis=0)]) + s0bar.T @ r_w) / n
@@ -110,12 +108,12 @@ def reference_mu_y_grad_gamma(gamma, weights, data):
     y_d = data.y_observed
     v = (y_d[None, :] - (weights.w @ y_d)[:, None]) * weights.w
     c = v.sum(axis=0)
-    (local,) = _score_sums(gamma, y_d, data.missing_columns(), (v,))
+    (local,) = score_sums(gamma, y_d, data.missing_columns(), (v,))
     resp_cols = data.respondent_columns()
     p = log_density_outer(gamma, y_d, resp_cols)
     p = np.exp(p - p.max(axis=0))
     p *= c / p.sum(axis=0)
-    (via_c,) = _score_sums(gamma, y_d, resp_cols, (p,))
+    (via_c,) = score_sums(gamma, y_d, resp_cols, (p,))
     return (local.sum(axis=0) - via_c.sum(axis=0)) / data.n
 
 
@@ -209,17 +207,17 @@ def test_score_and_jacobian_match_full_array_code(case):
             phi, arrays, w_full, donor_y, moving
         )
         kernel = _LogWeights(None, phi.beta, donor_y) if base is None else StoredGrid(base, phi.beta, donor_y)
-        for w in (kernel, w_full):
-            score, jac = _score_and_jacobian(phi, arrays, w, donor_y, moving)
-            assert rel_err(score, ref_s) <= 1e-12
-            assert rel_err(jac, ref_j) <= 1e-12
+        score, jac = _score_and_jacobian(phi, arrays, kernel, moving)
+        assert rel_err(score, ref_s) <= 1e-12
+        assert rel_err(jac, ref_j) <= 1e-12
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 def test_variances_match_full_array_code(case):
     data, gf, h_basis = case_data(case)
     fit = em_fit(data, gf, h_basis)
-    assert rel_err(fit.weights.log_c[fit.weights.inverse], reference_log_c(gf.spec, data)) <= 1e-12
+    log_c = fiem._log_c_at(gf.spec, fit.weights.values, data)
+    assert rel_err(log_c[fit.weights.inverse], reference_log_c(gf.spec, data)) <= 1e-12
     ref_sigma, ref_mu_var, ref_e, ref_grad = reference_variances(fit, gf, data)
     sigma, parts = variance_estimate(fit, gf, data)
     assert rel_err(parts.e_cross, ref_e) <= 1e-12
@@ -259,8 +257,8 @@ def block_propensities(monkeypatch, case, shift):
     start = fiem._initial_phi(h_basis, data)
     phi = start.with_phi(start.phi + shift)
     b_miss = h_basis.design(data.missing_columns())
-    ones = np.ones((b_miss.shape[0], 1))
-    for rows, y, _, pi in _donor_blocks(phi, b_miss, data.y_observed, ones):
+    flat = _LogWeights(None, 0.0, data.y_observed)
+    for rows, y, _, pi in _donor_blocks(phi, b_miss, flat):
         yield rows, y, pi, phi, b_miss
 
 
@@ -307,10 +305,9 @@ def test_score_and_jacobian_match_full_array_code_at_extreme_beta(beta, move_int
     w_full = reference_weights(beta, donor_y, base)
     for moving in (True, False):
         ref_s, ref_j = reference_score_and_jacobian(phi, arrays, w_full, donor_y, moving)
-        for w in (StoredGrid(base, beta, donor_y), w_full):
-            score, jac = _score_and_jacobian(phi, arrays, w, donor_y, moving)
-            assert rel_err(score, ref_s) <= 1e-12
-            assert rel_err(jac, ref_j) <= 1e-12
+        score, jac = _score_and_jacobian(phi, arrays, StoredGrid(base, beta, donor_y), moving)
+        assert rel_err(score, ref_s) <= 1e-12
+        assert rel_err(jac, ref_j) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +324,11 @@ def results_at_block_size(monkeypatch, cells, case):
     phi = fit.phi_hat.with_phi(fit.phi + 0.2)
     y_d = data.y_observed
     w = StoredGrid(_donor_log_base(gf.spec, data), phi.beta, y_d)
-    score, jac = _score_and_jacobian(phi, _score_arrays(phi, data), w, y_d, True)
+    score, jac = _score_and_jacobian(phi, _score_arrays(phi, data), w, True)
     return {
         "phi": fit.phi,
         "w": fit.weights.w,
-        "log_c": fit.weights.log_c,
+        "log_c": fiem._log_c_at(gf.spec, fit.weights.values, data),
         "sigma": sigma,
         "mu_var": mu_y_variance(fit, gf, data, parts),
         "score": score,
@@ -422,7 +419,7 @@ def stored_grid_kernel(gamma, data):
     base from ``log_density_outer``, one column per donor, no factors."""
     log_c = reference_log_c(gamma, data)
     base = log_density_outer(gamma, data.y_observed, data.missing_columns()) - log_c
-    return StoredGrid(base, 0.0, data.y_observed), None, log_c
+    return StoredGrid(base, 0.0, data.y_observed), None
 
 
 def glm_scenario_case(family, seed, n=500):
@@ -456,7 +453,8 @@ def test_factored_kernel_matches_stored_grid(monkeypatch, case):
     with monkeypatch.context() as patch:
         patch.setattr(fiem, "_donor_kernel", stored_grid_kernel)
         ref_fit = em_fit(data, gf, h_basis)
-    assert rel_err(fit.weights.log_c[fit.weights.inverse], ref_fit.weights.log_c) <= 1e-12
+    log_c = fiem._log_c_at(gf.spec, fit.weights.values, data)
+    assert rel_err(log_c[fit.weights.inverse], reference_log_c(gf.spec, data)) <= 1e-12
     assert rel_err(fit.phi, ref_fit.phi) <= 1e-12
     # both kernels' weights at one phi: the stored-grid fit's
     factored = fractional_weights(ref_fit.phi_hat, gf.spec, data)
@@ -469,12 +467,8 @@ def test_factored_kernel_matches_stored_grid(monkeypatch, case):
     kernel = fiem._donor_kernel(gf.spec, data)[0]
     ref_kernel = stored_grid_kernel(gf.spec, data)[0]
     for moving in (True, False):
-        score, jac = _score_and_jacobian(
-            phi, arrays, replace(kernel, beta=phi.beta), kernel.donor_y, moving
-        )
-        ref_s, ref_j = _score_and_jacobian(
-            phi, arrays, replace(ref_kernel, beta=phi.beta), data.y_observed, moving
-        )
+        score, jac = _score_and_jacobian(phi, arrays, replace(kernel, beta=phi.beta), moving)
+        ref_s, ref_j = _score_and_jacobian(phi, arrays, replace(ref_kernel, beta=phi.beta), moving)
         assert rel_err(score, ref_s) <= 1e-12
         assert rel_err(jac, ref_j) <= 1e-12
 
@@ -490,11 +484,10 @@ def test_factored_kernel_matches_stored_grid(monkeypatch, case):
 
 def test_donors_collapse_to_their_unique_values():
     data, gf, h_basis = election_case()
-    kernel, inverse, log_c = fiem._donor_kernel(gf.spec, data)
+    kernel, inverse = fiem._donor_kernel(gf.spec, data)
     assert data.n_respondents > 900
     assert np.array_equal(kernel.donor_y, [0.0, 1.0])
     assert np.array_equal(kernel.donor_y[inverse], data.y_observed)
-    assert log_c.shape == kernel.donor_y.shape
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +521,7 @@ def kernel_results(phi, gf, data, weights):
     fit = FitResult(phi, weights, 0.0)
     sigma, parts = variance_estimate(fit, gf, data)
     off = phi.with_phi(phi.phi + 0.3)
-    score, jac = _score_and_jacobian(
-        off, _score_arrays(off, data), weights.kernel, weights.values, True
-    )
+    score, jac = _score_and_jacobian(off, _score_arrays(off, data), weights.kernel, True)
     return {
         "score": score,
         "jac": jac,
@@ -568,11 +559,8 @@ def test_collapsed_donors_match_every_donor_and_ignore_row_order(
     except FitError:
         assume(False)
     assume(got.pop("cond") <= 1e5)
-    kernel, _, log_c = stored_grid_kernel(gf.spec, data)
-    kernel = replace(kernel, beta=phi.beta)
-    every_donor = FractionalWeights(
-        data.n_missing, kernel, fiem._kept_sums(phi, kernel, gf.spec, data), log_c
-    )
+    kernel = replace(stored_grid_kernel(gf.spec, data)[0], beta=phi.beta)
+    every_donor = FractionalWeights(data.n_missing, kernel, fiem._kept_sums(phi, kernel, gf.spec, data))
     ref = kernel_results(phi, gf, data, every_donor)
     for key, value in got.items():
         assert rel_err(value, ref[key]) <= BOUNDS[key], key
@@ -637,8 +625,8 @@ def test_mixture_stages_allocate_no_grid():
 def test_kernel_passes_reuse_their_block_buffers():
     # a pass writes its blocks into buffers allocated once, so it peaks at
     # those buffers plus vectors over units and values (under one block
-    # here): three for a score pass (weights, pi, w pi), two for log C
-    # (log densities, logsumexp scratch).  A fresh array per block, with
+    # here): three for a score pass (weights, pi, w pi), one for log C
+    # (its points x respondent-rows block).  A fresh array per block, with
     # the previous block alive while the next is built, peaked at 5.4 and
     # 3.4 blocks.  Here log C and d log C/d gamma are interpolated in y,
     # and those passes are held to the same bound as the exact log C.
@@ -651,7 +639,7 @@ def test_kernel_passes_reuse_their_block_buffers():
     assert data.n_missing * kernel.donor_y.size > 8 * fiem.CELLS  # many blocks
     assert kernel.donor_y.size >= 4 * fiem.CHEB_POINTS  # interpolated in y
     _, score_peak = traced_peak(
-        lambda: _score_and_jacobian(phi, arrays, w, kernel.donor_y, True)
+        lambda: _score_and_jacobian(phi, arrays, w, True)
     )
     _, log_c_peak = traced_peak(lambda: fiem._log_c_at(gf.spec, kernel.donor_y, data))
     fit = FitResult(phi, fractional_weights(phi, gf.spec, data), 0.0)

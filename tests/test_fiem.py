@@ -28,7 +28,7 @@ from fimnar.respondent import FitError, fit_glm
 from fimnar.response import ResponseSpec
 from fimnar.sim import _fit_respondent, built_in_scenario, generate, scenario_s1
 
-from oracles import StoredGrid, tiled_parametric_pool
+from oracles import StoredGrid, dense_em, tiled_parametric_pool
 
 KINDS = {"x": continuous()}
 B1X = parse_formula("1 + x", KINDS)
@@ -536,6 +536,37 @@ def stalled_replicate():
     return data, _fit_respondent(scn, data, rng, 10), scn.response.h_basis
 
 
+def test_em_on_the_kernel_matches_em_on_a_dense_weight_array():
+    # the M-steps walk the kernel at the E-step's beta instead of one
+    # (n_missing, values) array per iteration: the same path, to rounding
+    data, gf, h_basis = stalled_replicate()
+    kernel = fiem._donor_kernel(gf.spec, data)[0]
+    phi = fiem._initial_phi(h_basis, data)
+    arrays = _score_arrays(phi, data)
+    controls = FiControls(max_em_iter=2000)
+    got, trace = fiem._em(phi, arrays, kernel, controls)
+    ref, ref_trace = dense_em(phi, arrays, kernel, controls)
+    assert len(trace) == len(ref_trace) > 1
+    assert np.max(np.abs(got.phi - ref.phi)) <= 1e-12 * np.max(np.abs(ref.phi))
+
+
+def test_em_holds_no_weight_array():
+    # one (n_missing, values) array per iteration was the fallback's peak;
+    # the kernel's walks need only their block buffers
+    data, gf, h_basis = scenario_case("s1", 3000, 67)
+    fit = em_fit(data, gf, h_basis)
+    kernel = fiem._donor_kernel(gf.spec, data)[0]
+    grid_bytes = 8 * data.n_missing * kernel.donor_y.size
+    arrays = _score_arrays(fit.phi_hat, data)
+    tracemalloc.start()
+    try:
+        fiem._em(fit.phi_hat, arrays, kernel, FiControls())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid_bytes / 4
+
+
 def same_sums(weights, ref, tol):
     """Whether the weights' ``_KernelSums`` and unit moments agree with those of
     the sums ``ref`` within ``tol`` relative, column by column."""
@@ -603,19 +634,6 @@ def test_em_fit_checks_where_its_last_evaluation_was(monkeypatch):
     assert same_sums(w, fiem._kept_sums(fit.phi_hat, w.kernel, gf.spec, data), 0.0)
 
 
-def test_evaluation_leaves_a_weight_array_as_it_was():
-    # the EM fallback passes its iteration's weights as one array, which
-    # the kernel's passes reduce but must not overwrite
-    data, gf, h_basis = scenario_case("s1", 500, 6)
-    phi = fiem._initial_phi(h_basis, data)
-    weights = fractional_weights(phi, gf.spec, data)
-    w = weights.kernel[:]
-    kept = w.copy()
-    for moving in (True, False):
-        _score_and_jacobian(phi, _score_arrays(phi, data), w, weights.values, moving)
-    assert np.array_equal(w, kept)
-
-
 @pytest.mark.parametrize("engine", ["donor", "parametric"])
 def test_full_jacobian_matches_finite_differences_of_moving_weights(engine):
     rng = np.random.default_rng(15)
@@ -630,8 +648,7 @@ def test_full_jacobian_matches_finite_differences_of_moving_weights(engine):
         weights_at = parametric_weights_at(rng.normal(size=(15, 30)), gamma, data)
     phi = phi_spec(alpha=(0.2, -0.1), beta=0.3)
     w = weights_at(phi)
-    donor_y = data.y_observed if engine == "donor" else w.values  # the columns of w.w
-    jac = _score_and_jacobian(phi, _score_arrays(phi, data), w.w, donor_y, True)[1]
+    jac = _score_and_jacobian(phi, _score_arrays(phi, data), w.kernel, True)[1]
     vec = phi.phi
     fd = np.zeros_like(jac)
     for j in range(vec.size):

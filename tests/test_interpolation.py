@@ -6,6 +6,7 @@ Chebyshev points in y; the exact walks they replace are kept in
 within 1e-10 absolute, the gradient within 1e-8 relative.
 """
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,9 +19,9 @@ from fimnar.expfam import Component, Family, OutcomeSpec, _logsumexp0
 from fimnar.fiem import CHEB_POINTS, CHEB_TAIL, LOG_C_TOL, _chebyshev, _log_c_at, fractional_weights
 from fimnar.response import ResponseSpec
 from fimnar.sim import Scenario, _fit_respondent, built_in_scenario, generate
-from fimnar.variance import _missing_pieces, _mu_y_grad_gamma
+from fimnar.variance import _grad_log_c, _missing_pieces, _mu_y_grad_gamma
 
-from oracles import exact_log_c, exact_via_c
+from oracles import exact_log_c, exact_via_c, grad_log_c_walk, online_log_c
 from test_donor_kernel import election_case, glm_scenario_case
 
 B1X = built_in_scenario("s2").response.h_basis  # 1 + x
@@ -73,12 +74,13 @@ def test_interpolated_walks_match_the_exact_ones(fitted_calls, case):
     weights = fractional_weights(phi, gamma, data)
     assert weights.values.size >= 4 * CHEB_POINTS
     assert fitted_calls == [True]  # log C was interpolated
-    assert np.max(np.abs(weights.log_c - exact_log_c(gamma, weights.values, data))) <= 1e-10
+    log_c = _log_c_at(gamma, weights.values, data)
+    assert np.max(np.abs(log_c - exact_log_c(gamma, weights.values, data))) <= 1e-10
     *_, c, v_score = _missing_pieces(phi, gamma, weights, data)
     parts = SimpleNamespace(c_values=c, v_score=v_score)
     got = _mu_y_grad_gamma(gamma, weights, data, parts)
-    assert fitted_calls == [True, True]  # and so was d log C/d gamma
-    ref = (v_score - exact_via_c(gamma, weights.values, c, weights.log_c, data)) / data.n
+    assert fitted_calls == [True, True, True]  # and so was d log C/d gamma
+    ref = (v_score - exact_via_c(gamma, weights.values, c, log_c, data)) / data.n
     assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
@@ -94,14 +96,36 @@ def test_grids_below_the_gate_keep_the_exact_log_c_bitwise(fitted_calls, case):
         data, gamma, _ = scenario_case(case, 2000, 94)
     values = np.unique(data.y_observed)
     assert values.size < 4 * CHEB_POINTS
-    # a mixture's exact walk is over its factored rows (k, l), which the
-    # oracle's per-cell log densities match to rounding (tests/test_mixture_factors.py)
-    blocks = fiem._log_density_blocks(gamma, values, data.respondent_columns(), data.n_respondents)
-    exact = fiem._logsumexp_blocks((b for _, b in blocks), values.size)
-    if gamma.k == 1:
-        np.testing.assert_array_equal(exact, exact_log_c(gamma, values, data))
+    factors, log_c = fiem._respondent_factors(gamma, values, data.respondent_columns())
+    exact = fiem._respondent_lse(gamma, factors, values) + log_c[0]
     np.testing.assert_array_equal(_log_c_at(gamma, values, data), exact)
     assert fitted_calls == []
+    # the online walk over row blocks that the exact walk replaced
+    assert np.max(np.abs(exact - online_log_c(gamma, values, data))) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "name, n", [("s1", 2000), ("s2", 2000), ("s3", 2000), ("s1", 6000), ("s3", 6000)]
+)
+def test_grad_log_c_shares_the_walk_bitwise(name, n):
+    # d log C/d gamma reads log C's points x respondent-rows walk; it
+    # walked its own layout of the same rows before
+    data, gamma, _ = scenario_case(name, n, 95)
+    values = np.unique(data.y_observed)
+    got = _grad_log_c(gamma, values, data)(values)
+    np.testing.assert_array_equal(got, grad_log_c_walk(gamma, values, data)(values))
+
+
+def test_a_point_whose_rows_are_all_minus_inf_has_log_c_minus_inf():
+    gamma = OutcomeSpec(Family.NORMAL, (Component(B1X, (0.0, 1.0), 1.0),))
+    t = np.array([-1.0, 0.5, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # rows (slope, offset): every row's offset is -inf, then one row's
+        got = fiem._respondent_lse(gamma, np.array([[1.0, -2.0], [-np.inf, -np.inf]]), t)
+        assert np.all(got == -np.inf)
+        got = fiem._respondent_lse(gamma, np.array([[1.0, -2.0], [-np.inf, 0.5]]), t)
+    np.testing.assert_allclose(got, 0.5 - 2.0 * t, rtol=1e-15)
 
 
 @given(

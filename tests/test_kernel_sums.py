@@ -43,9 +43,9 @@ def counted_walks(monkeypatch) -> list:
     """Record the number of values of every walk of the missing-unit grid."""
     walks, weight_blocks = [], fiem._weight_blocks
 
-    def counted(w, y, *args, **kwargs):
-        walks.append(y.shape[-1])
-        return weight_blocks(w, y, *args, **kwargs)
+    def counted(w, *args, **kwargs):
+        walks.append(w.donor_y.shape[-1])
+        return weight_blocks(w, *args, **kwargs)
 
     monkeypatch.setattr(fiem, "_weight_blocks", counted)
     return walks
